@@ -27,7 +27,8 @@ CATEGORIES = ("general_reasoning", "math_reasoning", "code_generation")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only copy, so freezing never touches the caller's array."""
+    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
 

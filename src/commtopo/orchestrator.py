@@ -105,19 +105,6 @@ def _new_tag(rng: np.random.Generator) -> str:
     return "".join(rng.choice(list(_TAG_ALPHABET)) for _ in range(4))
 
 
-def decision_aggregate(transcript, task: TaskSpec, decision_backend) -> str:
-    """Prompt the decision agent with task plus full transcript; return its text."""
-    if not transcript:
-        raise ValueError("transcript is empty")
-    system = render_system_prompt(DECISION_PROFILE, task.task_text)
-    user = render_user_prompt([e.as_history_item() for e in transcript])
-    try:
-        text, _, _ = decision_backend.complete(system, user)
-    except BackendError as exc:
-        raise RunAborted(f"decision backend failed: {exc}", list(transcript)) from exc
-    return text
-
-
 def run_topology(
     t: CommTopology,
     task: TaskSpec,

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, asdict
-from typing import Sequence
+from dataclasses import dataclass, asdict
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .embed import DEFAULT_DIM, EmbeddingBackend, build_node_features
-from .errors import CheckpointError, DimensionError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
 from .pool import AgentPool
 
@@ -112,64 +112,59 @@ def _prop_matrix(n_full: int) -> np.ndarray:
     return a
 
 
-def gcn_forward(x: np.ndarray, params: PruneNetParams) -> np.ndarray:
-    """Two propagation layers (relu after the first only); agent rows out."""
+class Forward(NamedTuple):
+    """One forward pass: head logits plus what the backward pass reuses."""
+
+    a_hat: np.ndarray  # propagation operator, agents plus query row
+    p: np.ndarray  # propagated features
+    u: np.ndarray  # layer-1 pre-activation
+    q: np.ndarray  # propagated relu(u)
+    z: np.ndarray  # agent latents (query row dropped)
+    t: np.ndarray  # node-MLP hidden pre-activation
+    lmat: np.ndarray  # edge logits z_i . (B z_j)
+    s: np.ndarray  # node logits
+
+
+def forward(params: PruneNetParams, x: np.ndarray) -> Forward:
+    """Two propagation layers (relu after the first only), then both heads' logits."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.w_gcn1.shape[0]:
         raise DimensionError(f"feature matrix shape {x.shape} does not match d={params.w_gcn1.shape[0]}")
-    n_full = x.shape[0]
-    a_hat = _prop_matrix(n_full)
-    h1 = np.maximum(a_hat @ x @ params.w_gcn1, 0.0)
-    z_full = a_hat @ h1 @ params.w_gcn2
-    return z_full[: n_full - 1]
+    a_hat = _prop_matrix(x.shape[0])
+    p = a_hat @ x
+    u = p @ params.w_gcn1
+    q = a_hat @ np.maximum(u, 0.0)
+    z = (q @ params.w_gcn2)[:-1]
+    t = z @ params.mlp_w1 + params.mlp_b1
+    lmat = z @ params.b_edge @ z.T
+    s = np.maximum(t, 0.0) @ params.mlp_w2 + params.mlp_b2
+    return Forward(a_hat, p, u, q, z, t, lmat, s)
 
 
-def edge_logits(z: np.ndarray, params: PruneNetParams) -> np.ndarray:
-    return z @ params.b_edge @ z.T
+def heads(
+    f: Forward,
+    tau: float = 1.0,
+    edge_noise: np.ndarray | None = None,
+    node_noise: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge weights and mask probabilities: sigmoid((logit + noise) / tau).
 
-
-def edge_head(z: np.ndarray, params: PruneNetParams) -> WeightMatrix:
-    """w[i][j] = sigmoid(z_i . (B z_j)) off the diagonal; diagonal forced 0."""
-    w = _sigmoid(edge_logits(z, params))
-    np.fill_diagonal(w, 0.0)
-    return WeightMatrix(z.shape[0], w)
-
-
-def node_head(z: np.ndarray, params: PruneNetParams) -> tuple[np.ndarray, np.ndarray]:
-    """Two-layer MLP logits and their sigmoid."""
-    s = np.maximum(z @ params.mlp_w1 + params.mlp_b1, 0.0) @ params.mlp_w2 + params.mlp_b2
-    return s, _sigmoid(s)
-
-
-def gumbel_sigmoid(
-    logits: np.ndarray,
-    tau: float,
-    rng: np.random.Generator | None = None,
-    mode: str = "stochastic",
-    hard: bool = False,
-) -> np.ndarray:
-    """Relaxed Bernoulli samples; gradients flow through the soft value.
-
-    stochastic: sigmoid((logit + g1 - g2) / tau) with iid standard Gumbel
-    noise; deterministic: sigmoid(logit / tau).  hard additionally rounds
-    to {0,1}; callers treating the result as differentiable should use
-    the straight-through convention (soft gradient, hard value).
+    The edge diagonal is forced to 0.  With Gumbel-difference noise this
+    is the Gumbel-Sigmoid relaxation; without noise it is the
+    deterministic head used for logging and design.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    logits = np.asarray(logits, dtype=float)
-    if mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic mode needs an rng")
-        g1, g2 = (-np.log(-np.log(rng.uniform(size=logits.shape))) for _ in range(2))
-        soft = _sigmoid((logits + g1 - g2) / tau)
-    elif mode == "deterministic":
-        soft = _sigmoid(logits / tau)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if hard:
-        return (soft >= 0.5).astype(float)
-    return soft
+    e = f.lmat if edge_noise is None else f.lmat + edge_noise
+    w_pred = _sigmoid(e / tau)
+    np.fill_diagonal(w_pred, 0.0)
+    s = f.s if node_noise is None else f.s + node_noise
+    return w_pred, _sigmoid(s / tau)
+
+
+def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """g1 - g2 for iid standard Gumbel draws; g1 is drawn first."""
+    g1 = -np.log(-np.log(rng.uniform(size=shape)))
+    g2 = -np.log(-np.log(rng.uniform(size=shape)))
+    return g1 - g2
 
 
 def _as_array(v) -> np.ndarray:
@@ -255,18 +250,19 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("lr", "epochs", "batch", "tau_start", "tau_end"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.tau_start < self.tau_end:
-            raise ValueError("tau_start must be >= tau_end")
+        if self.lr < 0:
+            raise ConfigError("lr must be non-negative")
+        if self.batch < 1 or self.epochs < 1:
+            raise ConfigError("batch and epochs must be >= 1")
+        if not self.tau_start >= self.tau_end > 0:
+            raise ConfigError("temperatures must satisfy tau_start >= tau_end > 0")
         if not 0.0 <= self.avg_tail <= 1.0:
-            raise ValueError("avg_tail must lie in [0, 1]")
+            raise ConfigError("avg_tail must lie in [0, 1]")
 
 
 def loss_and_grads(
     params: PruneNetParams,
-    x: np.ndarray,
+    f: Forward,
     a_gt: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
@@ -277,35 +273,16 @@ def loss_and_grads(
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
     """One supervision pair: losses plus gradients of the total loss.
 
+    ``f`` is ``forward(params, x)`` for the pair's features.
     ``edge_noise`` / ``node_noise`` are additive logit perturbations
     (Gumbel differences during training, None for the deterministic
     path); tau rescales logits before the sigmoid in both heads.
     """
-    x = np.asarray(x, dtype=float)
     a = _as_array(a_gt)
     yv = _as_array(y)
-    n_full = x.shape[0]
-    n = n_full - 1
-    a_hat = _prop_matrix(n_full)
-
-    # forward
-    p = a_hat @ x
-    u = p @ params.w_gcn1
-    h1 = np.maximum(u, 0.0)
-    q = a_hat @ h1
-    z_full = q @ params.w_gcn2
-    z = z_full[:n]
-
-    lmat = z @ params.b_edge @ z.T
-    e_in = (lmat + (edge_noise if edge_noise is not None else 0.0)) / tau
-    w_pred = _sigmoid(e_in)
-    np.fill_diagonal(w_pred, 0.0)
-
-    t = z @ params.mlp_w1 + params.mlp_b1
-    r = np.maximum(t, 0.0)
-    s = r @ params.mlp_w2 + params.mlp_b2
-    s_in = (s + (node_noise if node_noise is not None else 0.0)) / tau
-    y_hat = _sigmoid(s_in)
+    z = f.z
+    n = z.shape[0]
+    w_pred, y_hat = heads(f, tau, edge_noise, node_noise)
 
     e_loss = edge_loss(w_pred, a, yv, cfg.lambda_off)
     n_loss = node_loss(y_hat, yv, w_pred, cfg.lambda_s, cfg.lambda_c, focal, cfg.focal_gamma)
@@ -348,21 +325,21 @@ def loss_and_grads(
     dz = ge @ z @ params.b_edge.T + ge.T @ z @ params.b_edge
 
     # node head
-    d_mlp_w2 = r.T @ ds
+    d_mlp_w2 = np.maximum(f.t, 0.0).T @ ds
     d_mlp_b2 = float(ds.sum())
     dr = np.outer(ds, params.mlp_w2)
-    dt = dr * (t > 0)
+    dt = dr * (f.t > 0)
     d_mlp_w1 = z.T @ dt
     d_mlp_b1 = dt.sum(axis=0)
     dz += dt @ params.mlp_w1.T
 
     # GCN backbone (virtual query row receives no head gradient)
     dz_full = np.vstack([dz, np.zeros((1, z.shape[1]))])
-    d_w_gcn2 = q.T @ dz_full
+    d_w_gcn2 = f.q.T @ dz_full
     dq = dz_full @ params.w_gcn2.T
-    dh1 = a_hat.T @ dq
-    du = dh1 * (u > 0)
-    d_w_gcn1 = p.T @ du
+    dh1 = f.a_hat.T @ dq
+    du = dh1 * (f.u > 0)
+    d_w_gcn1 = f.p.T @ du
 
     grads = {
         "w_gcn1": d_w_gcn1,
@@ -377,20 +354,15 @@ def loss_and_grads(
 
 
 def forward_losses(
-    params: PruneNetParams,
-    x: np.ndarray,
+    f: Forward,
     a_gt: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
     tau: float = 1.0,
     focal: bool = False,
 ) -> tuple[float, float, float]:
-    """Noise-free losses at temperature tau (no gradients)."""
-    z = gcn_forward(np.asarray(x, dtype=float), params)
-    w_pred = _sigmoid(edge_logits(z, params) / tau)
-    np.fill_diagonal(w_pred, 0.0)
-    s, _ = node_head(z, params)
-    y_hat = _sigmoid(s / tau)
+    """Noise-free losses of a forward pass at temperature tau (no gradients)."""
+    w_pred, y_hat = heads(f, tau)
     e = edge_loss(w_pred, a_gt, y, cfg.lambda_off)
     n = node_loss(y_hat, y, w_pred, cfg.lambda_s, cfg.lambda_c, focal, cfg.focal_gamma)
     return e, n, total_loss(e, n, cfg.beta)
@@ -503,30 +475,17 @@ def train(
             acc = {k: np.zeros_like(v) for k, v in tensors.items()}
             for pair in batch:
                 n = pool.n_max
-                e_noise = None
-                n_noise = None
-                if cfg.gumbel_edges:
-                    e_noise = _gumbel_diff(rng, (n, n))
-                if cfg.gumbel_nodes:
-                    n_noise = _gumbel_diff(rng, (n,))
+                e_noise = gumbel_noise(rng, (n, n)) if cfg.gumbel_edges else None
+                n_noise = gumbel_noise(rng, (n,)) if cfg.gumbel_nodes else None
+                f = forward(params, features[pair.task_text])
                 noisy, grads = loss_and_grads(
-                    params,
-                    features[pair.task_text],
-                    pair.a_gt.w,
-                    pair.y.m,
-                    cfg,
-                    tau=tau,
-                    edge_noise=e_noise,
-                    node_noise=n_noise,
-                    focal=focal,
+                    params, f, pair.a_gt.w, pair.y.m, cfg,
+                    tau=tau, edge_noise=e_noise, node_noise=n_noise, focal=focal,
                 )
                 if not np.isfinite(noisy[2]):
                     raise TrainingDiverged(step)
                 # log the noise-free objective at the current temperature
-                losses = forward_losses(
-                    params, features[pair.task_text], pair.a_gt.w, pair.y.m, cfg,
-                    tau=tau, focal=focal,
-                )
+                losses = forward_losses(f, pair.a_gt.w, pair.y.m, cfg, tau=tau, focal=focal)
                 sums += np.array(losses)
                 for k in acc:
                     acc[k] += grads[k]
@@ -548,12 +507,6 @@ def train(
     return params, log
 
 
-def _gumbel_diff(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    g1 = -np.log(-np.log(rng.uniform(size=shape)))
-    g2 = -np.log(-np.log(rng.uniform(size=shape)))
-    return g1 - g2
-
-
 def design_topology(
     query: str,
     pool: AgentPool,
@@ -566,16 +519,13 @@ def design_topology(
     If fewer than two agents pass the threshold, the top-2 mask
     probabilities are kept instead (lower id wins ties).
     """
-    x = build_node_features(pool, query, backend)
-    z = gcn_forward(x, params)
-    w_pred = edge_head(z, params)
-    _, y_hat = node_head(z, params)
+    w_pred, y_hat = heads(forward(params, build_node_features(pool, query, backend)))
     m = (y_hat >= theta).astype(float)
     if m.sum() < 2:
         top2 = np.argsort(-y_hat, kind="stable")[:2]
         m = np.zeros_like(m)
         m[top2] = 1.0
-    return induce(w_pred, NodeMask(pool.n_max, m))
+    return induce(WeightMatrix(pool.n_max, w_pred), NodeMask(pool.n_max, m))
 
 
 def save_checkpoint(params: PruneNetParams, net: NetConfig) -> bytes:
@@ -614,6 +564,8 @@ def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
             raise CheckpointError(
                 f"tensor {name}: expected shape {shape}, got {t.get(name, np.empty(0)).shape}"
             )
+        if not np.isfinite(t[name]).all():
+            raise CheckpointError(f"tensor {name} has non-finite values")
     params = PruneNetParams(
         w_gcn1=t["w_gcn1"],
         w_gcn2=t["w_gcn2"],

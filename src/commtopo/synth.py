@@ -16,7 +16,7 @@ import numpy as np
 from .backends import BackendSet, EchoBackend, PlantedDecisionBackend
 from .collector import Evaluator, SampledGraph, TaskSpec, answer_matches
 from .errors import ScoreUnavailable
-from .graphs import SupervisionPair, Topology, lift_subgraph
+from .graphs import lift_subgraph
 from .orchestrator import run_topology
 from .pool import AgentPool
 
@@ -145,23 +145,3 @@ def planted_backends(tasks, pool: AgentPool) -> BackendSet:
     """Deterministic echo agents plus the planted decision mock."""
     return BackendSet(default=EchoBackend(), decision=PlantedDecisionBackend(tasks, pool))
 
-
-def make_clean_corpus(tasks, pool: AgentPool) -> list[SupervisionPair]:
-    """Idealized supervision: each task labeled with exactly its planted team."""
-    pairs = []
-    for task in tasks:
-        if task.planted_team is None:
-            raise ValueError(f"task {task.task_id} has no planted team")
-        members = sorted(task.planted_team)
-        a_gt, y = lift_subgraph(Topology.complete(len(members)), members, pool.n_max)
-        pairs.append(
-            SupervisionPair(
-                task_id=task.task_id,
-                task_text=task.task_text,
-                category=task.category,
-                a_gt=a_gt,
-                y=y,
-                score=1.0,
-            )
-        )
-    return pairs

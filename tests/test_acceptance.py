@@ -25,6 +25,7 @@ from commtopo.prunenet import (
     _apply_tensors,
     design_topology,
     edge_loss,
+    forward,
     load_checkpoint,
     loss_and_grads,
     node_loss,
@@ -60,7 +61,7 @@ class TestCriterion1Gradients:
             y[rng.choice(net.n_max, 3, replace=False)] = 1.0
             a = np.outer(y, y)
             np.fill_diagonal(a, 0.0)
-            _, grads = loss_and_grads(params, x, a, y, cfg, tau=0.7)
+            _, grads = loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7)
             tensors = {k: v.copy() for k, v in params.tensors().items()}
             eps = 1e-5
             for name, t in tensors.items():
@@ -69,10 +70,10 @@ class TestCriterion1Gradients:
                     orig = flat[i]
                     flat[i] = orig + eps
                     _apply_tensors(params, tensors)
-                    up = loss_and_grads(params, x, a, y, cfg, tau=0.7)[0][2]
+                    up = loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7)[0][2]
                     flat[i] = orig - eps
                     _apply_tensors(params, tensors)
-                    down = loss_and_grads(params, x, a, y, cfg, tau=0.7)[0][2]
+                    down = loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7)[0][2]
                     flat[i] = orig
                     _apply_tensors(params, tensors)
                     fd = (up - down) / (2 * eps)

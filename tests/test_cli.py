@@ -115,6 +115,26 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
 
 
+    def test_zero_epochs_is_usage_error(self, workdir, capsys):
+        write_suite(workdir / "tasks.jsonl", n=5)
+        assert main(["collect", "--tasks", "tasks.jsonl", "--out", "c.jsonl",
+                     "--budget", "60"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--corpus", "c.jsonl", "--epochs", "0"]) == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not (workdir / "checkpoint.json").exists()
+
+    def test_avg_tail_out_of_range_in_config_is_usage_error(self, workdir, capsys):
+        write_suite(workdir / "tasks.jsonl", n=5)
+        assert main(["collect", "--tasks", "tasks.jsonl", "--out", "c.jsonl",
+                     "--budget", "60"]) == 0
+        (workdir / "cfg.ini").write_text("[train]\navg_tail = 1.5\n")
+        capsys.readouterr()
+        assert main(["--config", "cfg.ini", "train", "--corpus", "c.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "avg_tail" in err and len(err.strip().splitlines()) == 1
+
+
 class TestDesign:
     def test_missing_checkpoint_is_checkpoint_error(self, workdir, capsys):
         assert main(["design", "--query", "q", "--checkpoint", "none.json"]) == 4

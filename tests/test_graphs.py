@@ -65,6 +65,22 @@ class TestWeightMatrix:
             WeightMatrix(2, w)
 
 
+class TestCallerArrays:
+    def test_construction_leaves_caller_array_writable_and_detached(self):
+        adj = np.ones((3, 3)) - np.eye(3)
+        w = np.full((3, 3), 0.5)
+        np.fill_diagonal(w, 0.0)
+        m = np.array([1.0, 0.0, 1.0])
+        values = [Topology(3, adj), WeightMatrix(3, w), NodeMask(3, m)]
+        adj[0, 1] = 0.0
+        w[0, 1] = 0.25
+        m[1] = 1.0
+        assert values[0].adj[0, 1] == 1.0
+        assert values[1].w[0, 1] == 0.5
+        assert values[2].m[1] == 0.0
+        assert not any(v.flags.writeable for v in (values[0].adj, values[1].w, values[2].m))
+
+
 class TestLiftSubgraph:
     def test_two_node_edge_relabels(self):
         sub = Topology(2, np.array([[0.0, 1.0], [0.0, 0.0]]))

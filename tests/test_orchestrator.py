@@ -15,11 +15,10 @@ from commtopo.graphs import CommTopology, NodeMask, Topology, WeightMatrix
 from commtopo.orchestrator import (
     DialogueEntry,
     count_tokens,
-    decision_aggregate,
     run_topology,
     visible_history,
 )
-from commtopo.pool import load_default_pool
+from commtopo.pool import load_default_pool, render_user_prompt
 
 N = 15
 
@@ -179,10 +178,6 @@ class TestVisibleHistory:
 
 class TestDecisionAggregate:
     def test_reads_full_transcript(self):
-        entries = [
-            DialogueEntry("AAAA", 1, 0, "Critic", "x=41", 1, 1),
-            DialogueEntry("BBBB", 1, 1, "Doctor", "x=42", 1, 1),
-        ]
         captured = {}
 
         class Capture:
@@ -190,13 +185,12 @@ class TestDecisionAggregate:
                 captured["user"] = user
                 return "42", None, None
 
-        out = decision_aggregate(entries, task(), Capture())
-        assert out == "42"
-        assert "x=41" in captured["user"] and "x=42" in captured["user"]
-
-    def test_empty_transcript_rejected(self):
-        with pytest.raises(ValueError):
-            decision_aggregate([], task(), EchoBackend())
+        backends = BackendSet(default=EchoBackend(), decision=Capture())
+        result = run_topology(topo([0, 1]), task(), load_default_pool(), backends, k=2)
+        assert result.answer == "42"
+        dialogue = result.transcript[:-1]
+        assert len(dialogue) == 4
+        assert captured["user"] == render_user_prompt([e.as_history_item() for e in dialogue])
 
 
 class TestCountTokens:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from commtopo.embed import HashingBackend, build_node_features
-from commtopo.errors import CheckpointError, TrainingDiverged
+from commtopo.errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from commtopo.graphs import NodeMask, Topology, WeightMatrix, lift_subgraph
 from commtopo.graphs import SupervisionPair
 from commtopo.pool import load_default_pool
@@ -15,13 +15,12 @@ from commtopo.prunenet import (
     TrainConfig,
     _apply_tensors,
     design_topology,
-    edge_head,
     edge_loss,
-    gcn_forward,
-    gumbel_sigmoid,
+    forward,
+    gumbel_noise,
+    heads,
     load_checkpoint,
     loss_and_grads,
-    node_head,
     node_loss,
     save_checkpoint,
     total_loss,
@@ -45,46 +44,57 @@ def random_instance(rng):
     return x, a, y
 
 
+def logits_only(s):
+    """A forward pass whose node logits are replaced by ``s``."""
+    return forward(small_params(), np.zeros((6, 8)))._replace(s=np.asarray(s, dtype=float))
+
+
 class TestGcnForward:
     def test_zero_features_give_zero_latents(self):
-        z = gcn_forward(np.zeros((6, 8)), small_params())
-        assert np.allclose(z, 0.0)
+        f = forward(small_params(), np.zeros((6, 8)))
+        assert np.allclose(f.z, 0.0)
 
     def test_output_shape(self):
         pool = load_default_pool()
         params = PruneNetParams.init(NetConfig(), np.random.default_rng(0))
         x = build_node_features(pool, "question", HashingBackend())
-        assert gcn_forward(x, params).shape == (15, 64)
+        f = forward(params, x)
+        assert f.z.shape == (15, 64)
+        assert f.lmat.shape == (15, 15) and f.s.shape == (15,)
 
     def test_agent_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         params = small_params()
         x = rng.normal(size=(6, 8))
-        z = gcn_forward(x, params)
+        z = forward(params, x).z
         perm = x.copy()
         perm[[0, 3]] = perm[[3, 0]]
-        z_perm = gcn_forward(perm, params)
+        z_perm = forward(params, perm).z
         expect = z.copy()
         expect[[0, 3]] = expect[[3, 0]]
         assert np.allclose(z_perm, expect, atol=1e-9)
+
+    def test_rejects_wrong_feature_width(self):
+        with pytest.raises(DimensionError):
+            forward(small_params(), np.zeros((6, 9)))
 
 
 class TestEdgeHead:
     def test_zero_bilinear_form_gives_half(self):
         params = small_params()
         params.b_edge = np.zeros_like(params.b_edge)
-        z = np.random.default_rng(0).normal(size=(5, 6))
-        w = edge_head(z, params)
-        off = w.w[~np.eye(5, dtype=bool)]
+        x = np.random.default_rng(0).normal(size=(6, 8))
+        w, _ = heads(forward(params, x))
+        off = w[~np.eye(5, dtype=bool)]
         assert np.allclose(off, 0.5)
 
     def test_diagonal_forced_zero(self):
-        z = np.random.default_rng(1).normal(size=(5, 6))
-        assert np.diag(edge_head(z, small_params()).w).sum() == 0.0
+        x = np.random.default_rng(1).normal(size=(6, 8))
+        assert np.diag(heads(forward(small_params(), x))[0]).sum() == 0.0
 
     def test_directedness(self):
-        z = np.random.default_rng(2).normal(size=(5, 6))
-        w = edge_head(z, small_params()).w
+        x = np.random.default_rng(2).normal(size=(6, 8))
+        w, _ = heads(forward(small_params(), x))
         asym = np.abs(w - w.T)
         np.fill_diagonal(asym, 0.0)
         assert asym.max() > 1e-6
@@ -95,8 +105,9 @@ class TestNodeHead:
         params = small_params()
         params.mlp_b1 = np.zeros_like(params.mlp_b1)
         params.mlp_b2 = 0.0
-        s, y_hat = node_head(np.zeros((5, 6)), params)
-        assert np.allclose(s, 0.0)
+        f = forward(params, np.zeros((6, 8)))
+        _, y_hat = heads(f)
+        assert np.allclose(f.s, 0.0)
         assert np.allclose(y_hat, 0.5)
 
     def test_large_bias_saturates(self):
@@ -104,30 +115,37 @@ class TestNodeHead:
         params.mlp_w1 = np.zeros_like(params.mlp_w1)
         params.mlp_b1 = np.zeros_like(params.mlp_b1)
         params.mlp_b2 = 10.0
-        _, y_hat = node_head(np.zeros((5, 6)), params)
+        _, y_hat = heads(forward(params, np.zeros((6, 8))))
         assert np.all(y_hat > 0.9999)
 
     def test_open_interval(self):
-        z = np.random.default_rng(3).normal(size=(5, 6)) * 5
-        _, y_hat = node_head(z, small_params())
+        x = np.random.default_rng(3).normal(size=(6, 8)) * 5
+        _, y_hat = heads(forward(small_params(), x))
         assert np.all(y_hat > 0.0) and np.all(y_hat < 1.0)
 
 
 class TestGumbelSigmoid:
     def test_deterministic_zero_logit(self):
-        assert gumbel_sigmoid(np.zeros(3), 0.5, mode="deterministic")[0] == 0.5
+        assert heads(logits_only(np.zeros(3)), 0.5)[1][0] == 0.5
 
     def test_temperature_sharpens(self):
-        logits = np.array([2.0])
-        soft = gumbel_sigmoid(logits, 1.0, mode="deterministic")[0]
-        sharp = gumbel_sigmoid(logits, 0.1, mode="deterministic")[0]
+        f = logits_only([2.0])
+        soft = heads(f, 1.0)[1][0]
+        sharp = heads(f, 0.1)[1][0]
         assert abs(soft - 0.8808) < 1e-4
         assert sharp > 0.9999
 
     def test_stochastic_hard_mean(self):
         rng = np.random.default_rng(0)
-        samples = gumbel_sigmoid(np.zeros(100000), 1.0, rng=rng, hard=True)
-        assert abs(samples.mean() - 0.5) < 0.01
+        noise = gumbel_noise(rng, (100000,))
+        _, soft = heads(logits_only(np.zeros(100000)), 1.0, node_noise=noise)
+        assert abs((soft >= 0.5).mean() - 0.5) < 0.01
+
+    def test_noise_is_a_gumbel_difference(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        g1 = -np.log(-np.log(b.uniform(size=4)))
+        g2 = -np.log(-np.log(b.uniform(size=4)))
+        assert np.array_equal(gumbel_noise(a, (4,)), g1 - g2)
 
 
 class TestLosses:
@@ -209,7 +227,11 @@ class TestGradients:
             params = small_params(int(rng.integers(1 << 30)))
             x, a, y = random_instance(rng)
             focal = bool(rng.uniform() < 0.5)
-            _, grads = loss_and_grads(params, x, a, y, cfg, tau=0.7, focal=focal)
+
+            def run():
+                return loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7, focal=focal)
+
+            _, grads = run()
             tensors = {k: v.copy() for k, v in params.tensors().items()}
             eps = 1e-5
             for name, t in tensors.items():
@@ -218,10 +240,10 @@ class TestGradients:
                     orig = flat[i]
                     flat[i] = orig + eps
                     _apply_tensors(params, tensors)
-                    up = loss_and_grads(params, x, a, y, cfg, tau=0.7, focal=focal)[0][2]
+                    up = run()[0][2]
                     flat[i] = orig - eps
                     _apply_tensors(params, tensors)
-                    down = loss_and_grads(params, x, a, y, cfg, tau=0.7, focal=focal)[0][2]
+                    down = run()[0][2]
                     flat[i] = orig
                     _apply_tensors(params, tensors)
                     fd = (up - down) / (2 * eps)
@@ -295,8 +317,25 @@ class TestTrain:
 
     def test_avg_tail_out_of_range_rejected(self):
         pool, backend, pair, _ = memorization_fixture()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             train([pair], pool, backend, TrainConfig(avg_tail=1.5), steps_override=2)
+
+    @pytest.mark.parametrize(
+        "bad", [{"batch": 0}, {"epochs": 0}, {"tau_end": 0.0}], ids=["batch", "epochs", "tau_end"]
+    )
+    def test_invalid_config_is_config_error(self, bad):
+        pool, backend, pair, _ = memorization_fixture()
+        with pytest.raises(ConfigError):
+            train([pair], pool, backend, TrainConfig(seed=3, **bad))
+
+    def test_logged_trajectory_pinned(self):
+        # totals logged by the implementation before the forward pass was
+        # shared between training and logging; any change to the forward
+        # pass, the heads or the noise stream moves them
+        pool, backend, pair, _ = memorization_fixture()
+        _, log = train([pair], pool, backend, TrainConfig(seed=3), steps_override=200)
+        expected = [2.8080350801274125, 0.03761111630935393, 0.020170466962619184]
+        assert [log[i].total for i in (0, 99, 199)] == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_training_log_csv(self):
         pool, backend, pair, _ = memorization_fixture()
@@ -355,6 +394,13 @@ class TestCheckpoint:
         blob = save_checkpoint(params, NetConfig(d=9, h=6, h_m=4, n_max=5))
         with pytest.raises(CheckpointError):
             load_checkpoint(blob)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_tensor(self, bad):
+        params = small_params(4)
+        params.b_edge[1, 2] = bad
+        with pytest.raises(CheckpointError, match="b_edge"):
+            load_checkpoint(save_checkpoint(params, SMALL))
 
     def test_rejects_garbage(self):
         with pytest.raises(CheckpointError):
