@@ -158,7 +158,11 @@ class HttpChatBackend:
         }
 
     def complete(self, system: str, user: str) -> Completion:
-        last_error: Exception | None = None
+        """Retry timeouts, connection errors, HTTP 429 and 5xx with
+        exponential backoff; fail at once on any other error."""
+        import requests
+
+        error: Exception | str | None = None
         for attempt in range(self.retries):
             try:
                 resp = self._session.post(
@@ -167,17 +171,30 @@ class HttpChatBackend:
                     headers={"Authorization": f"Bearer {self.api_key}"},
                     timeout=120,
                 )
-                resp.raise_for_status()
-                obj = resp.json()
-                text = obj["choices"][0]["message"]["content"]
-                usage = obj.get("usage", {})
-                return (
-                    text,
-                    usage.get("prompt_tokens"),
-                    usage.get("completion_tokens"),
-                )
-            except Exception as exc:
-                last_error = exc
-                if attempt < self.retries - 1:
-                    self._sleep(self.backoff * 2**attempt)
-        raise BackendError(f"chat backend failed after {self.retries} attempts: {last_error}")
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                error = exc
+            except requests.RequestException as exc:
+                raise BackendError(f"chat request failed: {exc}") from exc
+            else:
+                if resp.status_code == 429 or resp.status_code >= 500:
+                    error = f"HTTP {resp.status_code}"
+                elif resp.status_code >= 400:
+                    raise BackendError(f"chat endpoint answered HTTP {resp.status_code}")
+                else:
+                    return _parse_completion(resp)
+            if attempt < self.retries - 1:
+                self._sleep(self.backoff * 2**attempt)
+        raise BackendError(f"chat backend failed after {self.retries} attempts: {error}")
+
+
+def _parse_completion(resp) -> Completion:
+    try:
+        obj = resp.json()
+        text = obj["choices"][0]["message"]["content"]
+        usage = obj.get("usage") or {}
+        tokens = usage.get("prompt_tokens"), usage.get("completion_tokens")
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise BackendError(f"malformed chat response: {exc!r}") from exc
+    if not isinstance(text, str):
+        raise BackendError("malformed chat response: content is not a string")
+    return (text, *tokens)

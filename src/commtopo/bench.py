@@ -139,6 +139,8 @@ def run_bench(
     aborted runs count as incorrect with their partial token cost."""
     if not suite:
         raise ConfigError("empty task suite")
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
     for method_index, (name, source) in enumerate(methods):
         correct = 0

@@ -1,7 +1,17 @@
 """Command-line entry point: collect, train, design, run, bench, export.
 
-Exit codes are stable API: 0 ok, 1 usage, 2 external service,
-3 training failure, 4 checkpoint failure, 5 run aborted.
+Exit codes are stable API. Commands raise; ``main`` prints one
+``error: <message>`` line and maps the exception through ``EXIT_CODES``:
+
+0 success.
+1 usage: an unknown flag, a bad config value, a missing or malformed
+  input file (``ConfigError``, ``FormatError``, any other
+  ``CommTopoError``), or an ``OSError`` on a path the user named.
+2 external service: ``BackendError`` (an ``http`` chat backend without
+  endpoint or key), ``EmbeddingUnavailable``, ``MineUnderflow``.
+3 training diverged: ``TrainingDiverged`` (non-finite loss or parameter).
+4 checkpoint missing or malformed: ``CheckpointError``.
+5 run aborted: ``RunAborted``; the partial transcript is still written.
 """
 from __future__ import annotations
 
@@ -23,10 +33,9 @@ from .errors import (
     CheckpointError,
     CommTopoError,
     ConfigError,
-    FormatError,
+    EmbeddingUnavailable,
     MineUnderflow,
     RunAborted,
-    ScoreUnavailable,
     TrainingDiverged,
 )
 from .graphs import parse_topology, read_corpus, serialize_topology, write_corpus
@@ -40,6 +49,15 @@ EXIT_EXTERNAL = 2
 EXIT_TRAINING = 3
 EXIT_CHECKPOINT = 4
 EXIT_ABORTED = 5
+
+# Checked in order, so every class comes before its base classes.
+EXIT_CODES = (
+    (TrainingDiverged, EXIT_TRAINING),
+    (CheckpointError, EXIT_CHECKPOINT),
+    (RunAborted, EXIT_ABORTED),
+    ((BackendError, EmbeddingUnavailable, MineUnderflow), EXIT_EXTERNAL),
+    ((CommTopoError, OSError), EXIT_USAGE),
+)
 
 VALID_BENCH_METHODS = bench_mod.STATIC_SHAPES + ("designed",)
 
@@ -55,7 +73,7 @@ def _embed_backend(cfg: AppConfig):
         return HashingBackend()
     if cfg.embed_backend == "http":
         if not cfg.embed_endpoint:
-            raise ConfigError("embedding endpoint missing")
+            raise EmbeddingUnavailable("embedding endpoint missing")
         return HttpBackend(cfg.embed_endpoint, cfg.api_key)
     raise ConfigError(f"unknown embedding backend {cfg.embed_backend!r}")
 
@@ -67,9 +85,9 @@ def _chat_backends(cfg: AppConfig, pool, tasks=()) -> BackendSet:
         return planted_backends(tasks, pool)
     if cfg.agent_backend == "http":
         if not cfg.chat_endpoint:
-            raise ConfigError("chat endpoint missing")
+            raise BackendError("chat endpoint missing")
         if not cfg.api_key:
-            raise ConfigError("credentials missing")
+            raise BackendError("credentials missing")
         http = HttpChatBackend(cfg.chat_endpoint, cfg.api_key, cfg.model)
         return BackendSet(default=http, decision=http)
     raise ConfigError(f"unknown agent backend {cfg.agent_backend!r}")
@@ -82,28 +100,17 @@ def _read_tasks_file(path: str):
     return collector_mod.read_tasks(p.read_text())
 
 
-def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) -> int:
-    try:
-        tasks = _read_tasks_file(tasks_file)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not tasks:
-        print("error: no tasks", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) -> None:
+    tasks = _read_tasks_file(tasks_file)
     pool = _load_pool(cfg)
-    try:
-        if cfg.evaluator == "planted":
-            evaluator = make_planted_evaluator(cfg.planted_mode)
-        elif cfg.evaluator == "orchestrator":
-            backends = _chat_backends(cfg, pool, tasks)
-            evaluator = make_orchestrator_evaluator(pool, backends, cfg.k_rounds, cfg.theta)
-        else:
-            raise ConfigError(f"unknown evaluator {cfg.evaluator!r}")
-        pairs, stats = collector_mod.collect_supervision(tasks, pool, cfg.collector, evaluator)
-    except (ScoreUnavailable, BackendError, MineUnderflow, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXTERNAL
+    if cfg.evaluator == "planted":
+        evaluator = make_planted_evaluator(cfg.planted_mode)
+    elif cfg.evaluator == "orchestrator":
+        backends = _chat_backends(cfg, pool, tasks)
+        evaluator = make_orchestrator_evaluator(pool, backends, cfg.k_rounds, cfg.theta)
+    else:
+        raise ConfigError(f"unknown evaluator {cfg.evaluator!r}")
+    pairs, stats = collector_mod.collect_supervision(tasks, pool, cfg.collector, evaluator)
     out = Path(out_path or cfg.corpus_path)
     out.write_text(write_corpus(pairs))
     print(
@@ -113,25 +120,18 @@ def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) ->
     for cat in sorted(stats.category_histogram):
         print(f"  {cat}: {stats.category_histogram[cat]}")
     print(f"corpus written to {out}")
-    return EXIT_OK
 
 
-def cmd_train(cfg: AppConfig) -> int:
+def cmd_train(cfg: AppConfig) -> None:
     corpus_path = Path(cfg.corpus_path)
     if not corpus_path.exists():
-        print(f"error: corpus not found: {corpus_path}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"corpus not found: {corpus_path}")
     corpus = read_corpus(corpus_path.read_text())
     if not corpus:
-        print("error: corpus is empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("corpus is empty")
     pool = _load_pool(cfg)
     backend = _embed_backend(cfg)
-    try:
-        params, log = prunenet.train(corpus, pool, backend, cfg.train)
-    except TrainingDiverged as exc:
-        print(f"error: training diverged at step {exc.step}", file=sys.stderr)
-        return EXIT_TRAINING
+    params, log = prunenet.train(corpus, pool, backend, cfg.train)
     net = prunenet.NetConfig(d=backend.dim, n_max=pool.n_max)
     Path(cfg.checkpoint_path).write_bytes(prunenet.save_checkpoint(params, net))
     Path(cfg.train_log_path).write_text(prunenet.write_training_log(log))
@@ -141,7 +141,6 @@ def cmd_train(cfg: AppConfig) -> int:
     )
     print(f"initial loss {log[0].total:.4f}, final loss {log[-1].total:.4f}")
     print(f"checkpoint written to {cfg.checkpoint_path}; log to {cfg.train_log_path}")
-    return EXIT_OK
 
 
 def _load_checkpoint(cfg: AppConfig):
@@ -151,13 +150,9 @@ def _load_checkpoint(cfg: AppConfig):
     return prunenet.load_checkpoint(path.read_bytes())
 
 
-def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | None = None) -> int:
+def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | None = None) -> None:
     pool = _load_pool(cfg)
-    try:
-        params, _ = _load_checkpoint(cfg)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+    params, _ = _load_checkpoint(cfg)
     backend = _embed_backend(cfg)
     topo = prunenet.design_topology(query, pool, backend, params, theta=cfg.theta)
     payload = serialize_topology(topo, fmt).decode()
@@ -167,23 +162,14 @@ def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | No
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     roles = [pool[i].role for i in topo.mask.active_ids()]
     print(f"active agents: {', '.join(roles)}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> int:
+def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> None:
     pool = _load_pool(cfg)
-    try:
-        params, _ = _load_checkpoint(cfg)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+    params, _ = _load_checkpoint(cfg)
     backend = _embed_backend(cfg)
     tasks = _read_tasks_file(suite_path) if suite_path else ()
-    try:
-        backends = _chat_backends(cfg, pool, tasks)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXTERNAL
+    backends = _chat_backends(cfg, pool, tasks)
     topo = prunenet.design_topology(query, pool, backend, params, theta=cfg.theta)
     task = next(
         (t for t in tasks if t.task_text == query),
@@ -195,45 +181,27 @@ def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> int:
     except RunAborted as exc:
         partial = [e.as_history_item() for e in exc.transcript]
         Path(cfg.transcript_path).write_text(json.dumps(partial, sort_keys=True))
-        print(f"error: run aborted: {exc}", file=sys.stderr)
-        print(f"partial transcript written to {cfg.transcript_path}", file=sys.stderr)
-        return EXIT_ABORTED
+        raise
     Path(cfg.transcript_path).write_text(result.to_json())
     print(f"answer: {result.answer}")
     print(f"total tokens: {result.total_tokens}")
     print(f"transcript written to {cfg.transcript_path}")
-    return EXIT_OK
 
 
 def cmd_bench(
     cfg: AppConfig, suite_file: str, methods: list[str], repeats: int = 2, out_prefix: str = "bench"
-) -> int:
+) -> None:
     unknown = [m for m in methods if m not in VALID_BENCH_METHODS]
     if unknown or not methods:
-        print(
-            f"error: unknown methods {unknown}; valid: {', '.join(VALID_BENCH_METHODS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        suite = _read_tasks_file(suite_file)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not suite:
-        print("error: empty suite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"unknown methods {unknown}; valid: {', '.join(VALID_BENCH_METHODS)}")
+    suite = _read_tasks_file(suite_file)
     pool = _load_pool(cfg)
     embed = _embed_backend(cfg)
     all_members = list(range(pool.n_max))
     sources = {}
     for m in methods:
         if m == "designed":
-            try:
-                params, _ = _load_checkpoint(cfg)
-            except CheckpointError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CHECKPOINT
+            params, _ = _load_checkpoint(cfg)
             sources[m] = lambda task, p=params: prunenet.design_topology(
                 task.task_text, pool, embed, p, theta=cfg.theta
             )
@@ -241,16 +209,11 @@ def cmd_bench(
             rng = np.random.default_rng(cfg.seed)
             topo = bench_mod.make_static(m, all_members, pool.n_max, p=0.3, rng=rng)
             sources[m] = lambda task, t=topo: t
-    try:
-        backends = _chat_backends(cfg, pool, suite)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXTERNAL
     report = bench_mod.run_bench(
         suite,
         [(m, sources[m]) for m in methods],
         pool,
-        backends,
+        _chat_backends(cfg, pool, suite),
         repeats=repeats,
         k=cfg.k_rounds,
         theta=cfg.theta,
@@ -261,21 +224,11 @@ def cmd_bench(
     Path(f"{out_prefix}.md").write_text(report.to_markdown())
     print(report.to_markdown())
     print(f"report written to {out_prefix}.csv and {out_prefix}.md")
-    return EXIT_OK
 
 
-def cmd_export(topology_path: str, fmt: str) -> int:
-    path = Path(topology_path)
-    if not path.exists():
-        print(f"error: topology file not found: {path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        topo = parse_topology(path.read_bytes())
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_export(topology_path: str, fmt: str) -> None:
+    topo = parse_topology(Path(topology_path).read_bytes())
     sys.stdout.write(serialize_topology(topo, fmt).decode())
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -326,27 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _config(args: argparse.Namespace) -> AppConfig:
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     # flag overrides (flags > file > env > defaults)
-    for attr, target in (
-        ("budget", "budget"),
-        ("sigma", "sigma"),
-        ("mu", "mu"),
-    ):
+    for attr in ("budget", "sigma", "mu"):
         if getattr(args, attr, None) is not None:
-            setattr(cfg.collector, target, getattr(args, attr))
+            setattr(cfg.collector, attr, getattr(args, attr))
     for attr in ("beta", "epochs"):
         if getattr(args, attr, None) is not None:
             setattr(cfg.train, attr, getattr(args, attr))
@@ -362,26 +302,37 @@ def main(argv=None) -> int:
         cfg.theta = args.theta
     if getattr(args, "k", None) is not None:
         cfg.k_rounds = args.k
-    cfg.finalize()
+    return cfg.finalize()
 
+
+def main(argv=None) -> int:
+    parser = _build_parser()
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code else EXIT_OK
+    try:
+        cfg = _config(args)
         if args.command == "collect":
-            return cmd_collect(cfg, args.tasks, args.out)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "design":
-            return cmd_design(cfg, args.query, args.format, args.out)
-        if args.command == "run":
-            return cmd_run(cfg, args.query, args.suite)
-        if args.command == "bench":
+            cmd_collect(cfg, args.tasks, args.out)
+        elif args.command == "train":
+            cmd_train(cfg)
+        elif args.command == "design":
+            cmd_design(cfg, args.query, args.format, args.out)
+        elif args.command == "run":
+            cmd_run(cfg, args.query, args.suite)
+        elif args.command == "bench":
             methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            return cmd_bench(cfg, args.suite, methods, args.repeats, args.out_prefix)
-        if args.command == "export":
-            return cmd_export(args.topology, args.format)
-    except CommTopoError as exc:
+            cmd_bench(cfg, args.suite, methods, args.repeats, args.out_prefix)
+        elif args.command == "export":
+            cmd_export(args.topology, args.format)
+    except Exception as exc:
+        code = next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_USAGE
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

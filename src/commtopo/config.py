@@ -66,14 +66,17 @@ _SCALAR_FIELDS = {
 }
 
 
-def _coerce(current, raw: str):
-    if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
+def _coerce(current, raw: str, where: str):
+    """Parse ``raw`` as the type of ``current``; None marks an optional float."""
+    kind = float if current is None else type(current)
+    if kind is str:
+        return raw
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
 
 
 def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
@@ -91,15 +94,13 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
             if parser.has_section(section):
                 for name in names:
                     if parser.has_option(section, name):
-                        setattr(cfg, name, _coerce(getattr(cfg, name), parser.get(section, name)))
+                        raw = parser.get(section, name)
+                        setattr(cfg, name, _coerce(getattr(cfg, name), raw, f"[{section}] {name}"))
         for section, target in (("collector", cfg.collector), ("train", cfg.train)):
             if parser.has_section(section):
                 for name, raw in parser.items(section):
                     if not hasattr(target, name):
                         raise ConfigError(f"unknown option {name!r} in [{section}]")
                     current = getattr(target, name)
-                    if name == "mu" and current is None:
-                        setattr(target, name, float(raw))
-                    else:
-                        setattr(target, name, _coerce(current, raw))
+                    setattr(target, name, _coerce(current, raw, f"[{section}] {name}"))
     return cfg

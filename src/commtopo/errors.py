@@ -46,11 +46,11 @@ class MineUnderflow(CommTopoError):
 
 
 class TrainingDiverged(CommTopoError):
-    """Loss became non-finite during training."""
+    """Loss or parameters became non-finite during training."""
 
     def __init__(self, step: int, message: str = ""):
         self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
+        super().__init__(message or f"training diverged at step {step}: non-finite loss")
 
 
 class CheckpointError(CommTopoError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backends import BackendSet
 from .collector import TaskSpec
-from .errors import BackendError, DegenerateTopology, RunAborted
+from .errors import BackendError, ConfigError, DegenerateTopology, RunAborted
 from .graphs import CommTopology, Topology, binarize, serialize_topology
 from .pool import AgentPool, AgentProfile, render_system_prompt, render_user_prompt
 
@@ -114,6 +114,8 @@ def run_topology(
     theta: float = 0.5,
     rng: np.random.Generator | None = None,
 ) -> RunResult:
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     active = t.mask.active_ids()
     if len(active) < 2:
         raise DegenerateTopology("run needs at least 2 active agents")
@@ -125,7 +127,9 @@ def run_topology(
         try:
             output, p_tok, c_tok = backend.complete(system, user)
         except BackendError as exc:
-            raise RunAborted(f"agent {agent_id} failed in round {rnd}: {exc}", transcript) from exc
+            raise RunAborted(
+                f"run aborted: agent {agent_id} failed in round {rnd}: {exc}", transcript
+            ) from exc
         if p_tok is None:
             p_tok = count_tokens(system) + count_tokens(user)
         if c_tok is None:

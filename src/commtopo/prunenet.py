@@ -495,6 +495,11 @@ def train(
             for k in acc:
                 acc[k] /= len(batch)
             opt.step(tensors, acc)
+            bad = [k for k, v in tensors.items() if not np.isfinite(v).all()]
+            if bad:
+                raise TrainingDiverged(
+                    step, f"training diverged at step {step}: non-finite {', '.join(bad)}"
+                )
             if step >= tail_start:
                 for k in tail_sum:
                     tail_sum[k] += tensors[k]

@@ -1,0 +1,102 @@
+import pytest
+import requests
+
+from commtopo.backends import HttpChatBackend
+from commtopo.errors import BackendError
+
+OK_BODY = {
+    "choices": [{"message": {"content": "four"}}],
+    "usage": {"prompt_tokens": 9, "completion_tokens": 1},
+}
+
+
+class FakeResponse:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self.body = body
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"HTTP {self.status_code}")
+
+    def json(self):
+        if isinstance(self.body, Exception):
+            raise self.body
+        return self.body
+
+
+class FakeSession:
+    """Plays one scripted outcome per POST: a response or an exception."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.attempts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        outcome = self.outcomes[min(self.attempts, len(self.outcomes) - 1)]
+        self.attempts += 1
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def backend(outcomes, sleeps):
+    session = FakeSession(outcomes)
+    b = HttpChatBackend(
+        "http://chat.invalid/v1", "key", "m", retries=3, backoff=0.5,
+        session=session, sleep=sleeps.append,
+    )
+    return b, session
+
+
+class TestHttpChatBackend:
+    @pytest.mark.parametrize(
+        "transient",
+        [
+            requests.ConnectionError("refused"),
+            requests.Timeout("slow"),
+            FakeResponse(429, {}),
+            FakeResponse(503, {}),
+        ],
+        ids=["connection-error", "timeout", "http-429", "http-503"],
+    )
+    def test_transient_failure_is_retried_with_backoff(self, transient):
+        sleeps = []
+        b, session = backend([transient, transient, FakeResponse(200, OK_BODY)], sleeps)
+        assert b.complete("sys", "user") == ("four", 9, 1)
+        assert session.attempts == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_persistent_transient_failure_gives_up_after_retries(self):
+        sleeps = []
+        b, session = backend([FakeResponse(502, {})], sleeps)
+        with pytest.raises(BackendError, match="after 3 attempts: HTTP 502"):
+            b.complete("sys", "user")
+        assert session.attempts == 3
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            FakeResponse(400, {}),
+            FakeResponse(401, OK_BODY),
+            FakeResponse(200, {"choices": []}),
+            FakeResponse(200, {"choices": [{"message": {}}]}),
+            FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
+            FakeResponse(200, ValueError("not json")),
+            requests.exceptions.InvalidURL("bad url"),
+        ],
+        ids=["http-400", "http-401", "no-choices", "no-content", "null-content",
+             "not-json", "invalid-url"],
+    )
+    def test_permanent_failure_fails_on_first_attempt(self, outcome):
+        sleeps = []
+        b, session = backend([outcome, FakeResponse(200, OK_BODY)], sleeps)
+        with pytest.raises(BackendError):
+            b.complete("sys", "user")
+        assert session.attempts == 1
+        assert sleeps == []
+
+    def test_missing_usage_leaves_token_counts_to_the_caller(self):
+        b, _ = backend([FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})], [])
+        assert b.complete("sys", "user") == ("x", None, None)

@@ -239,3 +239,44 @@ class TestParser:
     def test_missing_config_file_is_usage_error(self, workdir, capsys):
         assert main(["--config", "ghost.ini", "design", "--query", "q"]) == 1
         assert "config file not found" in capsys.readouterr().err
+
+
+EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localhost:1/v1\n"
+
+
+@pytest.mark.parametrize(
+    "ini, argv, code, needle",
+    [
+        ("", ["collect", "--tasks", "suite.jsonl", "--mu", "99"], 1, "mu=99"),
+        (EMBED_HTTP, ["design", "--query", "q"], 2, "connection refused"),
+        ("[embedding]\nembed_backend = http\n", ["design", "--query", "q"], 2, "endpoint"),
+        ("[agents]\nagent_backend = bogus\n", ["run", "--query", "q"], 1, "bogus"),
+        ("[paths]\npool_path = ghost.jsonl\n", ["design", "--query", "q"], 1, "ghost.jsonl"),
+        ("", ["design", "--query", "q", "--out", "ghost/t.json"], 1, "ghost/t.json"),
+        ("[run]\nk_rounds = abc\n", ["design", "--query", "q"], 1, "[run] k_rounds"),
+        ("", ["bench", "--suite", "suite.jsonl", "--methods", "complete", "--repeats", "0"],
+         1, "repeats"),
+        ("", ["run", "--query", "q", "--k", "0"], 1, "k must be"),
+    ],
+    ids=[
+        "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
+        "run-unknown-agent-backend", "design-missing-pool", "design-out-in-missing-dir",
+        "design-unparsable-config-value", "bench-zero-repeats", "run-zero-rounds",
+    ],
+)
+def test_bad_input_exits_with_table_code_and_one_line(
+    workdir, capsys, monkeypatch, ini, argv, code, needle
+):
+    import commtopo.embed as embed_mod
+    from commtopo.errors import EmbeddingUnavailable
+
+    def unreachable(self, text):
+        raise EmbeddingUnavailable("connection refused")
+
+    monkeypatch.setattr(embed_mod.HttpBackend, "embed", unreachable)
+    make_checkpoint(workdir)
+    write_suite(workdir / "suite.jsonl", n=2)
+    (workdir / "cfg.ini").write_text(ini)
+    assert main(["--config", "cfg.ini", *argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]

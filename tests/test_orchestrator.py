@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commtopo.backends import (
     BackendSet,
@@ -174,6 +175,35 @@ class TestVisibleHistory:
         binary = Topology(N, np.ceil(adj.w))
         hist = [self.entry(-1, "verdict")]
         assert visible_history(hist, 0, binary, adj) == []
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_visibility_properties(self, data):
+        n = data.draw(st.integers(2, 6))
+        flags = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        adj = np.array(flags, dtype=float).reshape(n, n)
+        np.fill_diagonal(adj, 0.0)
+        # few distinct weights, so ties in the ordering are common
+        levels = data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n * n, max_size=n * n)
+        )
+        w = np.array(levels).reshape(n, n)
+        np.fill_diagonal(w, 0.0)
+        authors = data.draw(st.lists(st.integers(-1, n - 1), max_size=12))
+        history = [
+            DialogueEntry(f"E{i}", 1, a, "r", f"out{i}", 1, 1) for i, a in enumerate(authors)
+        ]
+        agent = data.draw(st.integers(0, n - 1))
+
+        seen = visible_history(history, agent, Topology(n, adj), WeightMatrix(n, w))
+        arrival = {e.entry_id: i for i, e in enumerate(history)}
+
+        assert all(e.agent_id not in (agent, -1) for e in seen)
+        expected = {e.entry_id for e in history if e.agent_id >= 0 and adj[e.agent_id, agent]}
+        assert {e.entry_id for e in seen} == expected and len(seen) == len(expected)
+        for a, b in zip(seen, seen[1:]):
+            wa, wb = w[a.agent_id, agent], w[b.agent_id, agent]
+            assert wa > wb or (wa == wb and arrival[a.entry_id] < arrival[b.entry_id])
 
 
 class TestDecisionAggregate:

@@ -296,6 +296,14 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train([pair], pool, backend, cfg, steps_override=200)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_raise_although_loss_is_finite(self):
+        # the step's loss is taken before the Adam update that overflows
+        pool, backend, pair, _ = memorization_fixture()
+        with pytest.raises(TrainingDiverged, match="diverged at step 0: non-finite") as info:
+            train([pair], pool, backend, TrainConfig(lr=1e308), steps_override=1)
+        assert info.value.step == 0
+
     def test_tail_averaging_returns_mean_of_final_iterates(self):
         pool, backend, pair, _ = memorization_fixture()
         last = train(
