@@ -86,8 +86,12 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
     cfg.embed_endpoint = env.get(ENV_EMBED_ENDPOINT, cfg.embed_endpoint)
     cfg.chat_endpoint = env.get(ENV_CHAT_ENDPOINT, cfg.chat_endpoint)
     if path:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser messages can span lines; the CLI reports one line
+            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section, names in _SCALAR_FIELDS.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,21 +35,27 @@ class NetConfig:
 
 @dataclass
 class PruneNetParams:
-    """All trainable tensors; shapes fixed by a NetConfig."""
+    """All trainable tensors, shaped by ``shapes``; training updates them in place."""
 
-    w_gcn1: np.ndarray  # d x h
-    w_gcn2: np.ndarray  # h x h
-    b_edge: np.ndarray  # h x h bilinear form
-    mlp_w1: np.ndarray  # h x h_m
-    mlp_b1: np.ndarray  # h_m
-    mlp_w2: np.ndarray  # h_m
-    mlp_b2: float
+    w_gcn1: np.ndarray
+    w_gcn2: np.ndarray
+    b_edge: np.ndarray  # bilinear form
+    mlp_w1: np.ndarray
+    mlp_b1: np.ndarray
+    mlp_w2: np.ndarray
+    mlp_b2: np.ndarray
 
     # Init gain: unit-norm embedding rows through two averaging layers
     # leave latents tiny, and at lr 1e-3 the heads cannot recover the
     # scale within a short training budget, so the fan-in stds carry an
     # extra gain factor.
     INIT_GAIN = 3.0
+
+    @staticmethod
+    def shapes(cfg: NetConfig) -> dict[str, tuple]:
+        d, h, hm = cfg.d, cfg.h, cfg.h_m
+        return dict(w_gcn1=(d, h), w_gcn2=(h, h), b_edge=(h, h), mlp_w1=(h, hm),
+                    mlp_b1=(hm,), mlp_w2=(hm,), mlp_b2=(1,))
 
     @classmethod
     def init(cls, cfg: NetConfig, rng: np.random.Generator) -> "PruneNetParams":
@@ -62,23 +68,12 @@ class PruneNetParams:
             mlp_w1=rng.normal(0.0, g * np.sqrt(2.0 / h), size=(h, hm)),
             mlp_b1=np.zeros(hm),
             mlp_w2=rng.normal(0.0, g * np.sqrt(2.0 / hm), size=hm),
-            mlp_b2=0.0,
+            mlp_b2=np.zeros(1),
         )
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "w_gcn1": self.w_gcn1,
-            "w_gcn2": self.w_gcn2,
-            "b_edge": self.b_edge,
-            "mlp_w1": self.mlp_w1,
-            "mlp_b1": self.mlp_b1,
-            "mlp_w2": self.mlp_w2,
-            "mlp_b2": np.atleast_1d(np.asarray(self.mlp_b2, dtype=float)),
-        }
-
-    def net_config(self) -> NetConfig:
-        d, h = self.w_gcn1.shape
-        return NetConfig(d=d, h=h, h_m=self.mlp_w1.shape[1], n_max=-1)
+        """The live arrays by field name; writing to them changes the net."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -167,15 +162,11 @@ def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return g1 - g2
 
 
-def _as_array(v) -> np.ndarray:
-    return np.asarray(getattr(v, "w", getattr(v, "m", v)), dtype=float)
-
-
 def edge_loss(w_pred, a_gt, y, lambda_off: float) -> float:
     """Masked MSE on supervised pairs plus a push-to-zero term off-mask."""
-    w = _as_array(w_pred)
-    a = _as_array(a_gt)
-    yv = _as_array(y)
+    w = np.asarray(w_pred, dtype=float)
+    a = np.asarray(a_gt, dtype=float)
+    yv = np.asarray(y, dtype=float)
     if w.shape != a.shape or w.shape[0] != yv.shape[0]:
         raise DimensionError("edge_loss shapes disagree")
     n = w.shape[0]
@@ -199,9 +190,9 @@ def node_loss(
     focal_gamma: float = 2.0,
 ) -> float:
     """BCE (or focal) mask loss plus sparsity and coherence penalties."""
-    yh = _as_array(y_hat)
-    yv = _as_array(y)
-    w = _as_array(w_pred)
+    yh = np.asarray(y_hat, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    w = np.asarray(w_pred, dtype=float)
     n = yh.shape[0]
     yc = np.clip(yh, _CLAMP, 1.0 - _CLAMP)
     if focal:
@@ -278,8 +269,8 @@ def loss_and_grads(
     (Gumbel differences during training, None for the deterministic
     path); tau rescales logits before the sigmoid in both heads.
     """
-    a = _as_array(a_gt)
-    yv = _as_array(y)
+    a = np.asarray(a_gt, dtype=float)
+    yv = np.asarray(y, dtype=float)
     z = f.z
     n = z.shape[0]
     w_pred, y_hat = heads(f, tau, edge_noise, node_noise)
@@ -326,7 +317,7 @@ def loss_and_grads(
 
     # node head
     d_mlp_w2 = np.maximum(f.t, 0.0).T @ ds
-    d_mlp_b2 = float(ds.sum())
+    d_mlp_b2 = ds.sum(keepdims=True)
     dr = np.outer(ds, params.mlp_w2)
     dt = dr * (f.t > 0)
     d_mlp_w1 = z.T @ dt
@@ -348,7 +339,7 @@ def loss_and_grads(
         "mlp_w1": d_mlp_w1,
         "mlp_b1": d_mlp_b1,
         "mlp_w2": d_mlp_w2,
-        "mlp_b2": np.atleast_1d(d_mlp_b2),
+        "mlp_b2": d_mlp_b2,
     }
     return (e_loss, n_loss, t_loss), grads
 
@@ -387,15 +378,15 @@ def write_training_log(rows: Sequence[TrainLogRow]) -> str:
 
 
 class _Adam:
-    """Adam with decoupled weight decay; biases are not decayed."""
+    """Adam with decoupled weight decay, updating the arrays in place; biases are not decayed."""
 
     DECAYED = {"w_gcn1", "w_gcn2", "b_edge", "mlp_w1", "mlp_w2"}
 
-    def __init__(self, cfg: TrainConfig, shapes: dict[str, tuple]):
+    def __init__(self, cfg: TrainConfig, tensors: dict[str, np.ndarray]):
         self.cfg = cfg
         self.t = 0
-        self.m = {k: np.zeros(s) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s) for k, s in shapes.items()}
+        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         c = self.cfg
@@ -408,16 +399,6 @@ class _Adam:
             tensors[name] -= c.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
             if name in self.DECAYED:
                 tensors[name] -= c.lr * c.weight_decay * tensors[name]
-
-
-def _apply_tensors(params: PruneNetParams, tensors: dict[str, np.ndarray]) -> None:
-    params.w_gcn1 = tensors["w_gcn1"]
-    params.w_gcn2 = tensors["w_gcn2"]
-    params.b_edge = tensors["b_edge"]
-    params.mlp_w1 = tensors["mlp_w1"]
-    params.mlp_b1 = tensors["mlp_b1"]
-    params.mlp_w2 = tensors["mlp_w2"]
-    params.mlp_b2 = float(tensors["mlp_b2"][0])
 
 
 def train(
@@ -448,67 +429,54 @@ def train(
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
     total_steps = steps_override if steps_override is not None else cfg.epochs * n_batches
     tensors = params.tensors()
-    tensors = {k: v.copy() for k, v in tensors.items()}
-    opt = _Adam(cfg, {k: v.shape for k, v in tensors.items()})
+    opt = _Adam(cfg, tensors)
     log: list[TrainLogRow] = []
     tail_start = int(np.ceil(total_steps * (1.0 - cfg.avg_tail)))
     tail_sum = {k: np.zeros_like(v) for k, v in tensors.items()}
     tail_count = 0
 
-    step = 0
-    while step < total_steps:
-        order = rng.permutation(len(corpus))
-        for b in range(n_batches):
-            if step >= total_steps:
-                break
-            batch_idx = order[b * cfg.batch : (b + 1) * cfg.batch]
-            if len(batch_idx) == 0:
-                continue
-            tau = cfg.tau_start
-            if total_steps > 1:
-                tau += (cfg.tau_end - cfg.tau_start) * step / (total_steps - 1)
-            batch = [corpus[i] for i in batch_idx]
-            active_frac = float(np.mean([p.y.m.mean() for p in batch]))
-            focal = active_frac < cfg.focal_threshold
-            _apply_tensors(params, tensors)
-            sums = np.zeros(3)
-            acc = {k: np.zeros_like(v) for k, v in tensors.items()}
-            for pair in batch:
-                n = pool.n_max
-                e_noise = gumbel_noise(rng, (n, n)) if cfg.gumbel_edges else None
-                n_noise = gumbel_noise(rng, (n,)) if cfg.gumbel_nodes else None
-                f = forward(params, features[pair.task_text])
-                noisy, grads = loss_and_grads(
-                    params, f, pair.a_gt.w, pair.y.m, cfg,
-                    tau=tau, edge_noise=e_noise, node_noise=n_noise, focal=focal,
-                )
-                if not np.isfinite(noisy[2]):
-                    raise TrainingDiverged(step)
-                # log the noise-free objective at the current temperature
-                losses = forward_losses(f, pair.a_gt.w, pair.y.m, cfg, tau=tau, focal=focal)
-                sums += np.array(losses)
-                for k in acc:
-                    acc[k] += grads[k]
-            mean_losses = sums / len(batch)
-            if not np.isfinite(mean_losses).all():
+    for step in range(total_steps):
+        b = step % n_batches
+        if b == 0:
+            order = rng.permutation(len(corpus))
+        batch = [corpus[i] for i in order[b * cfg.batch : (b + 1) * cfg.batch]]
+        tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
+        active_frac = float(np.mean([p.y.m.mean() for p in batch]))
+        focal = active_frac < cfg.focal_threshold
+        sums = np.zeros(3)
+        acc = {k: np.zeros_like(v) for k, v in tensors.items()}
+        for pair in batch:
+            n = pool.n_max
+            e_noise = gumbel_noise(rng, (n, n)) if cfg.gumbel_edges else None
+            n_noise = gumbel_noise(rng, (n,)) if cfg.gumbel_nodes else None
+            f = forward(params, features[pair.task_text])
+            noisy, grads = loss_and_grads(
+                params, f, pair.a_gt.w, pair.y.m, cfg,
+                tau=tau, edge_noise=e_noise, node_noise=n_noise, focal=focal,
+            )
+            if not np.isfinite(noisy[2]):
                 raise TrainingDiverged(step)
+            # log the noise-free objective at the current temperature
+            losses = forward_losses(f, pair.a_gt.w, pair.y.m, cfg, tau=tau, focal=focal)
+            sums += np.array(losses)
             for k in acc:
-                acc[k] /= len(batch)
-            opt.step(tensors, acc)
-            bad = [k for k, v in tensors.items() if not np.isfinite(v).all()]
-            if bad:
-                raise TrainingDiverged(
-                    step, f"training diverged at step {step}: non-finite {', '.join(bad)}"
-                )
-            if step >= tail_start:
-                for k in tail_sum:
-                    tail_sum[k] += tensors[k]
-                tail_count += 1
-            log.append(TrainLogRow(step, mean_losses[0], mean_losses[1], mean_losses[2], tau))
-            step += 1
+                acc[k] += grads[k]
+        mean_losses = sums / len(batch)
+        if not np.isfinite(mean_losses).all():
+            raise TrainingDiverged(step)
+        opt.step(tensors, {k: g / len(batch) for k, g in acc.items()})
+        bad = [k for k, v in tensors.items() if not np.isfinite(v).all()]
+        if bad:
+            raise TrainingDiverged(
+                step, f"training diverged at step {step}: non-finite {', '.join(bad)}"
+            )
+        if step >= tail_start:
+            for k in tail_sum:
+                tail_sum[k] += tensors[k]
+            tail_count += 1
+        log.append(TrainLogRow(step, mean_losses[0], mean_losses[1], mean_losses[2], tau))
     if tail_count > 0:
-        tensors = {k: v / tail_count for k, v in tail_sum.items()}
-    _apply_tensors(params, tensors)
+        params = PruneNetParams(**{k: v / tail_count for k, v in tail_sum.items()})
     return params, log
 
 
@@ -543,10 +511,10 @@ def save_checkpoint(params: PruneNetParams, net: NetConfig) -> bytes:
 
 
 def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
-    if isinstance(data, bytes):
-        data = data.decode()
     try:
         obj = json.loads(data)
+        if not isinstance(obj, dict) or not isinstance(obj.get("tensors", {}), dict):
+            raise CheckpointError('malformed checkpoint: expected an object with a "tensors" object')
         if obj.get("version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {obj.get('version')}")
         net = NetConfig(**obj["config"])
@@ -555,29 +523,12 @@ def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
         raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    expected = {
-        "w_gcn1": (net.d, net.h),
-        "w_gcn2": (net.h, net.h),
-        "b_edge": (net.h, net.h),
-        "mlp_w1": (net.h, net.h_m),
-        "mlp_b1": (net.h_m,),
-        "mlp_w2": (net.h_m,),
-        "mlp_b2": (1,),
-    }
-    for name, shape in expected.items():
+    shapes = PruneNetParams.shapes(net)
+    for name, shape in shapes.items():
         if name not in t or t[name].shape != shape:
             raise CheckpointError(
                 f"tensor {name}: expected shape {shape}, got {t.get(name, np.empty(0)).shape}"
             )
         if not np.isfinite(t[name]).all():
             raise CheckpointError(f"tensor {name} has non-finite values")
-    params = PruneNetParams(
-        w_gcn1=t["w_gcn1"],
-        w_gcn2=t["w_gcn2"],
-        b_edge=t["b_edge"],
-        mlp_w1=t["mlp_w1"],
-        mlp_b1=t["mlp_b1"],
-        mlp_w2=t["mlp_w2"],
-        mlp_b2=float(t["mlp_b2"][0]),
-    )
-    return params, net
+    return PruneNetParams(**{name: t[name] for name in shapes}), net

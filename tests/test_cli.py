@@ -257,11 +257,16 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         ("", ["bench", "--suite", "suite.jsonl", "--methods", "complete", "--repeats", "0"],
          1, "repeats"),
         ("", ["run", "--query", "q", "--k", "0"], 1, "k must be"),
+        ("", ["design", "--query", "q", "--checkpoint", "list.json"], 4, "malformed checkpoint"),
+        ("api_key = x\n", ["design", "--query", "q"], 1, "cfg.ini: File contains no section"),
+        ("[agents]\nmodel = a\nmodel = b\n", ["design", "--query", "q"], 1, "'model'"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
         "run-unknown-agent-backend", "design-missing-pool", "design-out-in-missing-dir",
         "design-unparsable-config-value", "bench-zero-repeats", "run-zero-rounds",
+        "design-checkpoint-not-an-object", "config-without-section-header",
+        "config-duplicate-option",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -275,6 +280,7 @@ def test_bad_input_exits_with_table_code_and_one_line(
 
     monkeypatch.setattr(embed_mod.HttpBackend, "embed", unreachable)
     make_checkpoint(workdir)
+    (workdir / "list.json").write_text("[]")
     write_suite(workdir / "suite.jsonl", n=2)
     (workdir / "cfg.ini").write_text(ini)
     assert main(["--config", "cfg.ini", *argv]) == code

@@ -137,6 +137,42 @@ class TestLiftSubgraph:
         assert weights.w[:, outside].sum() == 0.0
 
 
+@st.composite
+def lifted_subgraphs(draw):
+    """(sub-topology, ascending member ids, n_max, another mask) with 0..n_max members."""
+    n_max = draw(st.integers(1, 12))
+    members = sorted(draw(st.sets(st.integers(0, n_max - 1), max_size=n_max)))
+    size = len(members)
+    bits = draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size))
+    adj = np.array(bits, dtype=float).reshape(size, size)
+    if size:
+        np.fill_diagonal(adj, 0.0)
+    other = draw(st.lists(st.booleans(), min_size=n_max, max_size=n_max))
+    return Topology(size, adj), members, n_max, NodeMask(n_max, np.array(other, dtype=float))
+
+
+class TestLiftRestrictInduceProperties:
+    @given(lifted_subgraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_invariants(self, case):
+        sub, members, n_max, other = case
+        weights, mask = lift_subgraph(sub, members, n_max)
+        assert mask.active_ids() == members
+        assert np.array_equal(restrict(weights, members), sub.adj)
+        block = np.zeros((n_max, n_max), dtype=bool)
+        block[np.ix_(members, members)] = True
+        assert not weights.w[~block].any()
+        if len(members) >= 2:
+            induced = induce(weights, mask)
+            assert np.array_equal(induced.weights.w, weights.w)
+            assert np.array_equal(induced.mask.m, mask.m)
+        if other.active_count() >= 2:
+            once = induce(weights, other)
+            twice = induce(once.weights, once.mask)
+            assert np.array_equal(twice.weights.w, once.weights.w)
+            assert np.array_equal(twice.mask.m, once.mask.m)
+
+
 class TestInduce:
     def test_masked_node_rows_and_columns_zeroed(self):
         t = induce(complete_weights(3, 0.8), NodeMask(3, np.array([1.0, 1.0, 0.0])))
