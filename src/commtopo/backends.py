@@ -11,8 +11,8 @@ import json
 import time
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Protocol, Sequence
 
 from .errors import BackendError
 from .pool import AgentPool
@@ -30,10 +30,6 @@ class BackendSet:
 
     default: ChatBackend
     decision: ChatBackend
-    overrides: Mapping[int, ChatBackend] = field(default_factory=dict)
-
-    def for_agent(self, agent_id: int) -> ChatBackend:
-        return self.overrides.get(agent_id, self.default)
 
 
 class EchoBackend:
@@ -130,7 +126,6 @@ class HttpChatBackend:
         endpoint: str,
         api_key: str,
         model: str,
-        temperature: float = 1.0,
         retries: int = 3,
         backoff: float = 1.0,
         session=None,
@@ -141,7 +136,6 @@ class HttpChatBackend:
         self.endpoint = endpoint
         self.api_key = api_key
         self.model = model
-        self.temperature = temperature
         self.retries = retries
         self.backoff = backoff
         self._session = session or requests.Session()
@@ -154,7 +148,7 @@ class HttpChatBackend:
                 {"role": "system", "content": system},
                 {"role": "user", "content": user},
             ],
-            "temperature": self.temperature,
+            "temperature": 1.0,
         }
 
     def complete(self, system: str, user: str) -> Completion:

@@ -29,13 +29,12 @@ def make_static(
     n_max: int,
     p: float = 0.3,
     rng: np.random.Generator | None = None,
-    bidirectional_tree: bool = False,
 ) -> CommTopology:
     """Build a fixed topology over the member set, lifted to n_max.
 
     chain: i -> i+1 along member order; star: first member is the hub,
     both directions; tree: binary-heap layout, parent -> child (downward
-    flow unless ``bidirectional_tree``); complete: all ordered pairs;
+    flow); complete: all ordered pairs;
     random: each ordered pair independently with probability p.
     """
     members = sorted(int(v) for v in members)
@@ -58,8 +57,6 @@ def make_static(
             for child in (2 * k + 1, 2 * k + 2):
                 if child < m:
                     w[members[k], members[child]] = 1.0
-                    if bidirectional_tree:
-                        w[members[child], members[k]] = 1.0
     elif shape == "complete":
         for a in members:
             for b in members:

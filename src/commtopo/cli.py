@@ -26,7 +26,7 @@ from . import bench as bench_mod
 from . import collector as collector_mod
 from . import prunenet
 from .backends import BackendSet, EchoBackend, HttpChatBackend, MajorityVoteDecision
-from .config import AppConfig, load_config
+from .config import AppConfig, load_config, options
 from .embed import HashingBackend, HttpBackend
 from .errors import (
     BackendError,
@@ -245,31 +245,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
 
     p = sub.add_parser("train", help="train the pruning network (Stage II)")
-    p.add_argument("--corpus")
-    p.add_argument("--checkpoint")
-    p.add_argument("--log")
+    p.add_argument("--corpus", dest="corpus_path")
+    p.add_argument("--checkpoint", dest="checkpoint_path")
+    p.add_argument("--log", dest="train_log_path")
     p.add_argument("--beta", type=float)
     p.add_argument("--epochs", type=int)
 
     p = sub.add_parser("design", help="design a topology for a query")
     p.add_argument("--query", required=True)
-    p.add_argument("--checkpoint")
+    p.add_argument("--checkpoint", dest="checkpoint_path")
     p.add_argument("--theta", type=float)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out")
 
     p = sub.add_parser("run", help="design then execute a query")
     p.add_argument("--query", required=True)
-    p.add_argument("--checkpoint")
+    p.add_argument("--checkpoint", dest="checkpoint_path")
     p.add_argument("--suite")
     p.add_argument("--theta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--transcript")
+    p.add_argument("--k", type=int, dest="k_rounds")
+    p.add_argument("--transcript", dest="transcript_path")
 
     p = sub.add_parser("bench", help="compare topology methods on a suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--methods", default="designed,complete")
-    p.add_argument("--checkpoint")
+    p.add_argument("--checkpoint", dest="checkpoint_path")
     p.add_argument("--repeats", type=int, default=2)
     p.add_argument("--out-prefix", default="bench")
 
@@ -280,28 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> AppConfig:
+    """Config file, then every flag whose ``dest`` names an option (flags > file > env > defaults)."""
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    # flag overrides (flags > file > env > defaults)
-    for attr in ("budget", "sigma", "mu"):
-        if getattr(args, attr, None) is not None:
-            setattr(cfg.collector, attr, getattr(args, attr))
-    for attr in ("beta", "epochs"):
-        if getattr(args, attr, None) is not None:
-            setattr(cfg.train, attr, getattr(args, attr))
-    if getattr(args, "corpus", None):
-        cfg.corpus_path = args.corpus
-    if getattr(args, "checkpoint", None):
-        cfg.checkpoint_path = args.checkpoint
-    if getattr(args, "log", None):
-        cfg.train_log_path = args.log
-    if getattr(args, "transcript", None):
-        cfg.transcript_path = args.transcript
-    if getattr(args, "theta", None) is not None:
-        cfg.theta = args.theta
-    if getattr(args, "k", None) is not None:
-        cfg.k_rounds = args.k
+    for target, names in options(cfg).values():
+        for name in names:
+            if getattr(args, name, None) is not None:
+                setattr(target, name, getattr(args, name))
     return cfg.finalize()
 
 

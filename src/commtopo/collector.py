@@ -78,7 +78,7 @@ class TaskSpec:
                 check=obj.get("check", "exact"),
                 planted_team=tuple(obj["planted_team"]) if "planted_team" in obj else None,
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad task line: {exc}") from exc
 
 
@@ -132,8 +132,10 @@ class CollectorConfig:
     def validate(self, n_max: int) -> None:
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be > 0")
+        if not 0 < self.sigma < math.inf:  # a NaN or infinite sigma never draws an order
+            raise ConfigError("sigma must be finite and > 0")
+        if self.top_k < 1 or self.candidates_per_task < 1:
+            raise ConfigError("top_k and candidates_per_task must be >= 1")
         self.resolved_mu(n_max)
 
 
@@ -186,18 +188,15 @@ def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> Samp
 Evaluator = Callable[[SampledGraph, TaskSpec], float]
 
 
-def score_graph(
-    g: SampledGraph, task: TaskSpec | Sequence[TaskSpec], evaluator: Evaluator
-) -> float:
-    """Utility in [0, 1]: fraction of instances answered correctly."""
-    tasks = [task] if isinstance(task, TaskSpec) else list(task)
+def score_graph(g: SampledGraph, task: TaskSpec, evaluator: Evaluator) -> float:
+    """The evaluator's utility clipped to [0, 1]; any failure is ScoreUnavailable."""
     try:
-        scores = [float(evaluator(g, t)) for t in tasks]
+        score = float(evaluator(g, task))
     except ScoreUnavailable:
         raise
     except Exception as exc:
         raise ScoreUnavailable(str(exc)) from exc
-    return float(np.clip(np.mean(scores), 0.0, 1.0))
+    return float(np.clip(score, 0.0, 1.0))
 
 
 def mine_supervision(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class AppConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     k_rounds: int = 3
     theta: float = 0.5
-    parallelism: int = 1
     seed: int = 0
 
     def split_seeds(self) -> dict[str, int]:
@@ -58,12 +57,26 @@ class AppConfig:
         return self
 
 
-_SCALAR_FIELDS = {
-    "paths": ("pool_path", "corpus_path", "checkpoint_path", "train_log_path", "transcript_path"),
-    "embedding": ("embed_backend", "embed_endpoint"),
-    "agents": ("agent_backend", "chat_endpoint", "model", "api_key", "evaluator", "planted_mode"),
-    "run": ("k_rounds", "theta", "parallelism", "seed"),
-}
+def options(cfg: AppConfig) -> dict[str, tuple[object, tuple[str, ...]]]:
+    """Every settable option: INI section -> (the object it sets, its option names).
+
+    This is the one list of settable names.  ``load_config`` reads the INI
+    file through it, and ``cli._config`` applies every flag whose ``dest``
+    names an option.  ``seed`` is settable only in ``[run]``: ``finalize``
+    derives the collector and training seeds from it.
+    """
+
+    def fields_of(obj) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(obj) if f.name != "seed")
+
+    return {
+        "paths": (cfg, ("pool_path", "corpus_path", "checkpoint_path", "train_log_path", "transcript_path")),
+        "embedding": (cfg, ("embed_backend", "embed_endpoint")),
+        "agents": (cfg, ("agent_backend", "chat_endpoint", "model", "api_key", "evaluator", "planted_mode")),
+        "run": (cfg, ("k_rounds", "theta", "seed")),
+        "collector": (cfg.collector, fields_of(cfg.collector)),
+        "train": (cfg.train, fields_of(cfg.train)),
+    }
 
 
 def _coerce(current, raw: str, where: str):
@@ -86,7 +99,9 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
     cfg.embed_endpoint = env.get(ENV_EMBED_ENDPOINT, cfg.embed_endpoint)
     cfg.chat_endpoint = env.get(ENV_CHAT_ENDPOINT, cfg.chat_endpoint)
     if path:
-        parser = configparser.ConfigParser(interpolation=None)
+        # No section header can name the empty string, so [DEFAULT] is an
+        # ordinary section, rejected as unknown, and no option is shared.
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             read = parser.read(path)
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -94,17 +109,15 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
             raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
-        for section, names in _SCALAR_FIELDS.items():
-            if parser.has_section(section):
-                for name in names:
-                    if parser.has_option(section, name):
-                        raw = parser.get(section, name)
-                        setattr(cfg, name, _coerce(getattr(cfg, name), raw, f"[{section}] {name}"))
-        for section, target in (("collector", cfg.collector), ("train", cfg.train)):
-            if parser.has_section(section):
-                for name, raw in parser.items(section):
-                    if not hasattr(target, name):
-                        raise ConfigError(f"unknown option {name!r} in [{section}]")
-                    current = getattr(target, name)
-                    setattr(target, name, _coerce(current, raw, f"[{section}] {name}"))
+        table = options(cfg)
+        for section in parser.sections():
+            if section not in table:
+                raise ConfigError(f"unknown section [{section}]; valid: {', '.join(table)}")
+            target, names = table[section]
+            for name, raw in parser.items(section):
+                if name not in names:
+                    home = next((s for s, (_, n) in table.items() if name in n), None)
+                    hint = f"; did you mean [{home}] {name}?" if home else ""
+                    raise ConfigError(f"unknown option {name!r} in [{section}]{hint}")
+                setattr(target, name, _coerce(getattr(target, name), raw, f"[{section}] {name}"))
     return cfg

@@ -154,7 +154,7 @@ class SupervisionPair:
                 y=y,
                 score=float(obj["score"]),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad supervision pair line: {exc}") from exc
 
 

@@ -144,7 +144,7 @@ def run_topology(
             seen = visible_history(transcript, agent_id, adj, t.weights)
             system = render_system_prompt(profile, task.task_text)
             user = render_user_prompt([e.as_history_item() for e in seen])
-            record(agent_id, profile.role, rnd, system, user, backends.for_agent(agent_id))
+            record(agent_id, profile.role, rnd, system, user, backends.default)
 
     system = render_system_prompt(DECISION_PROFILE, task.task_text)
     user = render_user_prompt([e.as_history_item() for e in transcript])

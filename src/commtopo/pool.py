@@ -25,12 +25,7 @@ class AgentProfile:
     id: int
     role: str
     expertise: str = ""
-    backbone: str = "gpt-4o-mini"
-    tools: tuple[str, ...] = ()
     system_template: str = DEFAULT_SYSTEM_TEMPLATE
-
-    def __post_init__(self):
-        object.__setattr__(self, "tools", tuple(self.tools))
 
     def profile_text(self) -> str:
         """Prose filled into the <Profile> slot."""
@@ -77,8 +72,6 @@ def load_pool(source: bytes | str) -> AgentPool:
                     id=int(obj["id"]),
                     role=str(obj["role"]),
                     expertise=str(obj.get("expertise", "")),
-                    backbone=str(obj.get("backbone", "gpt-4o-mini")),
-                    tools=tuple(obj.get("tools", ())),
                     system_template=str(obj.get("system_template", DEFAULT_SYSTEM_TEMPLATE)),
                 )
             )

@@ -137,19 +137,15 @@ def forward(params: PruneNetParams, x: np.ndarray) -> Forward:
 
 
 def heads(
-    f: Forward,
-    tau: float = 1.0,
-    edge_noise: np.ndarray | None = None,
-    node_noise: np.ndarray | None = None,
+    f: Forward, tau: float = 1.0, node_noise: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge weights and mask probabilities: sigmoid((logit + noise) / tau).
+    """Edge weights sigmoid(logit / tau) and mask probabilities sigmoid((logit + noise) / tau).
 
-    The edge diagonal is forced to 0.  With Gumbel-difference noise this
-    is the Gumbel-Sigmoid relaxation; without noise it is the
-    deterministic head used for logging and design.
+    The edge diagonal is forced to 0.  With Gumbel-difference noise on the
+    node logits this is the Gumbel-Sigmoid relaxation; without noise it is
+    the deterministic head used for logging and design.
     """
-    e = f.lmat if edge_noise is None else f.lmat + edge_noise
-    w_pred = _sigmoid(e / tau)
+    w_pred = _sigmoid(f.lmat / tau)
     np.fill_diagonal(w_pred, 0.0)
     s = f.s if node_noise is None else f.s + node_noise
     return w_pred, _sigmoid(s / tau)
@@ -228,12 +224,6 @@ class TrainConfig:
     tau_end: float = 0.1
     focal_gamma: float = 2.0
     focal_threshold: float = 0.20
-    # Gumbel noise placement is per head: node-head noise regularizes the
-    # mask decision, while edge-head noise feeds back into the mask loss
-    # through the coherence term and destabilizes borderline members, so
-    # it is off by default.
-    gumbel_edges: bool = False
-    gumbel_nodes: bool = True
     # fraction of final steps whose parameters are averaged into the
     # returned weights; late low-temperature updates are high-variance,
     # and the tail mean is far more stable than the last iterate
@@ -258,22 +248,21 @@ def loss_and_grads(
     y: np.ndarray,
     cfg: TrainConfig,
     tau: float = 1.0,
-    edge_noise: np.ndarray | None = None,
     node_noise: np.ndarray | None = None,
     focal: bool = False,
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
     """One supervision pair: losses plus gradients of the total loss.
 
     ``f`` is ``forward(params, x)`` for the pair's features.
-    ``edge_noise`` / ``node_noise`` are additive logit perturbations
-    (Gumbel differences during training, None for the deterministic
-    path); tau rescales logits before the sigmoid in both heads.
+    ``node_noise`` is an additive node-logit perturbation (Gumbel
+    differences during training, None for the deterministic path); tau
+    rescales logits before the sigmoid in both heads.
     """
     a = np.asarray(a_gt, dtype=float)
     yv = np.asarray(y, dtype=float)
     z = f.z
     n = z.shape[0]
-    w_pred, y_hat = heads(f, tau, edge_noise, node_noise)
+    w_pred, y_hat = heads(f, tau, node_noise)
 
     e_loss = edge_loss(w_pred, a, yv, cfg.lambda_off)
     n_loss = node_loss(y_hat, yv, w_pred, cfg.lambda_s, cfg.lambda_c, focal, cfg.focal_gamma)
@@ -407,13 +396,8 @@ def train(
     backend: EmbeddingBackend,
     cfg: TrainConfig,
     net: NetConfig | None = None,
-    steps_override: int | None = None,
 ) -> tuple[PruneNetParams, list[TrainLogRow]]:
-    """Adam training over minibatches with a linear tau anneal.
-
-    ``steps_override`` runs a fixed number of updates instead of
-    epochs * batches (used by overfitting checks).
-    """
+    """Adam training over minibatches with a linear tau anneal."""
     if not corpus:
         raise ValueError("corpus is empty")
     cfg.validate()
@@ -427,7 +411,7 @@ def train(
             features[pair.task_text] = build_node_features(pool, pair.task_text, backend)
 
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
-    total_steps = steps_override if steps_override is not None else cfg.epochs * n_batches
+    total_steps = cfg.epochs * n_batches
     tensors = params.tensors()
     opt = _Adam(cfg, tensors)
     log: list[TrainLogRow] = []
@@ -446,13 +430,11 @@ def train(
         sums = np.zeros(3)
         acc = {k: np.zeros_like(v) for k, v in tensors.items()}
         for pair in batch:
-            n = pool.n_max
-            e_noise = gumbel_noise(rng, (n, n)) if cfg.gumbel_edges else None
-            n_noise = gumbel_noise(rng, (n,)) if cfg.gumbel_nodes else None
+            # node logits only: edge noise destabilizes borderline members
+            noise = gumbel_noise(rng, (pool.n_max,))
             f = forward(params, features[pair.task_text])
             noisy, grads = loss_and_grads(
-                params, f, pair.a_gt.w, pair.y.m, cfg,
-                tau=tau, edge_noise=e_noise, node_noise=n_noise, focal=focal,
+                params, f, pair.a_gt.w, pair.y.m, cfg, tau=tau, node_noise=noise, focal=focal
             )
             if not np.isfinite(noisy[2]):
                 raise TrainingDiverged(step)

@@ -40,11 +40,6 @@ class TestMakeStatic:
         assert t.weights.w[1, 4] == 1.0 and t.weights.w[4, 1] == 1.0
         assert t.weights.w[4, 7] == 0.0
 
-    def test_tree_bidirectional_doubles_edges(self):
-        one_way = make_static("tree", range(5), N)
-        two_way = make_static("tree", range(5), N, bidirectional_tree=True)
-        assert edge_count(two_way) == 2 * edge_count(one_way)
-
     def test_random_probability_boundaries(self):
         rng = np.random.default_rng(0)
         empty = make_static("random", range(4), N, p=0.0, rng=rng)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from commtopo.cli import main
+from commtopo.cli import _build_parser, _config, main
 from commtopo.collector import TaskSpec, write_tasks
+from commtopo.config import options
 from commtopo.graphs import parse_topology, read_corpus
 
 
@@ -260,13 +261,28 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         ("", ["design", "--query", "q", "--checkpoint", "list.json"], 4, "malformed checkpoint"),
         ("api_key = x\n", ["design", "--query", "q"], 1, "cfg.ini: File contains no section"),
         ("[agents]\nmodel = a\nmodel = b\n", ["design", "--query", "q"], 1, "'model'"),
+        ("", ["collect", "--tasks", "bad_team.jsonl"], 1, "bad task line"),
+        ("", ["train", "--corpus", "bad_score.jsonl"], 1, "bad supervision pair line"),
+        ("", ["train", "--corpus", "bad_y.jsonl"], 1, "bad supervision pair line"),
+        ("[collector]\ntop_k = -1\n", ["collect", "--tasks", "suite.jsonl"], 1, "top_k"),
+        ("[collector]\ntop_k = 0\n", ["collect", "--tasks", "suite.jsonl"], 1, "top_k"),
+        ("[collector]\ncandidates_per_task = 0\n", ["collect", "--tasks", "suite.jsonl"], 1,
+         "candidates_per_task"),
+        ("[DEFAULT]\nseed = 7\n", ["design", "--query", "q"], 1, "unknown section [DEFAULT]"),
+        ("[trian]\nlr = 0.1\n", ["design", "--query", "q"], 1, "unknown section [trian]"),
+        ("[run]\nk_round = 5\n", ["design", "--query", "q"], 1, "unknown option 'k_round'"),
+        ("[run]\nparallelism = 4\n", ["design", "--query", "q"], 1, "'parallelism'"),
+        ("[train]\nseed = 5\n", ["design", "--query", "q"], 1, "[run] seed"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
         "run-unknown-agent-backend", "design-missing-pool", "design-out-in-missing-dir",
         "design-unparsable-config-value", "bench-zero-repeats", "run-zero-rounds",
         "design-checkpoint-not-an-object", "config-without-section-header",
-        "config-duplicate-option",
+        "config-duplicate-option", "collect-task-team-not-integers", "train-score-not-a-number",
+        "train-mask-not-numbers", "collect-negative-top-k", "collect-zero-top-k",
+        "collect-zero-candidates", "config-default-section", "config-unknown-section",
+        "config-unknown-option", "config-parallelism", "config-seed-in-train",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -281,8 +297,58 @@ def test_bad_input_exits_with_table_code_and_one_line(
     monkeypatch.setattr(embed_mod.HttpBackend, "embed", unreachable)
     make_checkpoint(workdir)
     (workdir / "list.json").write_text("[]")
+    task = {"task_id": "t", "task_text": "q", "category": "math_reasoning"}
+    pair = {**task, "score": 1.0, "y": [1, 1, 0], "a_gt": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}
+    (workdir / "bad_team.jsonl").write_text(json.dumps({**task, "planted_team": ["a"]}))
+    (workdir / "bad_score.jsonl").write_text(json.dumps({**pair, "score": "high"}))
+    (workdir / "bad_y.jsonl").write_text(json.dumps({**pair, "y": ["a", 1, 0]}))
     write_suite(workdir / "suite.jsonl", n=2)
     (workdir / "cfg.ini").write_text(ini)
     assert main(["--config", "cfg.ini", *argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+
+# (argv, the flag under test, section, option its dest names, file value, flag value)
+FLAG_OVERRIDES = [
+    (["--seed", "7", "export", "--topology", "t.json"], "--seed", "run", "seed", 3, 7),
+    (["collect", "--tasks", "t", "--budget", "9"], "--budget", "collector", "budget", 5, 9),
+    (["collect", "--tasks", "t", "--sigma", "0.5"], "--sigma", "collector", "sigma", 2.5, 0.5),
+    (["collect", "--tasks", "t", "--mu", "4"], "--mu", "collector", "mu", 6.0, 4.0),
+    (["train", "--corpus", "f.jsonl"], "--corpus", "paths", "corpus_path", "c.jsonl", "f.jsonl"),
+    (["train", "--checkpoint", "f.json"], "--checkpoint", "paths", "checkpoint_path", "c.json",
+     "f.json"),
+    (["train", "--log", "f.csv"], "--log", "paths", "train_log_path", "c.csv", "f.csv"),
+    (["train", "--beta", "2.5"], "--beta", "train", "beta", 0.5, 2.5),
+    (["train", "--epochs", "4"], "--epochs", "train", "epochs", 9, 4),
+    (["design", "--query", "q", "--checkpoint", "f.json"], "--checkpoint", "paths",
+     "checkpoint_path", "c.json", "f.json"),
+    (["design", "--query", "q", "--theta", "0.25"], "--theta", "run", "theta", 0.75, 0.25),
+    (["run", "--query", "q", "--checkpoint", "f.json"], "--checkpoint", "paths",
+     "checkpoint_path", "c.json", "f.json"),
+    (["run", "--query", "q", "--theta", "0.25"], "--theta", "run", "theta", 0.75, 0.25),
+    (["run", "--query", "q", "--k", "2"], "--k", "run", "k_rounds", 5, 2),
+    (["run", "--query", "q", "--transcript", "f.json"], "--transcript", "paths",
+     "transcript_path", "c.json", "f.json"),
+    (["bench", "--suite", "s", "--checkpoint", "f.json"], "--checkpoint", "paths",
+     "checkpoint_path", "c.json", "f.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, section, name, in_file, from_flag",
+    FLAG_OVERRIDES,
+    ids=[" ".join(row[0]) for row in FLAG_OVERRIDES],
+)
+def test_flag_overrides_config_file(tmp_path, argv, flag, section, name, in_file, from_flag):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{name} = {in_file}\n")
+    parser = _build_parser()
+
+    def value(args):
+        cfg = _config(parser.parse_args(["--config", str(ini), *args]))
+        return getattr(options(cfg)[section][0], name)
+
+    at = argv.index(flag)
+    assert value(argv[:at] + argv[at + 2:]) == in_file
+    assert value(argv) == from_flag

@@ -1,14 +1,13 @@
+import ast
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commtopo.collector import CollectorConfig
-from commtopo.config import AppConfig, _SCALAR_FIELDS, load_config
+import commtopo
+from commtopo.config import AppConfig, load_config, options
 from commtopo.errors import ConfigError
-from commtopo.prunenet import TrainConfig
 
 
 def write_ini(directory, text):
@@ -66,30 +65,34 @@ def ini_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def config_sections():
-    """(section, target attribute or None for AppConfig, field names)."""
-    sections = [(name, None, names) for name, names in _SCALAR_FIELDS.items()]
-    for name, cls in (("collector", CollectorConfig), ("train", TrainConfig)):
-        sections.append((name, name, tuple(f.name for f in fields(cls))))
-    return sections
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_ini_values_round_trip(data):
-    defaults = AppConfig()
     written = []
     lines = []
-    for section, attr, names in config_sections():
-        target = defaults if attr is None else getattr(defaults, attr)
+    for section, (target, names) in options(AppConfig()).items():
         lines.append(f"[{section}]")
         for name in names:
             value = data.draw(value_strategy(getattr(target, name)), label=f"{section}.{name}")
             lines.append(f"{name} = {ini_value(value)}")
-            written.append((attr, name, value))
+            written.append((section, name, value))
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(write_ini(Path(tmp), "\n".join(lines) + "\n"), env={})
-    for attr, name, value in written:
-        target = cfg if attr is None else getattr(cfg, attr)
-        got = getattr(target, name)
-        assert got == value and type(got) is type(value), (attr, name)
+    table = options(cfg)
+    for section, name, value in written:
+        got = getattr(table[section][0], name)
+        assert got == value and type(got) is type(value), (section, name)
+
+
+def test_every_option_is_read_outside_config():
+    # an option nothing reads is a setting that does nothing
+    package = Path(commtopo.__file__).parent
+    read = {
+        node.attr
+        for path in package.glob("*.py")
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    names = {name for _, names in options(AppConfig()).values() for name in names}
+    assert sorted(names - read) == []

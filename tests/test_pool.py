@@ -82,8 +82,6 @@ class TestSystemPrompt:
             id=0,
             role="math expert",
             expertise="",
-            backbone="t",
-            tools=(),
             system_template="<Profile>. And your task is to solve the question: <Task>. ",
         )
         out = render_system_prompt(p, "1+1=?")
@@ -94,8 +92,6 @@ class TestSystemPrompt:
             id=0,
             role="",
             expertise="",
-            backbone="t",
-            tools=(),
             system_template="<Profile>. And your task is to solve the question: <Task>. ",
         )
         with pytest.warns(UserWarning):

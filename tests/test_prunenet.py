@@ -261,24 +261,24 @@ def memorization_fixture():
 class TestTrain:
     def test_single_pair_memorization(self):
         pool, backend, pair, members = memorization_fixture()
-        cfg = TrainConfig(seed=3)
-        params, _ = train([pair], pool, backend, cfg, steps_override=200)
+        cfg = TrainConfig(seed=3, epochs=200)
+        params, _ = train([pair], pool, backend, cfg)
         topo = design_topology(pair.task_text, pool, backend, params)
         assert list(topo.mask.active_ids()) == members
 
     def test_zero_lr_leaves_params_unchanged(self):
         pool, backend, pair, _ = memorization_fixture()
-        cfg = TrainConfig(lr=0.0, weight_decay=0.0, seed=3)
+        cfg = TrainConfig(lr=0.0, weight_decay=0.0, seed=3, epochs=5)
         init = PruneNetParams.init(
             NetConfig(d=backend.dim, n_max=pool.n_max), np.random.default_rng(3)
         )
-        params, _ = train([pair], pool, backend, cfg, steps_override=5)
+        params, _ = train([pair], pool, backend, cfg)
         for name, t in params.tensors().items():
             assert np.allclose(t, init.tensors()[name])
 
     def test_tau_anneal_monotone(self):
         pool, backend, pair, _ = memorization_fixture()
-        params, log = train([pair], pool, backend, TrainConfig(seed=1), steps_override=50)
+        params, log = train([pair], pool, backend, TrainConfig(seed=1, epochs=50))
         taus = [row.tau for row in log]
         assert taus[0] == pytest.approx(1.0)
         assert taus[-1] == pytest.approx(0.1)
@@ -287,25 +287,25 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step(self):
         pool, backend, pair, _ = memorization_fixture()
-        cfg = TrainConfig(lr=1e12, seed=0)
+        cfg = TrainConfig(lr=1e12, seed=0, epochs=200)
         with pytest.raises(TrainingDiverged):
-            train([pair], pool, backend, cfg, steps_override=200)
+            train([pair], pool, backend, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_parameters_raise_although_loss_is_finite(self):
         # the step's loss is taken before the Adam update that overflows
         pool, backend, pair, _ = memorization_fixture()
         with pytest.raises(TrainingDiverged, match="diverged at step 0: non-finite") as info:
-            train([pair], pool, backend, TrainConfig(lr=1e308), steps_override=1)
+            train([pair], pool, backend, TrainConfig(lr=1e308, epochs=1))
         assert info.value.step == 0
 
     def test_tail_averaging_returns_mean_of_final_iterates(self):
         pool, backend, pair, _ = memorization_fixture()
         last = train(
-            [pair], pool, backend, TrainConfig(seed=5, avg_tail=0.0), steps_override=30
+            [pair], pool, backend, TrainConfig(seed=5, avg_tail=0.0, epochs=30)
         )[0]
         averaged = train(
-            [pair], pool, backend, TrainConfig(seed=5, avg_tail=0.5), steps_override=30
+            [pair], pool, backend, TrainConfig(seed=5, avg_tail=0.5, epochs=30)
         )[0]
         # same noise stream, different returned weights
         assert not np.allclose(last.mlp_w2, averaged.mlp_w2)
@@ -313,7 +313,7 @@ class TestTrain:
     def test_full_tail_average_includes_first_step(self):
         pool, backend, pair, _ = memorization_fixture()
         params, log = train(
-            [pair], pool, backend, TrainConfig(seed=5, avg_tail=1.0), steps_override=10
+            [pair], pool, backend, TrainConfig(seed=5, avg_tail=1.0, epochs=10)
         )
         assert len(log) == 10
         assert all(np.isfinite(t).all() for t in params.tensors().values())
@@ -321,7 +321,7 @@ class TestTrain:
     def test_avg_tail_out_of_range_rejected(self):
         pool, backend, pair, _ = memorization_fixture()
         with pytest.raises(ConfigError):
-            train([pair], pool, backend, TrainConfig(avg_tail=1.5), steps_override=2)
+            train([pair], pool, backend, TrainConfig(avg_tail=1.5, epochs=2))
 
     @pytest.mark.parametrize(
         "bad", [{"batch": 0}, {"epochs": 0}, {"tau_end": 0.0}], ids=["batch", "epochs", "tau_end"]
@@ -336,13 +336,13 @@ class TestTrain:
         # shared between training and logging; any change to the forward
         # pass, the heads or the noise stream moves them
         pool, backend, pair, _ = memorization_fixture()
-        _, log = train([pair], pool, backend, TrainConfig(seed=3), steps_override=200)
+        _, log = train([pair], pool, backend, TrainConfig(seed=3, epochs=200))
         expected = [2.8080350801274125, 0.03761111630935393, 0.020170466962619184]
         assert [log[i].total for i in (0, 99, 199)] == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_training_log_csv(self):
         pool, backend, pair, _ = memorization_fixture()
-        _, log = train([pair], pool, backend, TrainConfig(seed=1), steps_override=3)
+        _, log = train([pair], pool, backend, TrainConfig(seed=1, epochs=3))
         text = write_training_log(log)
         lines = text.strip().splitlines()
         assert lines[0] == "step,edge_loss,node_loss,total,tau"
@@ -352,13 +352,13 @@ class TestTrain:
 class TestDesignTopology:
     def test_theta_zero_keeps_all_agents(self):
         pool, backend, pair, _ = memorization_fixture()
-        params, _ = train([pair], pool, backend, TrainConfig(seed=3), steps_override=20)
+        params, _ = train([pair], pool, backend, TrainConfig(seed=3, epochs=20))
         topo = design_topology("anything", pool, backend, params, theta=0.0)
         assert topo.mask.active_count() == pool.n_max
 
     def test_deterministic(self):
         pool, backend, pair, _ = memorization_fixture()
-        params, _ = train([pair], pool, backend, TrainConfig(seed=3), steps_override=20)
+        params, _ = train([pair], pool, backend, TrainConfig(seed=3, epochs=20))
         a = design_topology("q", pool, backend, params)
         b = design_topology("q", pool, backend, params)
         assert np.array_equal(a.mask.m, b.mask.m)
@@ -376,7 +376,7 @@ class TestDesignTopology:
 
     def test_output_satisfies_invariants(self):
         pool, backend, pair, _ = memorization_fixture()
-        params, _ = train([pair], pool, backend, TrainConfig(seed=3), steps_override=20)
+        params, _ = train([pair], pool, backend, TrainConfig(seed=3, epochs=20))
         topo = design_topology("q", pool, backend, params)
         inactive = np.flatnonzero(topo.mask.m == 0)
         assert topo.weights.w[inactive, :].sum() == 0.0
