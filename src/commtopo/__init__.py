@@ -19,7 +19,7 @@ from .graphs import (
     serialize_topology,
 )
 from .pool import AgentPool, AgentProfile, load_default_pool, load_pool
-from .embed import HashingBackend, build_node_features, embed_text
+from .embed import HashingBackend, embed_text, node_features
 from .collector import CollectorConfig, SampledGraph, TaskSpec, collect_supervision
 from .prunenet import (
     NetConfig,

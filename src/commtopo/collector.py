@@ -129,6 +129,10 @@ class CollectorConfig:
             raise ConfigError(f"mu={mu} outside [2, {n_max}]")
         return mu
 
+    # sample_orders rejection-samples the whole Gaussian, so it needs about
+    # 1 / accepted_mass draws per order
+    MIN_ACCEPTED_MASS = 1e-3
+
     def validate(self, n_max: int) -> None:
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
@@ -136,7 +140,12 @@ class CollectorConfig:
             raise ConfigError("sigma must be finite and > 0")
         if self.top_k < 1 or self.candidates_per_task < 1:
             raise ConfigError("top_k and candidates_per_task must be >= 1")
-        self.resolved_mu(n_max)
+        mass = accepted_mass(self, n_max)
+        if not mass >= self.MIN_ACCEPTED_MASS:
+            raise ConfigError(
+                f"sigma={self.sigma} leaves {mass:.3g} of the order distribution in "
+                f"[2, {n_max}] (need >= {self.MIN_ACCEPTED_MASS})"
+            )
 
 
 def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | None = None) -> list[int]:
@@ -156,10 +165,16 @@ def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | N
     return orders[: cfg.budget]
 
 
+def accepted_mass(cfg: CollectorConfig, n_max: int) -> float:
+    """Probability that one Gaussian draw of ``sample_orders`` lies in [2, n_max]."""
+    mu = cfg.resolved_mu(n_max)
+    return float(norm.cdf(n_max, mu, cfg.sigma) - norm.cdf(2, mu, cfg.sigma))
+
+
 def order_distribution(cfg: CollectorConfig, n_max: int) -> np.ndarray:
     """Exact pmf of sample_orders over the integers 2..n_max."""
     mu, sigma = cfg.resolved_mu(n_max), cfg.sigma
-    z = norm.cdf(n_max, mu, sigma) - norm.cdf(2, mu, sigma)
+    z = accepted_mass(cfg, n_max)
     pmf = []
     for k in range(2, n_max + 1):
         lo = max(k - 0.5, 2.0)

@@ -51,6 +51,8 @@ class AppConfig:
         return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
     def finalize(self) -> "AppConfig":
+        if not 0.0 <= self.theta <= 1.0:  # NaN too: it would keep no agent and fall back to top-2
+            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         seeds = self.split_seeds()
         self.collector.seed = seeds["collector"]
         self.train.seed = seeds["train"]

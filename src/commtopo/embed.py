@@ -2,12 +2,15 @@
 
 Every backend returns L2-normalized vectors of a fixed dimension.  The
 feature-hash backend is fully deterministic and needs no network; the
-HTTP backend posts to a generic embedding endpoint.
+HTTP backend posts to a generic embedding endpoint.  Node features go
+through one cache per backend object, so each text reaches the backend
+once however often it is trained on or designed for.
 """
 from __future__ import annotations
 
+import weakref
 import zlib
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -46,12 +49,8 @@ class HashingBackend:
             raise ValueError("bins must not exceed dim")
         self.dim = dim
         self.bins = bins
-        self._memo: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        cached = self._memo.get(text)
-        if cached is not None:
-            return cached
         counts = np.zeros(self.bins)
         for word in text.lower().split():
             padded = f"#{word}#"
@@ -60,10 +59,7 @@ class HashingBackend:
                 counts[zlib.crc32(gram.encode()) % self.bins] += 1.0
         v = np.zeros(self.dim)
         v[: self.bins] = counts
-        v = _normalize(v)
-        v.flags.writeable = False
-        self._memo[text] = v
-        return v
+        return _normalize(v)
 
 
 class HttpBackend:
@@ -101,8 +97,44 @@ def embed_text(backend: EmbeddingBackend, text: str) -> np.ndarray:
     return _normalize(np.asarray(backend.embed(text), dtype=float))
 
 
-def build_node_features(pool: AgentPool, query: str, backend: EmbeddingBackend) -> np.ndarray:
-    """(n_max + 1) x d matrix: one row per agent, query row last."""
-    rows = [embed_text(backend, f"{a.role} {a.expertise}") for a in pool.agents]
-    rows.append(embed_text(backend, query))
-    return np.vstack(rows)
+class CachedEmbedding:
+    """An ``EmbeddingBackend`` behind a text -> unit-vector cache; cached vectors are read-only."""
+
+    def __init__(self, inner: EmbeddingBackend, cache: dict[str, np.ndarray]):
+        self.inner = inner
+        self.dim = inner.dim
+        self._cache = cache
+
+    def embed(self, text: str) -> np.ndarray:
+        v = self._cache.get(text)
+        if v is None:
+            v = embed_text(self.inner, text)
+            v.flags.writeable = False
+            self._cache[text] = v
+        return v
+
+
+# One cache per live backend object: training and every later design on
+# the same backend share it, and it goes when the backend does.
+_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cached(backend: EmbeddingBackend) -> CachedEmbedding:
+    """``backend`` behind its cache (a backend that cannot be weakly referenced gets a fresh one)."""
+    if isinstance(backend, CachedEmbedding):
+        return backend
+    try:
+        cache = _CACHES.setdefault(backend, {})
+    except TypeError:
+        cache = {}
+    return CachedEmbedding(backend, cache)
+
+
+def node_features(
+    pool: AgentPool, queries: Sequence[str], backend: EmbeddingBackend
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pool rows (n_max x d) and one query row per text (len(queries) x d)."""
+    emb = cached(backend)
+    pool_x = np.vstack([emb.embed(f"{a.role} {a.expertise}") for a in pool.agents])
+    query_x = np.vstack([emb.embed(q) for q in queries])
+    return pool_x, query_x

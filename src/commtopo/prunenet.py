@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import expit
 
-from .embed import DEFAULT_DIM, EmbeddingBackend, build_node_features
+from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
 from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
 from .pool import AgentPool
@@ -76,64 +77,65 @@ class PruneNetParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 _SELF_WEIGHT = 0.4
 _MEAN_WEIGHT = 0.4
 _QUERY_WEIGHT = 0.2
 
-
-def _prop_matrix(n_full: int) -> np.ndarray:
-    """Propagation operator over the complete graph with self-loops.
-
-    Each row mixes the node itself, the graph mean, and the virtual
-    query node (last row).  A plain symmetric-normalized complete
-    adjacency is the uniform averaging matrix, which maps every node to
-    the same latent and destroys node identity, so the self term is kept
-    explicit; the query term is re-weighted because its 1/n share of the
-    mean would otherwise drown the task signal in pool size.
-    """
-    a = _SELF_WEIGHT * np.eye(n_full) + _MEAN_WEIGHT * np.full(
-        (n_full, n_full), 1.0 / n_full
-    )
-    a[:, -1] += _QUERY_WEIGHT
-    return a
+# Propagation over the complete graph with self-loops, agents plus the
+# virtual query node (last row): row i of A X is
+#     _SELF_WEIGHT x_i + _MEAN_WEIGHT mean_j x_j + _QUERY_WEIGHT x_query.
+# A plain symmetric-normalized complete adjacency is the uniform averaging
+# matrix, which maps every node to the same latent and destroys node
+# identity, so the self term is kept explicit; the query term is
+# re-weighted because its 1/n share of the mean would otherwise drown the
+# task signal in pool size.
 
 
 class Forward(NamedTuple):
-    """One forward pass: head logits plus what the backward pass reuses."""
+    """A batch of forward passes over one pool: head logits plus what the backward pass reuses.
 
-    a_hat: np.ndarray  # propagation operator, agents plus query row
-    p: np.ndarray  # propagated features
-    u: np.ndarray  # layer-1 pre-activation
-    q: np.ndarray  # propagated relu(u)
-    z: np.ndarray  # agent latents (query row dropped)
-    t: np.ndarray  # node-MLP hidden pre-activation
-    lmat: np.ndarray  # edge logits z_i . (B z_j)
-    s: np.ndarray  # node logits
+    Layer 1 is factored as ``A X = c0 + c x_query``: ``c0`` comes from the
+    pool rows alone and is shared by the batch.
+    """
+
+    c0: np.ndarray  # (n+1, d) pool part of the layer-1 propagation
+    c: np.ndarray  # (n+1,) weight of the query row in each propagated row
+    xq: np.ndarray  # (B, d) query rows
+    u: np.ndarray  # (B, n+1, h) layer-1 pre-activation
+    q: np.ndarray  # (B, n, h) propagated relu(u), agent rows
+    z: np.ndarray  # (B, n, h) agent latents
+    t: np.ndarray  # (B, n, h_m) node-MLP hidden pre-activation
+    lmat: np.ndarray  # (B, n, n) edge logits z_i . (b_edge z_j)
+    s: np.ndarray  # (B, n) node logits
 
 
-def forward(params: PruneNetParams, x: np.ndarray) -> Forward:
-    """Two propagation layers (relu after the first only), then both heads' logits."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.w_gcn1.shape[0]:
-        raise DimensionError(f"feature matrix shape {x.shape} does not match d={params.w_gcn1.shape[0]}")
-    a_hat = _prop_matrix(x.shape[0])
-    p = a_hat @ x
-    u = p @ params.w_gcn1
-    q = a_hat @ np.maximum(u, 0.0)
-    z = (q @ params.w_gcn2)[:-1]
+def forward(params: PruneNetParams, pool_x: np.ndarray, query_x: np.ndarray) -> Forward:
+    """Two propagation layers (relu after the first only), then both heads' logits.
+
+    ``pool_x`` holds one row per agent, ``query_x`` one row per query of
+    the batch; every query is propagated over the same pool.
+    """
+    pool_x = np.asarray(pool_x, dtype=float)
+    xq = np.asarray(query_x, dtype=float)
+    d = params.w_gcn1.shape[0]
+    if pool_x.ndim != 2 or xq.ndim != 2 or pool_x.shape[1] != d or xq.shape[1] != d:
+        raise DimensionError(
+            f"feature shapes {pool_x.shape} and {xq.shape} do not match d={d}"
+        )
+    n_full = pool_x.shape[0] + 1
+    mean_w = _MEAN_WEIGHT / n_full
+    pool_mean = mean_w * pool_x.sum(axis=0)
+    c0 = np.vstack([_SELF_WEIGHT * pool_x + pool_mean, pool_mean])
+    c = np.full(n_full, mean_w + _QUERY_WEIGHT)
+    c[-1] += _SELF_WEIGHT
+    u = (c0 @ params.w_gcn1) + c[:, None] * (xq @ params.w_gcn1)[:, None, :]
+    r = np.maximum(u, 0.0)
+    q = _SELF_WEIGHT * r[:, :-1] + (mean_w * r.sum(axis=1) + _QUERY_WEIGHT * r[:, -1])[:, None]
+    z = q @ params.w_gcn2
     t = z @ params.mlp_w1 + params.mlp_b1
-    lmat = z @ params.b_edge @ z.T
+    lmat = (z @ params.b_edge) @ z.transpose(0, 2, 1)
     s = np.maximum(t, 0.0) @ params.mlp_w2 + params.mlp_b2
-    return Forward(a_hat, p, u, q, z, t, lmat, s)
+    return Forward(c0, c, xq, u, q, z, t, lmat, s)
 
 
 def heads(
@@ -145,35 +147,87 @@ def heads(
     node logits this is the Gumbel-Sigmoid relaxation; without noise it is
     the deterministic head used for logging and design.
     """
-    w_pred = _sigmoid(f.lmat / tau)
-    np.fill_diagonal(w_pred, 0.0)
+    w_pred = expit(f.lmat / tau)
+    diag = np.arange(w_pred.shape[-1])
+    w_pred[..., diag, diag] = 0.0
     s = f.s if node_noise is None else f.s + node_noise
-    return w_pred, _sigmoid(s / tau)
+    return w_pred, expit(s / tau)
 
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """g1 - g2 for iid standard Gumbel draws; g1 is drawn first."""
-    g1 = -np.log(-np.log(rng.uniform(size=shape)))
-    g2 = -np.log(-np.log(rng.uniform(size=shape)))
-    return g1 - g2
+    """g1 - g2 for iid standard Gumbel draws along the last axis; g1 is drawn first.
+
+    The draw for shape (B, n) equals B successive draws of shape (n,).
+    """
+    *lead, n = shape
+    g = -np.log(-np.log(rng.uniform(size=(*lead, 2, n))))
+    return g[..., 0, :] - g[..., 1, :]
+
+
+class Labels(NamedTuple):
+    """Supervision targets and the masks the losses read, for a batch or (no leading axis) one pair."""
+
+    a: np.ndarray  # (B, n, n) target edge weights
+    y: np.ndarray  # (B, n) target node mask
+    m: np.ndarray  # (B, n, n) supervised pairs: y_i y_j, i != j
+    anti: np.ndarray  # (B, n, n) the other off-diagonal pairs
+    absent: np.ndarray  # (B, n) 1 where y_i = 0
+    m1: np.ndarray  # (B,) supervised pair count, at least 1
+    off_count: np.ndarray  # (B,) other off-diagonal pair count, at least 1
+
+
+def labels(a_gt: np.ndarray, y: np.ndarray) -> Labels:
+    """Labels of targets a_gt (..., n, n) and y (..., n).
+
+    A count of 0 is stored as 1: its mask is all zero, so its loss term
+    is 0 either way.
+    """
+    a = np.asarray(a_gt, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if yv.ndim < 1 or a.shape != yv.shape + yv.shape[-1:]:
+        raise DimensionError(f"label shapes {a.shape} and {yv.shape} disagree")
+    n = yv.shape[-1]
+    off_diag = 1.0 - np.eye(n)
+    m = yv[..., :, None] * yv[..., None, :] * off_diag
+    m1 = m.sum(axis=(-2, -1))
+    return Labels(
+        a, yv, m, (1.0 - m) * off_diag, (yv == 0).astype(float),
+        np.maximum(m1, 1.0), np.maximum(n * (n - 1) - m1, 1.0),
+    )
+
+
+def _edge_losses(w_pred: np.ndarray, lab: Labels, lambda_off: float) -> np.ndarray:
+    """Per pair: masked MSE on supervised pairs plus a push-to-zero term off-mask."""
+    first = (lab.m * (w_pred - lab.a) ** 2).sum(axis=(-2, -1)) / lab.m1
+    return first + lambda_off * (lab.anti * w_pred**2).sum(axis=(-2, -1)) / lab.off_count
+
+
+def _coherence(w_pred: np.ndarray, absent: np.ndarray, lambda_c: float) -> np.ndarray:
+    """Per pair: weight mass leaving agents outside the target team."""
+    n = absent.shape[-1]
+    return lambda_c * (absent[..., :, None] * np.abs(w_pred)).sum(axis=(-2, -1)) / n**2
+
+
+def _mask_losses(
+    y_hat: np.ndarray, y: np.ndarray, lambda_s: float, focal: bool, focal_gamma: float
+) -> np.ndarray:
+    """Per pair: BCE (or focal) mask loss plus the sparsity penalty."""
+    yc = np.clip(y_hat, _CLAMP, 1.0 - _CLAMP)
+    if focal:
+        g = focal_gamma
+        terms = y * (1.0 - yc) ** g * np.log(yc) + (1.0 - y) * yc**g * np.log(1.0 - yc)
+    else:
+        terms = y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)
+    return -terms.mean(axis=-1) + lambda_s * y_hat.mean(axis=-1)
 
 
 def edge_loss(w_pred, a_gt, y, lambda_off: float) -> float:
     """Masked MSE on supervised pairs plus a push-to-zero term off-mask."""
     w = np.asarray(w_pred, dtype=float)
-    a = np.asarray(a_gt, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if w.shape != a.shape or w.shape[0] != yv.shape[0]:
+    lab = labels(a_gt, y)
+    if w.shape != lab.a.shape:
         raise DimensionError("edge_loss shapes disagree")
-    n = w.shape[0]
-    off_diag = 1.0 - np.eye(n)
-    m = np.outer(yv, yv) * off_diag
-    m1 = m.sum()
-    first = float((m * (w - a) ** 2).sum() / m1) if m1 > 0 else 0.0
-    off_count = n * (n - 1) - m1
-    anti = (1.0 - m) * off_diag
-    second = float(lambda_off * (anti * w**2).sum() / off_count) if off_count > 0 else 0.0
-    return first + second
+    return float(_edge_losses(w, lab, lambda_off))
 
 
 def node_loss(
@@ -186,25 +240,12 @@ def node_loss(
     focal_gamma: float = 2.0,
 ) -> float:
     """BCE (or focal) mask loss plus sparsity and coherence penalties."""
-    yh = np.asarray(y_hat, dtype=float)
     yv = np.asarray(y, dtype=float)
-    w = np.asarray(w_pred, dtype=float)
-    n = yh.shape[0]
-    yc = np.clip(yh, _CLAMP, 1.0 - _CLAMP)
-    if focal:
-        bce = -(
-            yv * (1.0 - yc) ** focal_gamma * np.log(yc)
-            + (1.0 - yv) * yc**focal_gamma * np.log(1.0 - yc)
-        ).mean()
-    else:
-        bce = -(yv * np.log(yc) + (1.0 - yv) * np.log(1.0 - yc)).mean()
-    sparsity = lambda_s * yh.mean()
-    absent = yv == 0
-    coherence = lambda_c * np.abs(w[absent, :]).sum() / n**2
-    return float(bce + sparsity + coherence)
+    mask = _mask_losses(np.asarray(y_hat, dtype=float), yv, lambda_s, focal, focal_gamma)
+    return float(mask + _coherence(np.asarray(w_pred, dtype=float), (yv == 0).astype(float), lambda_c))
 
 
-def total_loss(edge: float, node: float, beta: float) -> float:
+def total_loss(edge, node, beta: float):
     return edge + beta * node
 
 
@@ -231,6 +272,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
         if self.batch < 1 or self.epochs < 1:
@@ -241,50 +285,47 @@ class TrainConfig:
             raise ConfigError("avg_tail must lie in [0, 1]")
 
 
+class EdgeTerms(NamedTuple):
+    """The per-pair loss terms that read only the edge head, which draws no noise."""
+
+    edge: np.ndarray  # (B,) edge loss
+    coherence: np.ndarray  # (B,) coherence term of the node loss
+
+
 def loss_and_grads(
     params: PruneNetParams,
     f: Forward,
-    a_gt: np.ndarray,
-    y: np.ndarray,
+    lab: Labels,
     cfg: TrainConfig,
     tau: float = 1.0,
     node_noise: np.ndarray | None = None,
     focal: bool = False,
-) -> tuple[tuple[float, float, float], dict[str, np.ndarray]]:
-    """One supervision pair: losses plus gradients of the total loss.
+) -> tuple[tuple[float, float, float], dict[str, np.ndarray], EdgeTerms]:
+    """A batch of supervision pairs: mean losses and the gradients of the mean total loss.
 
-    ``f`` is ``forward(params, x)`` for the pair's features.
-    ``node_noise`` is an additive node-logit perturbation (Gumbel
-    differences during training, None for the deterministic path); tau
-    rescales logits before the sigmoid in both heads.
+    ``f`` is ``forward`` over the batch's query rows and ``lab`` its
+    ``labels``.  ``node_noise`` (B, n) is an additive node-logit
+    perturbation (Gumbel differences during training, None for the
+    deterministic path); tau rescales logits before the sigmoid in both
+    heads.  The edge terms are returned for ``forward_losses``.
     """
-    a = np.asarray(a_gt, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    z = f.z
-    n = z.shape[0]
+    b, n = f.s.shape
+    h = f.z.shape[2]
     w_pred, y_hat = heads(f, tau, node_noise)
-
-    e_loss = edge_loss(w_pred, a, yv, cfg.lambda_off)
-    n_loss = node_loss(y_hat, yv, w_pred, cfg.lambda_s, cfg.lambda_c, focal, cfg.focal_gamma)
-    t_loss = total_loss(e_loss, n_loss, cfg.beta)
+    terms = EdgeTerms(_edge_losses(w_pred, lab, cfg.lambda_off), _coherence(w_pred, lab.absent, cfg.lambda_c))
+    node = _mask_losses(y_hat, lab.y, cfg.lambda_s, focal, cfg.focal_gamma) + terms.coherence
+    losses = _means(terms.edge, node, cfg.beta)
 
     # backward: d total / d w_pred
-    off_diag = 1.0 - np.eye(n)
-    m = np.outer(yv, yv) * off_diag
-    m1 = m.sum()
-    off_count = n * (n - 1) - m1
-    d_wp = np.zeros((n, n))
-    if m1 > 0:
-        d_wp += 2.0 / m1 * m * (w_pred - a)
-    if off_count > 0:
-        d_wp += 2.0 * cfg.lambda_off / off_count * (1.0 - m) * off_diag * w_pred
+    d_wp = (2.0 / lab.m1)[:, None, None] * lab.m * (w_pred - lab.a)
+    d_wp += (2.0 * cfg.lambda_off / lab.off_count)[:, None, None] * lab.anti * w_pred
     # coherence term of the node loss also reaches w_pred
-    absent = (yv == 0).astype(float)
-    d_wp += cfg.beta * cfg.lambda_c / n**2 * absent[:, None] * np.sign(w_pred)
+    d_wp += cfg.beta * cfg.lambda_c / n**2 * lab.absent[:, :, None] * np.sign(w_pred)
 
     # d total / d y_hat
+    yv = lab.y
     yc = np.clip(y_hat, _CLAMP, 1.0 - _CLAMP)
-    inside = ((y_hat > _CLAMP) & (y_hat < 1.0 - _CLAMP)).astype(float)
+    inside = (y_hat > _CLAMP) & (y_hat < 1.0 - _CLAMP)
     if focal:
         g = cfg.focal_gamma
         d_bce = (
@@ -295,31 +336,37 @@ def loss_and_grads(
         d_bce = (-yv / yc + (1.0 - yv) / (1.0 - yc)) / n
     d_yh = cfg.beta * (d_bce * inside + cfg.lambda_s / n)
 
-    # back through the two sigmoid bridges
+    # back through the two sigmoid bridges (w_pred's diagonal is 0, so is ge's)
     ge = d_wp * w_pred * (1.0 - w_pred) / tau
-    np.fill_diagonal(ge, 0.0)
     ds = d_yh * y_hat * (1.0 - y_hat) / tau
 
     # edge head
-    d_b_edge = z.T @ ge @ z
-    dz = ge @ z @ params.b_edge.T + ge.T @ z @ params.b_edge
+    z = f.z
+    ge_z = ge @ z
+    d_b_edge = z.reshape(-1, h).T @ ge_z.reshape(-1, h)
+    dz = ge_z @ params.b_edge.T + (ge.transpose(0, 2, 1) @ z) @ params.b_edge
 
     # node head
-    d_mlp_w2 = np.maximum(f.t, 0.0).T @ ds
-    d_mlp_b2 = ds.sum(keepdims=True)
-    dr = np.outer(ds, params.mlp_w2)
-    dt = dr * (f.t > 0)
-    d_mlp_w1 = z.T @ dt
-    d_mlp_b1 = dt.sum(axis=0)
+    d_mlp_w2 = np.maximum(f.t, 0.0).reshape(b * n, -1).T @ ds.reshape(-1)
+    d_mlp_b2 = ds.sum().reshape(1)
+    dt = ds[:, :, None] * params.mlp_w2 * (f.t > 0)
+    d_mlp_w1 = z.reshape(-1, h).T @ dt.reshape(b * n, -1)
+    d_mlp_b1 = dt.sum(axis=(0, 1))
     dz += dt @ params.mlp_w1.T
 
-    # GCN backbone (virtual query row receives no head gradient)
-    dz_full = np.vstack([dz, np.zeros((1, z.shape[1]))])
-    d_w_gcn2 = f.q.T @ dz_full
-    dq = dz_full @ params.w_gcn2.T
-    dh1 = f.a_hat.T @ dq
-    du = dh1 * (f.u > 0)
-    d_w_gcn1 = f.p.T @ du
+    # GCN backbone: the virtual query row receives no head gradient, so in
+    # the transposed propagation it takes only the shares of the agent rows
+    d_w_gcn2 = f.q.reshape(-1, h).T @ dz.reshape(-1, h)
+    dq = dz @ params.w_gcn2.T
+    n_full = n + 1
+    dq_sum = dq.sum(axis=1, keepdims=True)
+    dr = np.concatenate(
+        [_SELF_WEIGHT * dq + _MEAN_WEIGHT / n_full * dq_sum,
+         (_MEAN_WEIGHT / n_full + _QUERY_WEIGHT) * dq_sum],
+        axis=1,
+    )
+    du = dr * (f.u > 0)
+    d_w_gcn1 = f.c0.T @ du.sum(axis=0) + f.xq.T @ (f.c @ du)
 
     grads = {
         "w_gcn1": d_w_gcn1,
@@ -330,22 +377,30 @@ def loss_and_grads(
         "mlp_w2": d_mlp_w2,
         "mlp_b2": d_mlp_b2,
     }
-    return (e_loss, n_loss, t_loss), grads
+    return losses, {k: v / b for k, v in grads.items()}, terms
+
+
+def _means(edge: np.ndarray, node: np.ndarray, beta: float) -> tuple[float, float, float]:
+    """Batch means of the edge, node and total losses."""
+    return float(edge.mean()), float(node.mean()), float(total_loss(edge, node, beta).mean())
 
 
 def forward_losses(
     f: Forward,
-    a_gt: np.ndarray,
-    y: np.ndarray,
+    lab: Labels,
+    terms: EdgeTerms,
     cfg: TrainConfig,
     tau: float = 1.0,
     focal: bool = False,
 ) -> tuple[float, float, float]:
-    """Noise-free losses of a forward pass at temperature tau (no gradients)."""
-    w_pred, y_hat = heads(f, tau)
-    e = edge_loss(w_pred, a_gt, y, cfg.lambda_off)
-    n = node_loss(y_hat, y, w_pred, cfg.lambda_s, cfg.lambda_c, focal, cfg.focal_gamma)
-    return e, n, total_loss(e, n, cfg.beta)
+    """Noise-free mean losses at temperature tau (no gradients).
+
+    The edge head draws no noise, so its terms are the noisy pass's
+    ``terms``; only the mask loss needs the noise-free node head.
+    """
+    y_hat = expit(f.s / tau)
+    node = _mask_losses(y_hat, lab.y, cfg.lambda_s, focal, cfg.focal_gamma) + terms.coherence
+    return _means(terms.edge, node, cfg.beta)
 
 
 @dataclass
@@ -405,10 +460,13 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = PruneNetParams.init(net, rng)
 
-    features = {}
-    for pair in corpus:
-        if pair.task_text not in features:
-            features[pair.task_text] = build_node_features(pool, pair.task_text, backend)
+    texts = list(dict.fromkeys(pair.task_text for pair in corpus))
+    pool_x, query_x = node_features(pool, texts, backend)
+    row = {text: i for i, text in enumerate(texts)}
+    query_row = np.array([row[pair.task_text] for pair in corpus])
+    a_all = np.stack([pair.a_gt.w for pair in corpus])
+    y_all = np.stack([pair.y.m for pair in corpus])
+    active = y_all.mean(axis=1)
 
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
     total_steps = cfg.epochs * n_batches
@@ -423,30 +481,21 @@ def train(
         b = step % n_batches
         if b == 0:
             order = rng.permutation(len(corpus))
-        batch = [corpus[i] for i in order[b * cfg.batch : (b + 1) * cfg.batch]]
+        batch = order[b * cfg.batch : (b + 1) * cfg.batch]
         tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
-        active_frac = float(np.mean([p.y.m.mean() for p in batch]))
-        focal = active_frac < cfg.focal_threshold
-        sums = np.zeros(3)
-        acc = {k: np.zeros_like(v) for k, v in tensors.items()}
-        for pair in batch:
-            # node logits only: edge noise destabilizes borderline members
-            noise = gumbel_noise(rng, (pool.n_max,))
-            f = forward(params, features[pair.task_text])
-            noisy, grads = loss_and_grads(
-                params, f, pair.a_gt.w, pair.y.m, cfg, tau=tau, node_noise=noise, focal=focal
-            )
-            if not np.isfinite(noisy[2]):
-                raise TrainingDiverged(step)
-            # log the noise-free objective at the current temperature
-            losses = forward_losses(f, pair.a_gt.w, pair.y.m, cfg, tau=tau, focal=focal)
-            sums += np.array(losses)
-            for k in acc:
-                acc[k] += grads[k]
-        mean_losses = sums / len(batch)
+        focal = float(np.mean(active[batch])) < cfg.focal_threshold
+        # node logits only: edge noise destabilizes borderline members
+        noise = gumbel_noise(rng, (len(batch), pool.n_max))
+        f = forward(params, pool_x, query_x[query_row[batch]])
+        lab = labels(a_all[batch], y_all[batch])
+        noisy, grads, terms = loss_and_grads(params, f, lab, cfg, tau=tau, node_noise=noise, focal=focal)
+        if not np.isfinite(noisy[2]):
+            raise TrainingDiverged(step)
+        # log the noise-free objective at the current temperature
+        mean_losses = forward_losses(f, lab, terms, cfg, tau=tau, focal=focal)
         if not np.isfinite(mean_losses).all():
             raise TrainingDiverged(step)
-        opt.step(tensors, {k: g / len(batch) for k, g in acc.items()})
+        opt.step(tensors, grads)
         bad = [k for k, v in tensors.items() if not np.isfinite(v).all()]
         if bad:
             raise TrainingDiverged(
@@ -474,7 +523,7 @@ def design_topology(
     If fewer than two agents pass the threshold, the top-2 mask
     probabilities are kept instead (lower id wins ties).
     """
-    w_pred, y_hat = heads(forward(params, build_node_features(pool, query, backend)))
+    w_pred, y_hat = (v[0] for v in heads(forward(params, *node_features(pool, [query], backend))))
     m = (y_hat >= theta).astype(float)
     if m.sum() < 2:
         top2 = np.argsort(-y_hat, kind="stable")[:2]

@@ -25,6 +25,7 @@ from commtopo.prunenet import (
     design_topology,
     edge_loss,
     forward,
+    labels,
     load_checkpoint,
     loss_and_grads,
     node_loss,
@@ -46,39 +47,52 @@ def report(num, ok, detail):
     assert ok, detail
 
 
+def fd_worst(rng, net, cfg, batch, trials=20):
+    """Largest |analytic - central difference| of the batched kernel over random batches."""
+    worst = 0.0
+    for _ in range(trials):
+        params = PruneNetParams.init(net, np.random.default_rng(int(rng.integers(1 << 30))))
+        x = rng.normal(size=(batch, net.n_max + 1, net.d))
+        y = np.zeros((batch, net.n_max))
+        for row in y:
+            row[rng.choice(net.n_max, 3, replace=False)] = 1.0
+        a = y[:, :, None] * y[:, None, :] * (1.0 - np.eye(net.n_max))
+        # one pool per batch: the first pair's agent rows, every pair's query row
+        pool_x, query_x, lab = x[0, :-1], x[:, -1], labels(a, y)
+
+        def total():
+            return loss_and_grads(params, forward(params, pool_x, query_x), lab, cfg, tau=0.7)
+
+        _, grads, _ = total()
+        eps = 1e-5
+        for name, t in params.tensors().items():
+            flat = t.ravel()
+            for i in rng.choice(flat.size, min(4, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + eps
+                up = total()[0][2]
+                flat[i] = orig - eps
+                down = total()[0][2]
+                flat[i] = orig
+                fd = (up - down) / (2 * eps)
+                an = np.asarray(grads[name]).ravel()[i]
+                worst = max(worst, abs(fd - an))
+    return worst
+
+
 class TestCriterion1Gradients:
     def test_gradients_match_finite_differences(self):
         start = time.time()
         net = NetConfig(d=8, h=6, h_m=4, n_max=5)
-        rng = np.random.default_rng(0)
         cfg = TrainConfig()
-        worst = 0.0
-        for _ in range(20):
-            params = PruneNetParams.init(net, np.random.default_rng(int(rng.integers(1 << 30))))
-            x = rng.normal(size=(net.n_max + 1, net.d))
-            y = np.zeros(net.n_max)
-            y[rng.choice(net.n_max, 3, replace=False)] = 1.0
-            a = np.outer(y, y)
-            np.fill_diagonal(a, 0.0)
-            _, grads = loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7)
-            eps = 1e-5
-            for name, t in params.tensors().items():
-                flat = t.ravel()
-                for i in rng.choice(flat.size, min(4, flat.size), replace=False):
-                    orig = flat[i]
-                    flat[i] = orig + eps
-                    up = loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7)[0][2]
-                    flat[i] = orig - eps
-                    down = loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7)[0][2]
-                    flat[i] = orig
-                    fd = (up - down) / (2 * eps)
-                    an = np.asarray(grads[name]).ravel()[i]
-                    worst = max(worst, abs(fd - an))
+        worst = fd_worst(np.random.default_rng(0), net, cfg, batch=1)
+        worst_batch = fd_worst(np.random.default_rng(1), net, cfg, batch=4)
         elapsed = time.time() - start
         report(
             1,
-            worst < 1e-4 and elapsed < 10.0,
-            f"max |analytic - finite difference| {worst:.2e} (<1e-4) in {elapsed:.1f}s (<10s)",
+            max(worst, worst_batch) < 1e-4 and elapsed < 10.0,
+            f"max |analytic - finite difference| {worst:.2e} (<1e-4), batch of 4 "
+            f"{worst_batch:.2e} (<1e-4) in {elapsed:.1f}s (<10s)",
         )
 
 

@@ -6,7 +6,14 @@ import pytest
 from commtopo.cli import _build_parser, _config, main
 from commtopo.collector import TaskSpec, write_tasks
 from commtopo.config import options
-from commtopo.graphs import parse_topology, read_corpus
+from commtopo.graphs import (
+    SupervisionPair,
+    Topology,
+    lift_subgraph,
+    parse_topology,
+    read_corpus,
+    write_corpus,
+)
 
 
 @pytest.fixture
@@ -273,6 +280,13 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         ("[run]\nk_round = 5\n", ["design", "--query", "q"], 1, "unknown option 'k_round'"),
         ("[run]\nparallelism = 4\n", ["design", "--query", "q"], 1, "'parallelism'"),
         ("[train]\nseed = 5\n", ["design", "--query", "q"], 1, "[run] seed"),
+        ("[train]\nlr = nan\n", ["train", "--corpus", "good.jsonl"], 1, "lr must be finite"),
+        ("[train]\nbeta = nan\n", ["train", "--corpus", "good.jsonl"], 1, "beta must be finite"),
+        ("[train]\nlambda_s = inf\n", ["train", "--corpus", "good.jsonl"], 1, "lambda_s"),
+        ("[train]\nweight_decay = nan\n", ["train", "--corpus", "good.jsonl"], 1, "weight_decay"),
+        ("[run]\ntheta = nan\n", ["design", "--query", "q"], 1, "theta must lie in [0, 1]"),
+        ("", ["design", "--query", "q", "--theta", "1.5"], 1, "theta must lie in [0, 1]"),
+        ("", ["run", "--query", "q", "--theta", "-0.1"], 1, "theta must lie in [0, 1]"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -283,6 +297,8 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         "train-mask-not-numbers", "collect-negative-top-k", "collect-zero-top-k",
         "collect-zero-candidates", "config-default-section", "config-unknown-section",
         "config-unknown-option", "config-parallelism", "config-seed-in-train",
+        "train-nan-lr", "train-nan-beta", "train-inf-lambda-s", "train-nan-weight-decay",
+        "design-nan-theta", "design-theta-above-one", "run-negative-theta",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -302,6 +318,10 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "bad_team.jsonl").write_text(json.dumps({**task, "planted_team": ["a"]}))
     (workdir / "bad_score.jsonl").write_text(json.dumps({**pair, "score": "high"}))
     (workdir / "bad_y.jsonl").write_text(json.dumps({**pair, "y": ["a", 1, 0]}))
+    a_gt, y = lift_subgraph(Topology.complete(3), [0, 4, 9], 15)
+    (workdir / "good.jsonl").write_text(
+        write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
+    )
     write_suite(workdir / "suite.jsonl", n=2)
     (workdir / "cfg.ini").write_text(ini)
     assert main(["--config", "cfg.ini", *argv]) == code

@@ -44,6 +44,17 @@ class TestSampleOrders:
         with pytest.raises(ConfigError, match="sigma"):
             CollectorConfig(sigma=sigma).validate(16)
 
+    @pytest.mark.parametrize("sigma", [1e300, 1e6], ids=["1e300", "1e6"])
+    def test_sigma_too_wide_to_sample_rejected(self, sigma):
+        # validate only: sample_orders would draw for hours (1e6) or forever (1e300)
+        with pytest.raises(ConfigError, match="sigma"):
+            CollectorConfig(sigma=sigma).validate(16)
+
+    def test_wide_but_sampleable_sigma_accepted(self):
+        cfg = CollectorConfig(budget=50, sigma=100.0, seed=3)
+        cfg.validate(16)
+        assert len(sample_orders(cfg, 16)) == 50
+
     def test_seeded_determinism(self):
         cfg = CollectorConfig(budget=500, seed=42)
         assert sample_orders(cfg, 16) == sample_orders(cfg, 16)

@@ -3,8 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commtopo.embed import HashingBackend, build_node_features
+from commtopo.embed import HashingBackend, node_features
 from commtopo.errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from commtopo.graphs import NodeMask, Topology, WeightMatrix, lift_subgraph
 from commtopo.graphs import SupervisionPair
@@ -17,7 +19,10 @@ from commtopo.prunenet import (
     edge_loss,
     forward,
     gumbel_noise,
+    Labels,
+    forward_losses,
     heads,
+    labels,
     load_checkpoint,
     loss_and_grads,
     node_loss,
@@ -43,39 +48,44 @@ def random_instance(rng):
     return x, a, y
 
 
+def fwd(params, x):
+    """A batch of one from a full feature matrix (agent rows, then the query row)."""
+    return forward(params, x[:-1], x[-1:])
+
+
 def logits_only(s):
     """A forward pass whose node logits are replaced by ``s``."""
-    return forward(small_params(), np.zeros((6, 8)))._replace(s=np.asarray(s, dtype=float))
+    return fwd(small_params(), np.zeros((6, 8)))._replace(s=np.asarray(s, dtype=float))
 
 
 class TestGcnForward:
     def test_zero_features_give_zero_latents(self):
-        f = forward(small_params(), np.zeros((6, 8)))
+        f = fwd(small_params(), np.zeros((6, 8)))
         assert np.allclose(f.z, 0.0)
 
     def test_output_shape(self):
         pool = load_default_pool()
         params = PruneNetParams.init(NetConfig(), np.random.default_rng(0))
-        x = build_node_features(pool, "question", HashingBackend())
-        f = forward(params, x)
-        assert f.z.shape == (15, 64)
-        assert f.lmat.shape == (15, 15) and f.s.shape == (15,)
+        pool_x, query_x = node_features(pool, ["question", "another"], HashingBackend())
+        f = forward(params, pool_x, query_x)
+        assert f.z.shape == (2, 15, 64)
+        assert f.lmat.shape == (2, 15, 15) and f.s.shape == (2, 15)
 
     def test_agent_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         params = small_params()
         x = rng.normal(size=(6, 8))
-        z = forward(params, x).z
+        z = fwd(params, x).z[0]
         perm = x.copy()
         perm[[0, 3]] = perm[[3, 0]]
-        z_perm = forward(params, perm).z
+        z_perm = fwd(params, perm).z[0]
         expect = z.copy()
         expect[[0, 3]] = expect[[3, 0]]
         assert np.allclose(z_perm, expect, atol=1e-9)
 
     def test_rejects_wrong_feature_width(self):
         with pytest.raises(DimensionError):
-            forward(small_params(), np.zeros((6, 9)))
+            fwd(small_params(), np.zeros((6, 9)))
 
 
 class TestEdgeHead:
@@ -83,17 +93,17 @@ class TestEdgeHead:
         params = small_params()
         params.b_edge = np.zeros_like(params.b_edge)
         x = np.random.default_rng(0).normal(size=(6, 8))
-        w, _ = heads(forward(params, x))
-        off = w[~np.eye(5, dtype=bool)]
+        w, _ = heads(fwd(params, x))
+        off = w[0][~np.eye(5, dtype=bool)]
         assert np.allclose(off, 0.5)
 
     def test_diagonal_forced_zero(self):
         x = np.random.default_rng(1).normal(size=(6, 8))
-        assert np.diag(heads(forward(small_params(), x))[0]).sum() == 0.0
+        assert np.diag(heads(fwd(small_params(), x))[0][0]).sum() == 0.0
 
     def test_directedness(self):
         x = np.random.default_rng(2).normal(size=(6, 8))
-        w, _ = heads(forward(small_params(), x))
+        w = heads(fwd(small_params(), x))[0][0]
         asym = np.abs(w - w.T)
         np.fill_diagonal(asym, 0.0)
         assert asym.max() > 1e-6
@@ -104,7 +114,7 @@ class TestNodeHead:
         params = small_params()
         params.mlp_b1 = np.zeros_like(params.mlp_b1)
         params.mlp_b2 = 0.0
-        f = forward(params, np.zeros((6, 8)))
+        f = fwd(params, np.zeros((6, 8)))
         _, y_hat = heads(f)
         assert np.allclose(f.s, 0.0)
         assert np.allclose(y_hat, 0.5)
@@ -114,12 +124,12 @@ class TestNodeHead:
         params.mlp_w1 = np.zeros_like(params.mlp_w1)
         params.mlp_b1 = np.zeros_like(params.mlp_b1)
         params.mlp_b2 = 10.0
-        _, y_hat = heads(forward(params, np.zeros((6, 8))))
+        _, y_hat = heads(fwd(params, np.zeros((6, 8))))
         assert np.all(y_hat > 0.9999)
 
     def test_open_interval(self):
         x = np.random.default_rng(3).normal(size=(6, 8)) * 5
-        _, y_hat = heads(forward(small_params(), x))
+        _, y_hat = heads(fwd(small_params(), x))
         assert np.all(y_hat > 0.0) and np.all(y_hat < 1.0)
 
 
@@ -139,6 +149,17 @@ class TestGumbelSigmoid:
         noise = gumbel_noise(rng, (100000,))
         _, soft = heads(logits_only(np.zeros(100000)), 1.0, node_noise=noise)
         assert abs((soft >= 0.5).mean() - 0.5) < 0.01
+
+    def test_batch_draw_is_successive_single_draws(self):
+        ref = np.random.default_rng(9)
+        singles = []
+        for _ in range(4):
+            g1 = -np.log(-np.log(ref.uniform(size=5)))
+            g2 = -np.log(-np.log(ref.uniform(size=5)))
+            singles.append(g1 - g2)
+        g = -np.log(-np.log(np.random.default_rng(9).uniform(size=(4, 2, 5))))
+        assert np.array_equal(g[:, 0] - g[:, 1], np.stack(singles))
+        assert np.array_equal(gumbel_noise(np.random.default_rng(9), (4, 5)), np.stack(singles))
 
     def test_noise_is_a_gumbel_difference(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
@@ -216,6 +237,12 @@ class TestLosses:
             assert node_loss(y_hat, y, w, 0.1, 0.05) >= 0.0
 
 
+def random_batch(rng, size):
+    """One pool, then one query row and one target per pair."""
+    xs, a, y = zip(*(random_instance(rng) for _ in range(size)))
+    return xs[0][:-1], np.stack([x[-1] for x in xs]), labels(np.stack(a), np.stack(y))
+
+
 class TestGradients:
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -224,13 +251,13 @@ class TestGradients:
         worst = 0.0
         for _ in range(20):
             params = small_params(int(rng.integers(1 << 30)))
-            x, a, y = random_instance(rng)
+            pool_x, query_x, lab = random_batch(rng, 1)
             focal = bool(rng.uniform() < 0.5)
 
             def run():
-                return loss_and_grads(params, forward(params, x), a, y, cfg, tau=0.7, focal=focal)
+                return loss_and_grads(params, forward(params, pool_x, query_x), lab, cfg, tau=0.7, focal=focal)
 
-            _, grads = run()
+            _, grads, _ = run()
             eps = 1e-5
             for name, t in params.tensors().items():
                 flat = t.ravel()
@@ -247,6 +274,46 @@ class TestGradients:
                     worst = max(worst, rel)
         assert worst < 1e-4
         assert time.time() - start < 10.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31), batch=st.integers(2, 6), focal=st.booleans(),
+        tau=st.floats(0.1, 1.0),
+    )
+    def test_batch_is_mean_of_batches_of_one(self, seed, batch, focal, tau):
+        rng = np.random.default_rng(seed)
+        params = small_params(seed)
+        pool_x, query_x, lab = random_batch(rng, batch)
+        noise = rng.normal(size=(batch, SMALL.n_max))
+        cfg = TrainConfig()
+        losses, grads, _ = loss_and_grads(
+            params, forward(params, pool_x, query_x), lab, cfg, tau, noise, focal
+        )
+        ones = [
+            loss_and_grads(
+                params, forward(params, pool_x, query_x[i : i + 1]),
+                Labels(*(v[i : i + 1] for v in lab)), cfg, tau, noise[i : i + 1], focal,
+            )
+            for i in range(batch)
+        ]
+        assert np.allclose(losses, np.mean([o[0] for o in ones], axis=0), rtol=1e-12, atol=1e-12)
+        for name, g in grads.items():
+            mean = np.mean([o[1][name] for o in ones], axis=0)
+            assert np.allclose(g, mean, rtol=1e-12, atol=1e-12), name
+
+    def test_log_half_equals_noise_free_kernel(self):
+        rng = np.random.default_rng(6)
+        params = small_params(6)
+        pool_x, query_x, lab = random_batch(rng, 5)
+        f = forward(params, pool_x, query_x)
+        cfg = TrainConfig()
+        for focal in (False, True):
+            noise = rng.normal(size=(5, SMALL.n_max))
+            _, _, terms = loss_and_grads(params, f, lab, cfg, 0.4, noise, focal)
+            noise_free = loss_and_grads(params, f, lab, cfg, 0.4, None, focal)[0]
+            assert forward_losses(f, lab, terms, cfg, 0.4, focal) == pytest.approx(
+                noise_free, rel=1e-15, abs=0
+            )
 
 
 def memorization_fixture():
