@@ -120,7 +120,7 @@ _CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def cached(backend: EmbeddingBackend) -> CachedEmbedding:
-    """``backend`` behind its cache (a backend that cannot be weakly referenced gets a fresh one)."""
+    """``backend`` behind its cache; a backend that cannot be a weak key gets a fresh one."""
     if isinstance(backend, CachedEmbedding):
         return backend
     try:

@@ -165,7 +165,7 @@ def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 class Labels(NamedTuple):
-    """Supervision targets and the masks the losses read, for a batch or (no leading axis) one pair."""
+    """Supervision targets and the masks the losses read; a leading batch axis is optional."""
 
     a: np.ndarray  # (B, n, n) target edge weights
     y: np.ndarray  # (B, n) target node mask
@@ -242,7 +242,8 @@ def node_loss(
     """BCE (or focal) mask loss plus sparsity and coherence penalties."""
     yv = np.asarray(y, dtype=float)
     mask = _mask_losses(np.asarray(y_hat, dtype=float), yv, lambda_s, focal, focal_gamma)
-    return float(mask + _coherence(np.asarray(w_pred, dtype=float), (yv == 0).astype(float), lambda_c))
+    coherence = _coherence(np.asarray(w_pred, dtype=float), (yv == 0).astype(float), lambda_c)
+    return float(mask + coherence)
 
 
 def total_loss(edge, node, beta: float):
@@ -312,7 +313,9 @@ def loss_and_grads(
     b, n = f.s.shape
     h = f.z.shape[2]
     w_pred, y_hat = heads(f, tau, node_noise)
-    terms = EdgeTerms(_edge_losses(w_pred, lab, cfg.lambda_off), _coherence(w_pred, lab.absent, cfg.lambda_c))
+    terms = EdgeTerms(
+        _edge_losses(w_pred, lab, cfg.lambda_off), _coherence(w_pred, lab.absent, cfg.lambda_c)
+    )
     node = _mask_losses(y_hat, lab.y, cfg.lambda_s, focal, cfg.focal_gamma) + terms.coherence
     losses = _means(terms.edge, node, cfg.beta)
 
@@ -488,7 +491,9 @@ def train(
         noise = gumbel_noise(rng, (len(batch), pool.n_max))
         f = forward(params, pool_x, query_x[query_row[batch]])
         lab = labels(a_all[batch], y_all[batch])
-        noisy, grads, terms = loss_and_grads(params, f, lab, cfg, tau=tau, node_noise=noise, focal=focal)
+        noisy, grads, terms = loss_and_grads(
+            params, f, lab, cfg, tau=tau, node_noise=noise, focal=focal
+        )
         if not np.isfinite(noisy[2]):
             raise TrainingDiverged(step)
         # log the noise-free objective at the current temperature

@@ -255,7 +255,8 @@ class TestGradients:
             focal = bool(rng.uniform() < 0.5)
 
             def run():
-                return loss_and_grads(params, forward(params, pool_x, query_x), lab, cfg, tau=0.7, focal=focal)
+                f = forward(params, pool_x, query_x)
+                return loss_and_grads(params, f, lab, cfg, tau=0.7, focal=focal)
 
             _, grads, _ = run()
             eps = 1e-5
