@@ -3,11 +3,13 @@ OpenAI-compatible HTTP client with retries.
 
 A backend maps (system prompt, user prompt) to (output text,
 prompt_tokens, completion_tokens); token counts may be None, in which
-case the orchestrator falls back to whitespace counting.
+case the orchestrator falls back to whitespace counting.  The
+orchestrator calls a backend from up to `MAX_IN_FLIGHT` threads at once.
 """
 from __future__ import annotations
 
 import json
+import threading
 import time
 import zlib
 from collections import Counter
@@ -19,9 +21,14 @@ from .pool import AgentPool
 
 Completion = tuple[str, int | None, int | None]
 
+MAX_IN_FLIGHT = 16
+"""Most backend calls one orchestrator run keeps in flight at once."""
+
 
 class ChatBackend(Protocol):
-    def complete(self, system: str, user: str) -> Completion: ...
+    def complete(self, system: str, user: str) -> Completion:
+        """May be called from several threads at once."""
+        ...
 
 
 @dataclass
@@ -57,17 +64,24 @@ class StaticBackend:
 
 
 class ScriptedBackend:
-    """Returns pre-recorded outputs in call order."""
+    """Returns pre-recorded outputs in call order.
+
+    The call order is deterministic only where every wave of a run holds
+    one call, as in a complete graph or a chain; concurrent calls take
+    outputs in the order they arrive.
+    """
 
     def __init__(self, outputs: Sequence[str]):
         self.outputs = list(outputs)
         self.calls = 0
+        self._lock = threading.Lock()
 
     def complete(self, system: str, user: str) -> Completion:
-        if self.calls >= len(self.outputs):
-            raise BackendError("script exhausted")
-        out = self.outputs[self.calls]
-        self.calls += 1
+        with self._lock:
+            if self.calls >= len(self.outputs):
+                raise BackendError("script exhausted")
+            out = self.outputs[self.calls]
+            self.calls += 1
         return out, None, None
 
 
@@ -138,7 +152,13 @@ class HttpChatBackend:
         self.model = model
         self.retries = retries
         self.backoff = backoff
-        self._session = session or requests.Session()
+        if session is None:
+            # one pooled connection per call a run keeps in flight
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_IN_FLIGHT)
+            session.mount("https://", adapter)
+            session.mount("http://", adapter)
+        self._session = session
         self._sleep = sleep
 
     def payload(self, system: str, user: str) -> dict:

@@ -425,7 +425,8 @@ def write_training_log(rows: Sequence[TrainLogRow]) -> str:
 
 
 class _Adam:
-    """Adam with decoupled weight decay, updating the arrays in place; biases are not decayed."""
+    """Adam with decoupled weight decay, updating the arrays and moments
+    in place through two scratch buffers per tensor; biases are not decayed."""
 
     DECAYED = {"w_gcn1", "w_gcn2", "b_edge", "mlp_w1", "mlp_w2"}
 
@@ -434,18 +435,34 @@ class _Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         c = self.cfg
         self.t += 1
+        bias1, bias2 = 1 - c.adam_beta1**self.t, 1 - c.adam_beta2**self.t
         for name, g in grads.items():
-            self.m[name] = c.adam_beta1 * self.m[name] + (1 - c.adam_beta1) * g
-            self.v[name] = c.adam_beta2 * self.v[name] + (1 - c.adam_beta2) * g**2
-            m_hat = self.m[name] / (1 - c.adam_beta1**self.t)
-            v_hat = self.v[name] / (1 - c.adam_beta2**self.t)
-            tensors[name] -= c.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            m, v, (a, b) = self.m[name], self.v[name], self._scratch[name]
+            # same operations in the same order as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+            # w -= lr*m_hat / (sqrt(v_hat) + eps), so the result is bitwise that of those lines
+            m *= c.adam_beta1
+            np.multiply(g, 1 - c.adam_beta1, out=a)
+            m += a
+            v *= c.adam_beta2
+            np.multiply(g, g, out=a)
+            a *= 1 - c.adam_beta2
+            v += a
+            np.divide(m, bias1, out=a)
+            a *= c.lr
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += 1e-8
+            a /= b
+            w = tensors[name]
+            w -= a
             if name in self.DECAYED:
-                tensors[name] -= c.lr * c.weight_decay * tensors[name]
+                np.multiply(w, c.lr * c.weight_decay, out=a)
+                w -= a
 
 
 def train(

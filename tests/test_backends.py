@@ -1,7 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 import requests
 
-from commtopo.backends import HttpChatBackend
+from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, ScriptedBackend
 from commtopo.errors import BackendError
 
 OK_BODY = {
@@ -100,3 +103,32 @@ class TestHttpChatBackend:
     def test_missing_usage_leaves_token_counts_to_the_caller(self):
         b, _ = backend([FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})], [])
         assert b.complete("sys", "user") == ("x", None, None)
+
+    def test_own_session_pools_one_connection_per_call_in_flight(self):
+        b = HttpChatBackend("https://chat.invalid/v1", "key", "m")
+        for url in ("https://chat.invalid/v1", "http://chat.invalid/v1"):
+            adapter = b._session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == MAX_IN_FLIGHT
+
+    def test_callers_session_is_left_alone(self):
+        session = requests.Session()
+        before = dict(session.adapters)
+        b = HttpChatBackend("https://chat.invalid/v1", "key", "m", session=session)
+        assert b._session is session and session.adapters == before
+
+
+class TestScriptedBackend:
+    def test_counter_survives_concurrent_calls(self):
+        n = 500
+        b = ScriptedBackend([str(i) for i in range(n)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outs = list(pool.map(lambda _: b.complete("s", "u")[0], range(n), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(outs, key=int) == [str(i) for i in range(n)]
+        assert b.calls == n
+        with pytest.raises(BackendError, match="exhausted"):
+            b.complete("s", "u")

@@ -1,4 +1,6 @@
 import json
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -11,15 +13,19 @@ from commtopo.backends import (
     StaticBackend,
 )
 from commtopo.collector import TaskSpec
-from commtopo.errors import DegenerateTopology, RunAborted
-from commtopo.graphs import CommTopology, NodeMask, Topology, WeightMatrix
+from commtopo.bench import make_static
+from commtopo.errors import BackendError, DegenerateTopology, RunAborted
+from commtopo.graphs import CommTopology, NodeMask, Topology, WeightMatrix, binarize
 from commtopo.orchestrator import (
+    DECISION_PROFILE,
     DialogueEntry,
+    RunResult,
+    _new_tag,
     count_tokens,
     run_topology,
     visible_history,
 )
-from commtopo.pool import load_default_pool, render_user_prompt
+from commtopo.pool import load_default_pool, render_system_prompt, render_user_prompt
 
 N = 15
 
@@ -142,6 +148,153 @@ class TestRunTopology:
             "topology",
         }
         assert len(obj["transcript"]) == 3
+
+
+def sequential_run(t, task, pool, backends, k=3, theta=0.5, rng=None):
+    """The one-call-at-a-time loop the wave schedule replaced, kept as the reference."""
+    active = t.mask.active_ids()
+    rng = rng if rng is not None else np.random.default_rng(0)
+    adj = binarize(t.weights, theta)
+    transcript = []
+
+    def record(agent_id, role, rnd, system, user, backend):
+        try:
+            output, p_tok, c_tok = backend.complete(system, user)
+        except BackendError as exc:
+            raise RunAborted(
+                f"run aborted: agent {agent_id} failed in round {rnd}: {exc}", transcript
+            ) from exc
+        if p_tok is None:
+            p_tok = count_tokens(system) + count_tokens(user)
+        if c_tok is None:
+            c_tok = count_tokens(output)
+        entry = DialogueEntry(_new_tag(rng), rnd, agent_id, role, output, p_tok, c_tok)
+        transcript.append(entry)
+        return entry
+
+    for rnd in range(1, k + 1):
+        for agent_id in active:
+            profile = pool[agent_id]
+            seen = visible_history(transcript, agent_id, adj, t.weights)
+            system = render_system_prompt(profile, task.task_text)
+            user = render_user_prompt([e.as_history_item() for e in seen])
+            record(agent_id, profile.role, rnd, system, user, backends.default)
+    system = render_system_prompt(DECISION_PROFILE, task.task_text)
+    user = render_user_prompt([e.as_history_item() for e in transcript])
+    decision = record(-1, DECISION_PROFILE.role, k, system, user, backends.decision)
+    per_agent = {}
+    for e in transcript[:-1]:
+        per_agent[e.agent_id] = per_agent.get(e.agent_id, 0) + e.tokens()
+    return RunResult(decision.output, tuple(transcript), sum(per_agent.values()) + decision.tokens(), per_agent, t)
+
+
+class FailingEcho(EchoBackend):
+    """Pure: fails on every prompt whose checksum falls in 1/`every` of the range."""
+
+    def __init__(self, every):
+        self.every = every
+
+    def complete(self, system, user):
+        if self.every and zlib.crc32((system + user).encode()) % self.every == 0:
+            raise BackendError("refused")
+        return super().complete(system, user)
+
+
+def outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs).to_json()
+    except RunAborted as exc:
+        return str(exc), [e.as_history_item() for e in exc.transcript]
+
+
+def refusing(roles):
+    """Echo agents, except that an agent whose role is in `roles` fails."""
+
+    class Backend(EchoBackend):
+        def complete(self, system, user):
+            if any(role in system for role in roles):
+                raise BackendError("refused")
+            return super().complete(system, user)
+
+    return BackendSet(default=Backend(), decision=EchoBackend())
+
+
+class TestWaveSchedule:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_sequential_run(self, data):
+        members = data.draw(st.lists(st.integers(0, N - 1), min_size=2, max_size=N, unique=True))
+        w = np.zeros((N, N))
+        for a in members:
+            for b in members:
+                if a != b:
+                    w[a, b] = data.draw(st.sampled_from([0.0, 0.0, 0.3, 0.5, 0.8, 1.0]))
+        t = topo(members, {(a, b): w[a, b] for a in members for b in members if a != b})
+        theta = data.draw(st.sampled_from([0.25, 0.5, 0.9]))
+        k = data.draw(st.integers(1, 3))
+        every = data.draw(st.sampled_from([0, 7, 40]))
+        seed = data.draw(st.integers(0, 2**16))
+        backends = BackendSet(default=FailingEcho(every), decision=FailingEcho(every))
+        args = (t, task(), load_default_pool(), backends)
+        kwargs = dict(k=k, theta=theta)
+        got = outcome(run_topology, *args, rng=np.random.default_rng(seed), **kwargs)
+        want = outcome(sequential_run, *args, rng=np.random.default_rng(seed), **kwargs)
+        assert got == want
+
+    def test_star_leaves_are_all_in_flight_at_once(self):
+        pool = load_default_pool()
+        hub_role = pool[0].role
+        barrier = threading.Barrier(N - 1, timeout=5)
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, peak
+
+        class Backend(EchoBackend):
+            def complete(self, system, user):
+                if hub_role not in system:
+                    with lock:
+                        in_flight[0] += 1
+                        in_flight[1] = max(in_flight)
+                    barrier.wait()
+                    with lock:
+                        in_flight[0] -= 1
+                return super().complete(system, user)
+
+        threads = threading.active_count()
+        t = make_static("star", list(range(N)), N)
+        backends = BackendSet(default=Backend(), decision=EchoBackend())
+        result = run_topology(t, task(), pool, backends, k=2)
+        assert in_flight == [0, N - 1]
+        assert len(result.transcript) == 2 * N + 1
+        assert threading.active_count() == threads
+
+    def test_lowest_failing_leaf_is_reported_with_sequential_transcript(self):
+        # leaves 2 and 4 fail in the same wave; leaf 1 precedes 2 and must still be committed
+        members = [0, 1, 2, 3, 4]
+        t = make_static("star", members, N)
+        pool = load_default_pool()
+        backends = refusing([pool[2].role, pool[4].role])
+        threads = threading.active_count()
+        with pytest.raises(RunAborted) as got:
+            run_topology(t, task(), pool, backends, rng=np.random.default_rng(3))
+        with pytest.raises(RunAborted) as want:
+            sequential_run(t, task(), pool, backends, rng=np.random.default_rng(3))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("run aborted: agent 2 failed in round 1")
+        assert [e.agent_id for e in got.value.transcript] == [0, 1]
+        assert list(got.value.transcript) == list(want.value.transcript)
+        assert threading.active_count() == threads
+
+    def test_deeper_lower_id_agent_runs_before_the_abort(self):
+        # 0 -> 1 puts agent 1 in the second wave; agent 2 fails in the first
+        t = topo([0, 1, 2], {(0, 1): 1.0})
+        pool = load_default_pool()
+        backends = refusing([pool[2].role])
+        with pytest.raises(RunAborted) as got:
+            run_topology(t, task(), pool, backends, rng=np.random.default_rng(1))
+        assert [e.agent_id for e in got.value.transcript] == [0, 1]
+        assert outcome(run_topology, t, task(), pool, backends, rng=np.random.default_rng(1)) == outcome(
+            sequential_run, t, task(), pool, backends, rng=np.random.default_rng(1)
+        )
 
 
 class TestVisibleHistory:

@@ -15,6 +15,7 @@ from commtopo.prunenet import (
     NetConfig,
     PruneNetParams,
     TrainConfig,
+    _Adam,
     design_topology,
     edge_loss,
     forward,
@@ -415,6 +416,37 @@ class TestTrain:
         lines = text.strip().splitlines()
         assert lines[0] == "step,edge_loss,node_loss,total,tau"
         assert len(lines) == 4
+
+
+def reference_adam_step(cfg, t, tensors, m, v, grads):
+    """The allocating Adam step the in-place one replaced, kept as the reference."""
+    for name, g in grads.items():
+        m[name] = cfg.adam_beta1 * m[name] + (1 - cfg.adam_beta1) * g
+        v[name] = cfg.adam_beta2 * v[name] + (1 - cfg.adam_beta2) * g**2
+        m_hat = m[name] / (1 - cfg.adam_beta1**t)
+        v_hat = v[name] / (1 - cfg.adam_beta2**t)
+        tensors[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if name in _Adam.DECAYED:
+            tensors[name] -= cfg.lr * cfg.weight_decay * tensors[name]
+
+
+class TestAdam:
+    def test_in_place_step_is_bitwise_the_reference(self):
+        rng = np.random.default_rng(5)
+        cfg = TrainConfig(lr=3e-2, weight_decay=1e-2)
+        tensors = small_params().tensors()
+        ref = {k: v.copy() for k, v in tensors.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
+        opt = _Adam(cfg, tensors)
+        for t in range(1, 51):
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape) for k, v in ref.items()}
+            opt.step(tensors, grads)
+            reference_adam_step(cfg, t, ref, ref_m, ref_v, grads)
+            for k in ref:
+                assert tensors[k].tobytes() == ref[k].tobytes(), (t, k)
+                assert opt.m[k].tobytes() == ref_m[k].tobytes(), (t, k)
+                assert opt.v[k].tobytes() == ref_v[k].tobytes(), (t, k)
 
 
 class TestDesignTopology:
