@@ -3,8 +3,9 @@ OpenAI-compatible HTTP client with retries.
 
 A backend maps (system prompt, user prompt) to (output text,
 prompt_tokens, completion_tokens); token counts may be None, in which
-case the orchestrator falls back to whitespace counting.  The
-orchestrator calls a backend from up to `MAX_IN_FLIGHT` threads at once.
+case the orchestrator falls back to whitespace counting.  One
+orchestrator run calls a backend from up to `MAX_IN_FLIGHT` threads at
+once, and a collect scores up to `MAX_IN_FLIGHT` graphs at once.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from .pool import AgentPool
 Completion = tuple[str, int | None, int | None]
 
 MAX_IN_FLIGHT = 16
-"""Most backend calls one orchestrator run keeps in flight at once."""
+"""Most backend calls one orchestrator run, and most graph scorings one
+collect, keeps in flight at once."""
 
 
 class ChatBackend(Protocol):
@@ -67,8 +69,9 @@ class ScriptedBackend:
     """Returns pre-recorded outputs in call order.
 
     The call order is deterministic only where every wave of a run holds
-    one call, as in a complete graph or a chain; concurrent calls take
-    outputs in the order they arrive.
+    one call, as in a complete graph or a chain, and only within one run:
+    concurrent calls, from one run's wave or from a collect's concurrent
+    scorings, take outputs in the order they arrive.
     """
 
     def __init__(self, outputs: Sequence[str]):

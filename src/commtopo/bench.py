@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .backends import BackendSet
 from .collector import TaskSpec, answer_matches
@@ -166,6 +165,8 @@ def run_bench(
 def fit_node_count_gaussian(topologies: Sequence[CommTopology]) -> tuple[float, float, float]:
     """Least-squares fit of A*exp(-(x-mu)^2 / (2 sigma^2)) to the
     histogram of active-node counts; returns (A, mu, |sigma|)."""
+    from scipy.optimize import curve_fit  # imported here: scipy.optimize is slow to load and large
+
     if len(topologies) < 5:
         raise FitDegenerate("need at least 5 topologies")
     counts = np.array([t.mask.active_count() for t in topologies])

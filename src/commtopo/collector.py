@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
+from .backends import MAX_IN_FLIGHT
 from .errors import (
     ConfigError,
     FormatError,
@@ -168,19 +171,16 @@ def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | N
 def accepted_mass(cfg: CollectorConfig, n_max: int) -> float:
     """Probability that one Gaussian draw of ``sample_orders`` lies in [2, n_max]."""
     mu = cfg.resolved_mu(n_max)
-    return float(norm.cdf(n_max, mu, cfg.sigma) - norm.cdf(2, mu, cfg.sigma))
+    return float(ndtr((n_max - mu) / cfg.sigma) - ndtr((2 - mu) / cfg.sigma))
 
 
 def order_distribution(cfg: CollectorConfig, n_max: int) -> np.ndarray:
     """Exact pmf of sample_orders over the integers 2..n_max."""
     mu, sigma = cfg.resolved_mu(n_max), cfg.sigma
-    z = accepted_mass(cfg, n_max)
-    pmf = []
-    for k in range(2, n_max + 1):
-        lo = max(k - 0.5, 2.0)
-        hi = min(k + 0.5, float(n_max))
-        pmf.append((norm.cdf(hi, mu, sigma) - norm.cdf(lo, mu, sigma)) / z)
-    return np.array(pmf)
+    ks = np.arange(2, n_max + 1)
+    lo = np.maximum(ks - 0.5, 2.0)
+    hi = np.minimum(ks + 0.5, float(n_max))
+    return (ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)) / accepted_mass(cfg, n_max)
 
 
 def order_ks_statistic(orders: Sequence[int], cfg: CollectorConfig, n_max: int) -> float:
@@ -201,17 +201,23 @@ def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> Samp
 
 
 Evaluator = Callable[[SampledGraph, TaskSpec], float]
+"""Utility of a sampled graph on a task.  `collect_supervision` calls it
+from several threads at once, and its corpus is deterministic only if
+the result depends on nothing but (graph, task)."""
 
 
 def score_graph(g: SampledGraph, task: TaskSpec, evaluator: Evaluator) -> float:
-    """The evaluator's utility clipped to [0, 1]; any failure is ScoreUnavailable."""
+    """The evaluator's utility clipped to [0, 1]; any failure, a NaN
+    included, is ScoreUnavailable."""
     try:
         score = float(evaluator(g, task))
     except ScoreUnavailable:
         raise
     except Exception as exc:
         raise ScoreUnavailable(str(exc)) from exc
-    return float(np.clip(score, 0.0, 1.0))
+    if math.isnan(score):
+        raise ScoreUnavailable("utility is NaN")
+    return min(max(score, 0.0), 1.0)
 
 
 def mine_supervision(
@@ -255,6 +261,21 @@ class CollectStats:
     category_histogram: dict = field(default_factory=dict)
 
 
+def _score_unit(unit, evaluator: Evaluator, stop: threading.Event) -> dict:
+    """Score one graph's new (key, graph, task) items in order, until
+    `stop` is set.  Each key maps to its utility, or to the message of
+    its ScoreUnavailable."""
+    outcomes = {}
+    for key, graph, task in unit:
+        if stop.is_set():
+            break
+        try:
+            outcomes[key] = score_graph(graph, task, evaluator)
+        except ScoreUnavailable as exc:
+            outcomes[key] = str(exc)
+    return outcomes
+
+
 def collect_supervision(
     tasks: Sequence[TaskSpec],
     pool: AgentPool,
@@ -267,13 +288,22 @@ def collect_supervision(
     every task sees about ``candidates_per_task`` candidates even when
     the budget is much smaller than the task count; neighboring tasks
     still get largely disjoint candidate sets.  Scores are cached by
-    (member set, task) since duplicate subsets are allowed.
+    (member set, task) since duplicate subsets are allowed; a key whose
+    scoring failed is scored again at its next occurrence.
+
+    Every graph is drawn up front.  Each graph's first occurrences of
+    (member set, task) keys form one unit of work, and the units run on
+    a pool of at most `MAX_IN_FLIGHT` threads owned by the call.  The
+    results are merged on the calling thread in sampling order, so the
+    pairs, the stats and the skip warnings equal those of scoring one
+    key at a time.  If the merge raises, queued units are cancelled and
+    running ones stop before their next scoring.
     """
     if not tasks:
         raise ConfigError("no tasks")
     cfg.validate(pool.n_max)
     rng = np.random.default_rng(cfg.seed)
-    orders = sample_orders(cfg, pool.n_max, rng)
+    graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
     n_tasks = len(tasks)
     stride = min(
         n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget))
@@ -281,24 +311,50 @@ def collect_supervision(
     gap = max(1, n_tasks // stride)
     scored: dict[TaskSpec, list[tuple[SampledGraph, float]]] = {t: [] for t in tasks}
     cache: dict[tuple[tuple[int, ...], str], float] = {}
+    repeats: dict[tuple[tuple[int, ...], str], list] = {}  # later occurrences, in order
+    retries = {}  # key -> the future scoring its next occurrence after a failure
     stats = CollectStats(tasks=n_tasks)
-    for i, order in enumerate(orders):
-        graph = sample_subset(order, pool, rng)
-        targets = sorted({(i + s * gap) % n_tasks for s in range(stride)})
-        for task in (tasks[j] for j in targets):
-            key = (graph.members, task.task_id)
-            try:
-                if key not in cache:
-                    cache[key] = score_graph(graph, task, evaluator)
-                utility = cache[key]
-            except ScoreUnavailable as exc:
-                stats.graphs_skipped += 1
-                log.warning(
-                    "skipping graph %s on task %s: %s", graph.members, task.task_id, exc
-                )
-                continue
-            scored[task].append((graph, utility))
-            stats.graphs_scored += 1
+    stop = threading.Event()
+    executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
+    try:
+        visits = []
+        for i, graph in enumerate(graphs):
+            targets = [tasks[j] for j in sorted({(i + s * gap) % n_tasks for s in range(stride)})]
+            unit = []
+            for task in targets:
+                key = (graph.members, task.task_id)
+                if key in repeats:
+                    repeats[key].append((graph, task))
+                else:
+                    repeats[key] = []
+                    unit.append((key, graph, task))
+            future = executor.submit(_score_unit, unit, evaluator, stop) if unit else None
+            visits.append((graph, targets, future))
+        for graph, targets, future in visits:
+            fresh = future.result() if future is not None else {}
+            for task in targets:
+                key = (graph.members, task.task_id)
+                if key in cache:
+                    utility = cache[key]
+                else:
+                    outcome = fresh.pop(key, None)
+                    if outcome is None:
+                        outcome = retries.pop(key).result()[key]
+                    if isinstance(outcome, str):
+                        stats.graphs_skipped += 1
+                        log.warning(
+                            "skipping graph %s on task %s: %s", graph.members, task.task_id, outcome
+                        )
+                        if repeats[key]:
+                            unit = [(key, *repeats[key].pop(0))]
+                            retries[key] = executor.submit(_score_unit, unit, evaluator, stop)
+                        continue
+                    utility = cache[key] = outcome
+                scored[task].append((graph, utility))
+                stats.graphs_scored += 1
+    finally:
+        stop.set()
+        executor.shutdown(cancel_futures=True)
     pairs = mine_supervision(scored, cfg, pool.n_max)
     stats.pairs = len(pairs)
     for p in pairs:

@@ -112,8 +112,12 @@ def visible_history(
     return [e for _, e in indexed]
 
 
-def _new_tag(rng: np.random.Generator) -> str:
-    return "".join(rng.choice(list(_TAG_ALPHABET)) for _ in range(4))
+def _new_tags(rng: np.random.Generator, n: int) -> list[str]:
+    """`n` tags of 4 characters, drawn as one array: the same stream as
+    4 `rng.choice(list(_TAG_ALPHABET))` calls per tag, so recorded
+    transcripts keep their tags."""
+    draws = rng.integers(0, len(_TAG_ALPHABET), size=(n, 4))
+    return ["".join(_TAG_ALPHABET[c] for c in row) for row in draws]
 
 
 def _depths(active: list[int], adj: Topology) -> dict[int, int]:
@@ -150,7 +154,7 @@ def run_topology(
     rng = rng if rng is not None else np.random.default_rng(0)
     adj = binarize(t.weights, theta)
     m = len(active)
-    tags = [_new_tag(rng) for _ in range(k * m + 1)]
+    tags = _new_tags(rng, k * m + 1)
     # slot of agent active[pos] in round rnd is (rnd - 1) * m + pos; the decision takes the last
     slots: list[DialogueEntry | None] = [None] * (k * m + 1)
     depth = _depths(active, adj)

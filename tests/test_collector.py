@@ -1,10 +1,23 @@
+import logging
+import math
+import struct
+import subprocess
+import sys
+import threading
+import time
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from commtopo import collector, orchestrator
+from commtopo.backends import MAX_IN_FLIGHT
 from commtopo.collector import (
     CollectorConfig,
     SampledGraph,
     TaskSpec,
+    accepted_mass,
     answer_matches,
     collect_supervision,
     mine_supervision,
@@ -16,10 +29,17 @@ from commtopo.collector import (
     read_tasks,
     write_tasks,
 )
+from commtopo.graphs import write_corpus
 from commtopo.errors import ConfigError, InvalidOrder, MineUnderflow, ScoreUnavailable
 from commtopo.graphs import Topology
 from commtopo.pool import load_default_pool
-from commtopo.synth import make_planted_evaluator, make_planted_suite, planted_utility
+from commtopo.synth import (
+    make_orchestrator_evaluator,
+    make_planted_evaluator,
+    make_planted_suite,
+    planted_backends,
+    planted_utility,
+)
 
 
 def task(tid="t0", team=None):
@@ -69,6 +89,32 @@ class TestSampleOrders:
     def test_distribution_sums_to_one(self):
         pmf = order_distribution(CollectorConfig(sigma=2.0), 16)
         assert abs(pmf.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_max", [3, 5, 16])
+    @pytest.mark.parametrize("sigma", [0.05, 1.5, 2.0, 40.0])
+    def test_distribution_equals_scipy_stats_norm(self, n_max, sigma):
+        from scipy.stats import norm
+
+        for mu in np.linspace(2, n_max, 5):
+            cfg = CollectorConfig(mu=float(mu), sigma=sigma)
+            z = norm.cdf(n_max, mu, sigma) - norm.cdf(2, mu, sigma)
+            want = [
+                (norm.cdf(min(k + 0.5, n_max), mu, sigma) - norm.cdf(max(k - 0.5, 2.0), mu, sigma)) / z
+                for k in range(2, n_max + 1)
+            ]
+            assert accepted_mass(cfg, n_max) == z
+            assert order_distribution(cfg, n_max).tolist() == want
+
+
+def test_importing_commtopo_loads_neither_scipy_stats_nor_optimize():
+    code = (
+        "import importlib, pkgutil, sys, commtopo\n"
+        "for m in pkgutil.iter_modules(commtopo.__path__):\n"
+        "    importlib.import_module('commtopo.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSampleSubset:
@@ -127,6 +173,17 @@ class TestScoreGraph:
 
         with pytest.raises(ScoreUnavailable):
             score_graph(self.graph([0, 1]), task(), evaluator)
+
+    def test_nan_is_unavailable(self):
+        with pytest.raises(ScoreUnavailable, match="NaN"):
+            score_graph(self.graph([0, 1]), task(), lambda g, t: float("nan"))
+
+    @pytest.mark.parametrize(
+        "raw", [math.inf, -math.inf, -0.0, 0.0, 1.0, 1.5, -3.0, 0.3, 5e-324, 1.0000000000000002]
+    )
+    def test_clip_is_bitwise_np_clip(self, raw):
+        got = score_graph(self.graph([0, 1]), task(), lambda g, t: raw)
+        assert struct.pack("<d", got) == struct.pack("<d", float(np.clip(raw, 0.0, 1.0)))
 
 
 class TestMineSupervision:
@@ -214,6 +271,228 @@ class TestCollectSupervision:
         scored = {t: [(g, evaluator(g, t)) for g in graphs]}
         mined = mine(scored, CollectorConfig(top_k=2), pool.n_max)
         assert list(np.flatnonzero(mined[0].y.m)) == list(team)
+
+
+class Warnings(logging.Handler):
+    """Collects the collector's log messages while installed."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger(collector.__name__).addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger(collector.__name__).removeHandler(self)
+
+
+def sequential_collect(tasks, pool, cfg, evaluator):
+    """The one-key-at-a-time loop the concurrent schedule replaced, kept as the reference."""
+    cfg.validate(pool.n_max)
+    rng = np.random.default_rng(cfg.seed)
+    orders = sample_orders(cfg, pool.n_max, rng)
+    n_tasks = len(tasks)
+    stride = min(n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget)))
+    gap = max(1, n_tasks // stride)
+    scored = {t: [] for t in tasks}
+    cache = {}
+    stats = collector.CollectStats(tasks=n_tasks)
+    for i, order in enumerate(orders):
+        graph = sample_subset(order, pool, rng)
+        targets = sorted({(i + s * gap) % n_tasks for s in range(stride)})
+        for t in (tasks[j] for j in targets):
+            key = (graph.members, t.task_id)
+            try:
+                if key not in cache:
+                    cache[key] = score_graph(graph, t, evaluator)
+                utility = cache[key]
+            except ScoreUnavailable as exc:
+                stats.graphs_skipped += 1
+                collector.log.warning("skipping graph %s on task %s: %s", graph.members, t.task_id, exc)
+                continue
+            scored[t].append((graph, utility))
+            stats.graphs_scored += 1
+    pairs = mine_supervision(scored, cfg, pool.n_max)
+    stats.pairs = len(pairs)
+    for p in pairs:
+        stats.category_histogram[p.category] = stats.category_histogram.get(p.category, 0) + 1
+    return pairs, stats
+
+
+class FlakyEvaluator:
+    """Utility from a checksum of (members, task id): some keys always
+    fail, some fail only on their first attempt, some are NaN or out of
+    [0, 1].  Records the calls made for each key."""
+
+    def __init__(self, modulus):
+        self.modulus = modulus
+        self.calls = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, g, t):
+        key = (g.members, t.task_id)
+        with self._lock:
+            self.calls.setdefault(key, []).append(t.task_text)
+            attempt = len(self.calls[key])
+        r = zlib.crc32(repr(key).encode()) % self.modulus
+        if r == 0:
+            raise RuntimeError("backend down")
+        if r == 1 and attempt == 1:
+            raise ScoreUnavailable("busy")
+        if r == 2:
+            return float("nan")
+        if r == 3:
+            return 1.5
+        return r / self.modulus
+
+
+def collect_outcome(run, tasks, pool, cfg, evaluator):
+    with Warnings() as warnings:
+        try:
+            pairs, stats = run(tasks, pool, cfg, evaluator)
+            result = ([p.to_json_line() for p in pairs], stats)
+        except MineUnderflow as exc:
+            result = str(exc)
+    return result, warnings, evaluator.calls
+
+
+class TestConcurrentCollect:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_sequential_collect(self, data):
+        pool = load_default_pool()
+        n_tasks = data.draw(st.integers(1, 8))
+        n_ids = data.draw(st.integers(1, n_tasks))  # fewer ids than tasks share cache keys
+        tasks = [TaskSpec(f"t{j % n_ids}", f"question {j}", "math_reasoning", "42") for j in range(n_tasks)]
+        cfg = CollectorConfig(
+            budget=data.draw(st.integers(1, 40)),
+            mu=data.draw(st.sampled_from([2.0, 3.0, 5.0])),
+            sigma=data.draw(st.sampled_from([0.5, 1.5])),
+            top_k=data.draw(st.integers(1, 2)),
+            candidates_per_task=data.draw(st.integers(1, 8)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        modulus = data.draw(st.sampled_from([4, 7, 50]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
+        try:
+            got = collect_outcome(collect_supervision, tasks, pool, cfg, FlakyEvaluator(modulus))
+        finally:
+            sys.setswitchinterval(interval)
+        want = collect_outcome(sequential_collect, tasks, pool, cfg, FlakyEvaluator(modulus))
+        assert got == want
+
+    def test_scorings_are_in_flight_at_once(self):
+        barrier = threading.Barrier(4, timeout=5)
+        lock = threading.Lock()
+        calls = [0]
+
+        def evaluator(g, t):
+            with lock:
+                calls[0] += 1
+                first = calls[0] <= 4
+            if first:
+                barrier.wait()  # breaks after 5 s unless four scorings run together
+            return 0.5
+
+        tasks = [task(f"t{i}") for i in range(8)]
+        cfg = CollectorConfig(budget=40, candidates_per_task=5, seed=1)
+        _, stats = collect_supervision(tasks, load_default_pool(), cfg, evaluator)
+        assert stats.graphs_skipped == 0
+
+    def test_raising_merge_cancels_queued_units(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        pool = load_default_pool()
+        tasks = [task(f"t{i}") for i in range(40)]
+        cfg = CollectorConfig(budget=40, candidates_per_task=20, seed=4)  # 40 units of 20 keys
+        rng = np.random.default_rng(cfg.seed)
+        first = sample_subset(sample_orders(cfg, pool.n_max, rng)[0], pool, rng).members
+        units, calls = [], []
+
+        score_unit = collector._score_unit
+        monkeypatch.setattr(collector, "_score_unit", lambda unit, *rest: units.append(unit) or score_unit(unit, *rest))
+
+        def evaluator(g, t):
+            calls.append(g.members)
+            if g.members == first:
+                raise Interrupt
+            time.sleep(0.02)
+            return 0.5
+
+        threads = threading.active_count()
+        with pytest.raises(Interrupt):
+            collect_supervision(tasks, pool, cfg, evaluator)
+        assert threading.active_count() == threads
+        made = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == made  # nothing runs after the call returns
+        assert len(units) < 40  # queued units never start
+        assert made < 100  # running units stop before their next key (300 if they ran out)
+
+    def test_orchestrator_scorings_share_one_bounded_pool(self, monkeypatch):
+        pools = {"collector": [], "orchestrator": []}
+        for name, module in (("collector", collector), ("orchestrator", orchestrator)):
+
+            class Recording(module.ThreadPoolExecutor):
+                def __init__(self, *args, _made=pools[name], **kwargs):
+                    _made.append(kwargs.get("max_workers", args[0] if args else None))
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
+        suite = make_planted_suite(4, 0, seed=5)
+        pool = load_default_pool()
+        backends = planted_backends(suite.train_tasks, pool)
+        lock = threading.Lock()
+        threads, in_flight = set(), [0, 0]  # now, peak
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, system, user):
+                with lock:
+                    threads.add(threading.get_ident())
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight)
+                time.sleep(0.0005)
+                try:
+                    return self.inner.complete(system, user)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        counted = type(backends)(default=Counting(backends.default), decision=Counting(backends.decision))
+        cfg = CollectorConfig(budget=60, mu=5.0, sigma=1.5, candidates_per_task=4, seed=2)
+        got, _ = collect_supervision(suite.train_tasks, pool, cfg, make_orchestrator_evaluator(pool, counted))
+        want, _ = sequential_collect(suite.train_tasks, pool, cfg, make_orchestrator_evaluator(pool, backends))
+        assert write_corpus(got) == write_corpus(want)
+        assert pools == {"collector": [MAX_IN_FLIGHT], "orchestrator": []}
+        assert 1 < len(threads) <= MAX_IN_FLIGHT
+        assert 1 < in_flight[1] <= MAX_IN_FLIGHT
+
+    def test_nan_utility_is_skipped_and_logged(self):
+        # a NaN used to pass the clip and abort mining with "score must lie in [0, 1]"
+        pool = load_default_pool()
+        tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(5)]
+        cfg = CollectorConfig(budget=60, seed=9)
+        planted = make_planted_evaluator()
+
+        def evaluator(g, t):
+            return float("nan") if len(g.members) == 4 else planted(g, t)
+
+        with Warnings() as warnings:
+            pairs, stats = collect_supervision(tasks, pool, cfg, evaluator)
+        assert stats.graphs_skipped > 0
+        assert len(pairs) == 10
+        assert len(warnings) == stats.graphs_skipped
+        assert all(w.endswith("utility is NaN") for w in warnings)
 
 
 class TestPlantedUtility:

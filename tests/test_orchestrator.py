@@ -1,4 +1,5 @@
 import json
+import string
 import threading
 import zlib
 
@@ -20,7 +21,7 @@ from commtopo.orchestrator import (
     DECISION_PROFILE,
     DialogueEntry,
     RunResult,
-    _new_tag,
+    _new_tags,
     count_tokens,
     run_topology,
     visible_history,
@@ -148,6 +149,20 @@ class TestRunTopology:
             "topology",
         }
         assert len(obj["transcript"]) == 3
+
+
+def _new_tag(rng):
+    """The per-character tag draw the one-array draw replaced, kept as the reference."""
+    return "".join(rng.choice(list(string.ascii_uppercase + string.digits)) for _ in range(4))
+
+
+class TestTags:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_one_array_draw_equals_per_character_draws(self, seed, n):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _new_tags(got_rng, n) == [_new_tag(want_rng) for _ in range(n)]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def sequential_run(t, task, pool, backends, k=3, theta=0.5, rng=None):
