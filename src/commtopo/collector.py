@@ -231,6 +231,9 @@ def mine_supervision(
     lists, so mining is deterministic.
     """
     pairs: list[SupervisionPair] = []
+    # id(graph) -> (a_gt, y): a graph is top-k for several tasks, and the
+    # value types are immutable, so its pairs share one lift
+    lifted = {}
     for task, entries in scored.items():
         if len(entries) < cfg.top_k:
             raise MineUnderflow(
@@ -238,14 +241,16 @@ def mine_supervision(
             )
         ranked = sorted(entries, key=lambda e: (-e[1], len(e[0].members), e[0].members))
         for graph, utility in ranked[: cfg.top_k]:
-            a_gt, y = lift_subgraph(graph.topology, graph.members, n_max)
+            labels = lifted.get(id(graph))
+            if labels is None:
+                labels = lifted[id(graph)] = lift_subgraph(graph.topology, graph.members, n_max)
             pairs.append(
                 SupervisionPair(
                     task_id=task.task_id,
                     task_text=task.task_text,
                     category=task.category,
-                    a_gt=a_gt,
-                    y=y,
+                    a_gt=labels[0],
+                    y=labels[1],
                     score=utility,
                 )
             )
@@ -288,8 +293,9 @@ def collect_supervision(
     every task sees about ``candidates_per_task`` candidates even when
     the budget is much smaller than the task count; neighboring tasks
     still get largely disjoint candidate sets.  Scores are cached by
-    (member set, task) since duplicate subsets are allowed; a key whose
-    scoring failed is scored again at its next occurrence.
+    (member set, task id) since duplicate subsets are allowed; a key whose
+    scoring failed is scored again at its next occurrence.  Tasks that
+    share an id would share scores, so they are a ConfigError.
 
     Every graph is drawn up front.  Each graph's first occurrences of
     (member set, task) keys form one unit of work, and the units run on
@@ -301,6 +307,11 @@ def collect_supervision(
     """
     if not tasks:
         raise ConfigError("no tasks")
+    seen = set()
+    for task in tasks:
+        if task.task_id in seen:
+            raise ConfigError(f"duplicate task id {task.task_id!r}")
+        seen.add(task.task_id)
     cfg.validate(pool.n_max)
     rng = np.random.default_rng(cfg.seed)
     graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
@@ -309,7 +320,7 @@ def collect_supervision(
         n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget))
     )
     gap = max(1, n_tasks // stride)
-    scored: dict[TaskSpec, list[tuple[SampledGraph, float]]] = {t: [] for t in tasks}
+    entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
     cache: dict[tuple[tuple[int, ...], str], float] = {}
     repeats: dict[tuple[tuple[int, ...], str], list] = {}  # later occurrences, in order
     retries = {}  # key -> the future scoring its next occurrence after a failure
@@ -319,42 +330,43 @@ def collect_supervision(
     try:
         visits = []
         for i, graph in enumerate(graphs):
-            targets = [tasks[j] for j in sorted({(i + s * gap) % n_tasks for s in range(stride)})]
+            # (key, task index) of each target task, in task order
+            targets = [
+                ((graph.members, tasks[j].task_id), j)
+                for j in sorted({(i + s * gap) % n_tasks for s in range(stride)})
+            ]
             unit = []
-            for task in targets:
-                key = (graph.members, task.task_id)
-                if key in repeats:
-                    repeats[key].append((graph, task))
-                else:
+            for key, j in targets:
+                later = repeats.get(key)
+                if later is None:
                     repeats[key] = []
-                    unit.append((key, graph, task))
+                    unit.append((key, graph, tasks[j]))
+                else:
+                    later.append((graph, tasks[j]))
             future = executor.submit(_score_unit, unit, evaluator, stop) if unit else None
             visits.append((graph, targets, future))
         for graph, targets, future in visits:
             fresh = future.result() if future is not None else {}
-            for task in targets:
-                key = (graph.members, task.task_id)
-                if key in cache:
-                    utility = cache[key]
-                else:
+            for key, j in targets:
+                utility = cache.get(key)
+                if utility is None:
                     outcome = fresh.pop(key, None)
                     if outcome is None:
                         outcome = retries.pop(key).result()[key]
                     if isinstance(outcome, str):
                         stats.graphs_skipped += 1
-                        log.warning(
-                            "skipping graph %s on task %s: %s", graph.members, task.task_id, outcome
-                        )
+                        log.warning("skipping graph %s on task %s: %s", *key, outcome)
                         if repeats[key]:
                             unit = [(key, *repeats[key].pop(0))]
                             retries[key] = executor.submit(_score_unit, unit, evaluator, stop)
                         continue
                     utility = cache[key] = outcome
-                scored[task].append((graph, utility))
-                stats.graphs_scored += 1
+                entries[j].append((graph, utility))
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)
+    stats.graphs_scored = sum(map(len, entries))
+    scored = dict(zip(tasks, entries))
     pairs = mine_supervision(scored, cfg, pool.n_max)
     stats.pairs = len(pairs)
     for p in pairs:

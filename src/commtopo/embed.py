@@ -51,14 +51,13 @@ class HashingBackend:
         self.bins = bins
 
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(self.bins)
-        for word in text.lower().split():
-            padded = f"#{word}#"
-            for k in range(len(padded) - 2):
-                gram = padded[k : k + 3]
-                counts[zlib.crc32(gram.encode()) % self.bins] += 1.0
+        bins = [
+            zlib.crc32(padded[k : k + 3].encode()) % self.bins
+            for padded in (f"#{word}#" for word in text.lower().split())
+            for k in range(len(padded) - 2)
+        ]
         v = np.zeros(self.dim)
-        v[: self.bins] = counts
+        v[: self.bins] = np.bincount(np.array(bins, dtype=int), minlength=self.bins)
         return _normalize(v)
 
 

@@ -41,14 +41,14 @@ class Topology:
     adj: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adj, dtype=float)
+        adj = _frozen(self.adj)
         if adj.shape != (self.n, self.n):
             raise DimensionError(f"adj shape {adj.shape} != ({self.n}, {self.n})")
-        if not np.isin(adj, (0.0, 1.0)).all():
+        if not ((adj == 0) | (adj == 1)).all():
             raise ValidationError("adjacency entries must be 0 or 1")
-        if np.diagonal(adj).any():
+        if adj.diagonal().any():
             raise ValidationError("adjacency diagonal must be zero")
-        object.__setattr__(self, "adj", _frozen(adj))
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def complete(cls, n: int) -> "Topology":
@@ -71,14 +71,14 @@ class WeightMatrix:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
+        w = _frozen(self.w)
         if w.shape != (self.n, self.n):
             raise DimensionError(f"weights shape {w.shape} != ({self.n}, {self.n})")
-        if np.diagonal(w).any():
+        if w.diagonal().any():
             raise ValidationError("weight diagonal must be zero")
-        if (w < 0).any() or (w > 1).any():
+        if not ((w >= 0) & (w <= 1)).all():  # NaN fails both comparisons
             raise ValidationError("weights must lie in [0, 1]")
-        object.__setattr__(self, "w", _frozen(w))
+        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ class NodeMask:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m = _frozen(self.m)
         if m.shape != (self.n,):
             raise DimensionError(f"mask shape {m.shape} != ({self.n},)")
-        if not np.isin(m, (0.0, 1.0)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise ValidationError("mask entries must be 0 or 1")
-        object.__setattr__(self, "m", _frozen(m))
+        object.__setattr__(self, "m", m)
 
     def active_ids(self) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.m)]
@@ -123,8 +123,8 @@ class SupervisionPair:
             raise ValidationError("score must lie in [0, 1]")
         if self.y.active_count() < 2:
             raise ValidationError("supervision mask needs at least 2 active nodes")
-        outside = (1 - np.outer(self.y.m, self.y.m)) * self.a_gt.w
-        if outside.any():
+        m = self.y.m
+        if (self.a_gt.w * (1 - m[:, None] * m)).any():
             raise ValidationError("a_gt has weight on edges outside the mask")
 
     def to_json_line(self) -> str:
@@ -134,8 +134,8 @@ class SupervisionPair:
                 "task_text": self.task_text,
                 "category": self.category,
                 "score": self.score,
-                "y": [int(v) for v in self.y.m],
-                "a_gt": [[float(v) for v in row] for row in self.a_gt.w],
+                "y": self.y.m.astype(int).tolist(),
+                "a_gt": self.a_gt.w.tolist(),
             },
             sort_keys=True,
         )
@@ -144,13 +144,12 @@ class SupervisionPair:
     def from_json_line(cls, line: str) -> "SupervisionPair":
         try:
             obj = json.loads(line)
-            y = NodeMask(len(obj["y"]), np.array(obj["y"], dtype=float))
-            a = np.array(obj["a_gt"], dtype=float)
+            y = NodeMask(len(obj["y"]), obj["y"])
             return cls(
                 task_id=obj["task_id"],
                 task_text=obj["task_text"],
                 category=obj["category"],
-                a_gt=WeightMatrix(y.n, a),
+                a_gt=WeightMatrix(y.n, obj["a_gt"]),
                 y=y,
                 score=float(obj["score"]),
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -77,6 +78,20 @@ class PruneNetParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _slices(shapes: dict[str, tuple]) -> dict[str, slice]:
+    """Where each tensor lies in one flat buffer that holds them in order."""
+    slices, start = {}, 0
+    for name, shape in shapes.items():
+        slices[name] = slice(start, start + math.prod(shape))
+        start = slices[name].stop
+    return slices
+
+
+def _views(buf: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """The tensors of the flat ``buf``, shaped by ``shapes``."""
+    return {name: buf[s].reshape(shapes[name]) for name, s in _slices(shapes).items()}
+
+
 _SELF_WEIGHT = 0.4
 _MEAN_WEIGHT = 0.4
 _QUERY_WEIGHT = 0.2
@@ -104,6 +119,7 @@ class Forward(NamedTuple):
     u: np.ndarray  # (B, n+1, h) layer-1 pre-activation
     q: np.ndarray  # (B, n, h) propagated relu(u), agent rows
     z: np.ndarray  # (B, n, h) agent latents
+    zb: np.ndarray  # (B, n, h) z @ b_edge
     t: np.ndarray  # (B, n, h_m) node-MLP hidden pre-activation
     lmat: np.ndarray  # (B, n, n) edge logits z_i . (b_edge z_j)
     s: np.ndarray  # (B, n) node logits
@@ -133,9 +149,10 @@ def forward(params: PruneNetParams, pool_x: np.ndarray, query_x: np.ndarray) -> 
     q = _SELF_WEIGHT * r[:, :-1] + (mean_w * r.sum(axis=1) + _QUERY_WEIGHT * r[:, -1])[:, None]
     z = q @ params.w_gcn2
     t = z @ params.mlp_w1 + params.mlp_b1
-    lmat = (z @ params.b_edge) @ z.transpose(0, 2, 1)
+    zb = z @ params.b_edge
+    lmat = zb @ z.transpose(0, 2, 1)
     s = np.maximum(t, 0.0) @ params.mlp_w2 + params.mlp_b2
-    return Forward(c0, c, xq, u, q, z, t, lmat, s)
+    return Forward(c0, c, xq, u, q, z, zb, t, lmat, s)
 
 
 def heads(
@@ -218,7 +235,8 @@ def _mask_losses(
         terms = y * (1.0 - yc) ** g * np.log(yc) + (1.0 - y) * yc**g * np.log(1.0 - yc)
     else:
         terms = y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)
-    return -terms.mean(axis=-1) + lambda_s * y_hat.mean(axis=-1)
+    n = y.shape[-1]  # sums over n, not .mean: the same values without mean's overhead
+    return -terms.sum(axis=-1) / n + lambda_s * (y_hat.sum(axis=-1) / n)
 
 
 def edge_loss(w_pred, a_gt, y, lambda_off: float) -> float:
@@ -301,6 +319,7 @@ def loss_and_grads(
     tau: float = 1.0,
     node_noise: np.ndarray | None = None,
     focal: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray], EdgeTerms]:
     """A batch of supervision pairs: mean losses and the gradients of the mean total loss.
 
@@ -308,7 +327,9 @@ def loss_and_grads(
     ``labels``.  ``node_noise`` (B, n) is an additive node-logit
     perturbation (Gumbel differences during training, None for the
     deterministic path); tau rescales logits before the sigmoid in both
-    heads.  The edge terms are returned for ``forward_losses``.
+    heads.  The gradients are views, in ``params`` order, of one flat
+    buffer: ``out`` if given, else a new one.  The edge terms are
+    returned for ``forward_losses``.
     """
     b, n = f.s.shape
     h = f.z.shape[2]
@@ -343,49 +364,48 @@ def loss_and_grads(
     ge = d_wp * w_pred * (1.0 - w_pred) / tau
     ds = d_yh * y_hat * (1.0 - y_hat) / tau
 
-    # edge head
+    tensors = params.tensors()
+    size = sum(v.size for v in tensors.values())
+    flat = np.empty(size) if out is None else out
+    grads = _views(flat, {k: v.shape for k, v in tensors.items()})
+
+    # edge head: lmat = z B z^T, so dz = ge z B^T + ge^T (z B)
     z = f.z
     ge_z = ge @ z
-    d_b_edge = z.reshape(-1, h).T @ ge_z.reshape(-1, h)
-    dz = ge_z @ params.b_edge.T + (ge.transpose(0, 2, 1) @ z) @ params.b_edge
+    np.matmul(z.reshape(-1, h).T, ge_z.reshape(-1, h), out=grads["b_edge"])
+    dz = ge_z @ params.b_edge.T + ge.transpose(0, 2, 1) @ f.zb
 
     # node head
-    d_mlp_w2 = np.maximum(f.t, 0.0).reshape(b * n, -1).T @ ds.reshape(-1)
-    d_mlp_b2 = ds.sum().reshape(1)
+    np.matmul(np.maximum(f.t, 0.0).reshape(b * n, -1).T, ds.reshape(-1), out=grads["mlp_w2"])
+    grads["mlp_b2"][0] = ds.sum()
     dt = ds[:, :, None] * params.mlp_w2 * (f.t > 0)
-    d_mlp_w1 = z.reshape(-1, h).T @ dt.reshape(b * n, -1)
-    d_mlp_b1 = dt.sum(axis=(0, 1))
+    np.matmul(z.reshape(-1, h).T, dt.reshape(b * n, -1), out=grads["mlp_w1"])
+    dt.sum(axis=(0, 1), out=grads["mlp_b1"])
     dz += dt @ params.mlp_w1.T
 
     # GCN backbone: the virtual query row receives no head gradient, so in
     # the transposed propagation it takes only the shares of the agent rows
-    d_w_gcn2 = f.q.reshape(-1, h).T @ dz.reshape(-1, h)
+    np.matmul(f.q.reshape(-1, h).T, dz.reshape(-1, h), out=grads["w_gcn2"])
     dq = dz @ params.w_gcn2.T
     n_full = n + 1
     dq_sum = dq.sum(axis=1, keepdims=True)
-    dr = np.concatenate(
-        [_SELF_WEIGHT * dq + _MEAN_WEIGHT / n_full * dq_sum,
-         (_MEAN_WEIGHT / n_full + _QUERY_WEIGHT) * dq_sum],
-        axis=1,
-    )
-    du = dr * (f.u > 0)
-    d_w_gcn1 = f.c0.T @ du.sum(axis=0) + f.xq.T @ (f.c @ du)
+    du = np.empty_like(f.u)
+    np.multiply(dq, _SELF_WEIGHT, out=du[:, :-1])
+    du[:, :-1] += _MEAN_WEIGHT / n_full * dq_sum
+    np.multiply(dq_sum, _MEAN_WEIGHT / n_full + _QUERY_WEIGHT, out=du[:, -1:])
+    du *= f.u > 0  # relu
+    d_w_gcn1 = grads["w_gcn1"]
+    np.matmul(f.c0.T, du.sum(axis=0), out=d_w_gcn1)
+    d_w_gcn1 += f.xq.T @ (f.c @ du)
 
-    grads = {
-        "w_gcn1": d_w_gcn1,
-        "w_gcn2": d_w_gcn2,
-        "b_edge": d_b_edge,
-        "mlp_w1": d_mlp_w1,
-        "mlp_b1": d_mlp_b1,
-        "mlp_w2": d_mlp_w2,
-        "mlp_b2": d_mlp_b2,
-    }
-    return losses, {k: v / b for k, v in grads.items()}, terms
+    flat /= b
+    return losses, grads, terms
 
 
 def _means(edge: np.ndarray, node: np.ndarray, beta: float) -> tuple[float, float, float]:
     """Batch means of the edge, node and total losses."""
-    return float(edge.mean()), float(node.mean()), float(total_loss(edge, node, beta).mean())
+    b = edge.size
+    return float(edge.sum() / b), float(node.sum() / b), float(total_loss(edge, node, beta).sum() / b)
 
 
 def forward_losses(
@@ -425,44 +445,67 @@ def write_training_log(rows: Sequence[TrainLogRow]) -> str:
 
 
 class _Adam:
-    """Adam with decoupled weight decay, updating the arrays and moments
-    in place through two scratch buffers per tensor; biases are not decayed."""
+    """Adam with decoupled weight decay over one flat parameter buffer laid
+    out by ``shapes``, updating it and the moments in place; biases are not
+    decayed."""
 
     DECAYED = {"w_gcn1", "w_gcn2", "b_edge", "mlp_w1", "mlp_w2"}
 
-    def __init__(self, cfg: TrainConfig, tensors: dict[str, np.ndarray]):
+    def __init__(self, cfg: TrainConfig, shapes: dict[str, tuple]):
         self.cfg = cfg
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in tensors.items()}
+        slices = _slices(shapes)
+        size = sum(s.stop - s.start for s in slices.values())
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._a, self._b = np.empty(size), np.empty(size)
+        self._decayed = [s for name, s in slices.items() if name in self.DECAYED]
 
-    def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        c, m, v, a, b = self.cfg, self.m, self.v, self._a, self._b
         self.t += 1
         bias1, bias2 = 1 - c.adam_beta1**self.t, 1 - c.adam_beta2**self.t
-        for name, g in grads.items():
-            m, v, (a, b) = self.m[name], self.v[name], self._scratch[name]
-            # same operations in the same order as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-            # w -= lr*m_hat / (sqrt(v_hat) + eps), so the result is bitwise that of those lines
-            m *= c.adam_beta1
-            np.multiply(g, 1 - c.adam_beta1, out=a)
-            m += a
-            v *= c.adam_beta2
-            np.multiply(g, g, out=a)
-            a *= 1 - c.adam_beta2
-            v += a
-            np.divide(m, bias1, out=a)
-            a *= c.lr
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            b += 1e-8
-            a /= b
-            w = tensors[name]
-            w -= a
-            if name in self.DECAYED:
-                np.multiply(w, c.lr * c.weight_decay, out=a)
-                w -= a
+        # same operations in the same order as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+        # w -= lr*m_hat / (sqrt(v_hat) + eps), so the result is bitwise that of those lines
+        m *= c.adam_beta1
+        np.multiply(g, 1 - c.adam_beta1, out=a)
+        m += a
+        v *= c.adam_beta2
+        np.multiply(g, g, out=a)
+        a *= 1 - c.adam_beta2
+        v += a
+        np.divide(m, bias1, out=a)
+        a *= c.lr
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += 1e-8
+        a /= b
+        w -= a
+        for s in self._decayed:
+            _decay(w[s], c, a[s])
+
+
+def _decay(w: np.ndarray, cfg: TrainConfig, buf: np.ndarray) -> None:
+    """Decoupled weight decay in place: w -= w * lr*wd, through ``buf``."""
+    np.multiply(w, cfg.lr * cfg.weight_decay, out=buf)
+    w -= buf
+
+
+def _decay_only(
+    w: np.ndarray, cfg: TrainConfig, steps: int, tail_start: int
+) -> tuple[np.ndarray, int]:
+    """Every step's update of rows that never get a gradient: Adam moves
+    them by exactly 0, so each step only decays them.  Updates ``w`` in
+    place and returns its sum over the steps from ``tail_start`` on, and
+    the first step at which it is non-finite (``steps`` if none)."""
+    buf, tail = np.empty_like(w), np.zeros_like(w)
+    first_bad = steps
+    for step in range(steps):
+        _decay(w, cfg, buf)
+        if step >= tail_start:
+            tail += w
+        if first_bad == steps and not np.isfinite(w).all():
+            first_bad = step
+    return tail, first_bad
 
 
 def train(
@@ -472,16 +515,27 @@ def train(
     cfg: TrainConfig,
     net: NetConfig | None = None,
 ) -> tuple[PruneNetParams, list[TrainLogRow]]:
-    """Adam training over minibatches with a linear tau anneal."""
+    """Adam training over minibatches with a linear tau anneal.
+
+    A feature column that is zero in the pool rows and in every query row
+    gives its ``w_gcn1`` row exactly zero gradient, so forward, backward
+    and Adam run on the live rows only, held with every other tensor in
+    one flat buffer; the other rows are only decayed, as Adam would.
+    """
     if not corpus:
         raise ValueError("corpus is empty")
     cfg.validate()
     net = net or NetConfig(d=backend.dim, n_max=pool.n_max)
     rng = np.random.default_rng(cfg.seed)
-    params = PruneNetParams.init(net, rng)
+    init = PruneNetParams.init(net, rng)
 
     texts = list(dict.fromkeys(pair.task_text for pair in corpus))
     pool_x, query_x = node_features(pool, texts, backend)
+    if pool_x.shape[1] != net.d:
+        raise DimensionError(f"feature width {pool_x.shape[1]} does not match d={net.d}")
+    live = (pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0)
+    live_ids, dead_ids = np.flatnonzero(live), np.flatnonzero(~live)
+    pool_x, query_x = pool_x[:, live_ids], query_x[:, live_ids]
     row = {text: i for i, text in enumerate(texts)}
     query_row = np.array([row[pair.task_text] for pair in corpus])
     a_all = np.stack([pair.a_gt.w for pair in corpus])
@@ -490,26 +544,34 @@ def train(
 
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
     total_steps = cfg.epochs * n_batches
-    tensors = params.tensors()
-    opt = _Adam(cfg, tensors)
-    log: list[TrainLogRow] = []
     tail_start = int(np.ceil(total_steps * (1.0 - cfg.avg_tail)))
-    tail_sum = {k: np.zeros_like(v) for k, v in tensors.items()}
-    tail_count = 0
+    # the dead rows go first, so that a step at which they turn non-finite
+    # raises in the loop below, as a non-finite live tensor does
+    dead = init.w_gcn1[dead_ids]
+    dead_tail, dead_bad = _decay_only(dead, cfg, total_steps, tail_start)
+
+    init.w_gcn1 = init.w_gcn1[live_ids]
+    shapes = {k: v.shape for k, v in init.tensors().items()}
+    flat = np.concatenate([v.ravel() for v in init.tensors().values()])
+    params = PruneNetParams(**_views(flat, shapes))
+    grad, tail = np.empty_like(flat), np.zeros_like(flat)
+    opt = _Adam(cfg, shapes)
+    log: list[TrainLogRow] = []
 
     for step in range(total_steps):
         b = step % n_batches
         if b == 0:
             order = rng.permutation(len(corpus))
-        batch = order[b * cfg.batch : (b + 1) * cfg.batch]
+            # node logits only: edge noise destabilizes borderline members
+            noise = gumbel_noise(rng, (len(corpus), pool.n_max))
+        rows = slice(b * cfg.batch, (b + 1) * cfg.batch)
+        batch = order[rows]
         tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
-        focal = float(np.mean(active[batch])) < cfg.focal_threshold
-        # node logits only: edge noise destabilizes borderline members
-        noise = gumbel_noise(rng, (len(batch), pool.n_max))
+        focal = active[batch].sum() / batch.size < cfg.focal_threshold
         f = forward(params, pool_x, query_x[query_row[batch]])
         lab = labels(a_all[batch], y_all[batch])
-        noisy, grads, terms = loss_and_grads(
-            params, f, lab, cfg, tau=tau, node_noise=noise, focal=focal
+        noisy, _, terms = loss_and_grads(
+            params, f, lab, cfg, tau=tau, node_noise=noise[rows], focal=focal, out=grad
         )
         if not np.isfinite(noisy[2]):
             raise TrainingDiverged(step)
@@ -517,20 +579,25 @@ def train(
         mean_losses = forward_losses(f, lab, terms, cfg, tau=tau, focal=focal)
         if not np.isfinite(mean_losses).all():
             raise TrainingDiverged(step)
-        opt.step(tensors, grads)
-        bad = [k for k, v in tensors.items() if not np.isfinite(v).all()]
-        if bad:
+        opt.step(flat, grad)
+        if step == dead_bad or not np.isfinite(flat).all():
+            bad = [
+                k for k, v in params.tensors().items()
+                if not np.isfinite(v).all() or (k == "w_gcn1" and step == dead_bad)
+            ]
             raise TrainingDiverged(
                 step, f"training diverged at step {step}: non-finite {', '.join(bad)}"
             )
         if step >= tail_start:
-            for k in tail_sum:
-                tail_sum[k] += tensors[k]
-            tail_count += 1
+            tail += flat
         log.append(TrainLogRow(step, mean_losses[0], mean_losses[1], mean_losses[2], tau))
+    tail_count = total_steps - tail_start
     if tail_count > 0:
-        params = PruneNetParams(**{k: v / tail_count for k, v in tail_sum.items()})
-    return params, log
+        flat, dead = tail / tail_count, dead_tail / tail_count
+    out = _views(flat, shapes)
+    w_gcn1 = np.empty((net.d, net.h))
+    w_gcn1[live_ids], w_gcn1[dead_ids] = out["w_gcn1"], dead
+    return PruneNetParams(**{**out, "w_gcn1": w_gcn1}), log
 
 
 def design_topology(

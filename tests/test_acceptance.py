@@ -1,4 +1,5 @@
-"""End-to-end acceptance checks. Each test prints one PASS/FAIL line."""
+"""End-to-end acceptance checks. Each criterion test prints one PASS/FAIL line."""
+import hashlib
 import json
 import math
 import time
@@ -185,6 +186,17 @@ def trained_pipeline(tmp_path_factory):
     elapsed = time.time() - start
     params, _ = load_checkpoint(checkpoint.read_bytes())
     return suite, params, elapsed, workdir, corpus, checkpoint
+
+
+# sha256 of the fixture's training log as the full-width training loop
+# (every row of w_gcn1 trained, one noise draw per step) wrote it
+FIXTURE_LOG_SHA256 = "515b36360e8b890fcd85f8714c6b01c58b595ff5a8b926c33d2a7653c4a23503"
+
+
+class TestFixtureTrainingLog:
+    def test_log_is_byte_identical_to_the_full_width_loop(self, trained_pipeline):
+        log = trained_pipeline[3] / "train_log.csv"
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == FIXTURE_LOG_SHA256
 
 
 class TestCriterion5PlantedRecovery:

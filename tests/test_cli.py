@@ -287,6 +287,7 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         ("[run]\ntheta = nan\n", ["design", "--query", "q"], 1, "theta must lie in [0, 1]"),
         ("", ["design", "--query", "q", "--theta", "1.5"], 1, "theta must lie in [0, 1]"),
         ("", ["run", "--query", "q", "--theta", "-0.1"], 1, "theta must lie in [0, 1]"),
+        ("", ["collect", "--tasks", "duplicate_ids.jsonl"], 1, "duplicate task id 't'"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -299,6 +300,7 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         "config-unknown-option", "config-parallelism", "config-seed-in-train",
         "train-nan-lr", "train-nan-beta", "train-inf-lambda-s", "train-nan-weight-decay",
         "design-nan-theta", "design-theta-above-one", "run-negative-theta",
+        "collect-duplicate-task-ids",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -316,6 +318,7 @@ def test_bad_input_exits_with_table_code_and_one_line(
     task = {"task_id": "t", "task_text": "q", "category": "math_reasoning"}
     pair = {**task, "score": 1.0, "y": [1, 1, 0], "a_gt": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}
     (workdir / "bad_team.jsonl").write_text(json.dumps({**task, "planted_team": ["a"]}))
+    (workdir / "duplicate_ids.jsonl").write_text(f"{json.dumps(task)}\n{json.dumps({**task, 'task_text': 'r'})}\n")
     (workdir / "bad_score.jsonl").write_text(json.dumps({**pair, "score": "high"}))
     (workdir / "bad_y.jsonl").write_text(json.dumps({**pair, "y": ["a", 1, 0]}))
     a_gt, y = lift_subgraph(Topology.complete(3), [0, 4, 9], 15)

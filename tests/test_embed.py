@@ -1,9 +1,19 @@
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commtopo.embed import HashingBackend, HttpBackend, cached, embed_text, node_features
+from commtopo.embed import (
+    HashingBackend,
+    HttpBackend,
+    _normalize,
+    cached,
+    embed_text,
+    node_features,
+)
 from commtopo.errors import EmbeddingUnavailable
 from commtopo.pool import load_default_pool
 
@@ -29,6 +39,24 @@ class TestHashingBackend:
 
     def test_dimension(self):
         assert embed_text(HashingBackend(), "x").shape == (384,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(), dims=st.sampled_from([(384, 64), (16, 16), (10, 3)]))
+    def test_equals_the_per_trigram_loop(self, text, dims):
+        b = HashingBackend(*dims)
+        assert b.embed(text).tobytes() == reference_embed(b, text).tobytes()
+
+
+def reference_embed(backend, text):
+    """The per-trigram counting loop that the bincount replaced, kept as the reference."""
+    counts = np.zeros(backend.bins)
+    for word in text.lower().split():
+        padded = f"#{word}#"
+        for k in range(len(padded) - 2):
+            counts[zlib.crc32(padded[k : k + 3].encode()) % backend.bins] += 1.0
+    v = np.zeros(backend.dim)
+    v[: backend.bins] = counts
+    return _normalize(v)
 
 
 class TestHttpBackend:

@@ -11,6 +11,7 @@ from commtopo.errors import (
     ValidationError,
 )
 from commtopo.graphs import (
+    CATEGORIES,
     CommTopology,
     NodeMask,
     SupervisionPair,
@@ -323,3 +324,79 @@ class TestSupervisionPair:
         p = self.make_pair()
         obj = json.loads(p.to_json_line())
         assert set(obj) == {"task_id", "task_text", "category", "score", "y", "a_gt"}
+
+
+def reference_json_line(p):
+    """The per-element writer that ``to_json_line`` replaced, kept as the reference."""
+    return json.dumps(
+        {
+            "task_id": p.task_id,
+            "task_text": p.task_text,
+            "category": p.category,
+            "score": p.score,
+            "y": [int(v) for v in p.y.m],
+            "a_gt": [[float(v) for v in row] for row in p.a_gt.w],
+        },
+        sort_keys=True,
+    )
+
+
+@st.composite
+def supervision_pairs(draw):
+    n = draw(st.integers(2, 6))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    zero = st.sampled_from([0.0, -0.0])
+    weight = st.one_of(zero, st.just(1.0), st.floats(0.0, 1.0))
+    w = np.array([[draw(weight if i != j and i in members and j in members else zero)
+                   for j in range(n)] for i in range(n)])
+    m = np.zeros(n)
+    m[members] = 1.0
+    text = st.text(max_size=12)
+    return SupervisionPair(
+        draw(text), draw(text), draw(st.sampled_from(CATEGORIES)),
+        WeightMatrix(n, w), NodeMask(n, m), draw(st.floats(0.0, 1.0)),
+    )
+
+
+class TestCorpusWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(supervision_pairs(), max_size=4))
+    def test_equals_the_per_element_writer(self, pairs):
+        assert write_corpus(pairs) == "".join(reference_json_line(p) + "\n" for p in pairs)
+        back = read_corpus(write_corpus(pairs))
+        assert [q.to_json_line() for q in back] == [p.to_json_line() for p in pairs]
+
+    def test_negative_zero_and_non_ascii_text(self):
+        w = np.zeros((3, 3))
+        w[0, 1], w[1, 0], w[2, 2] = 0.25, -0.0, -0.0
+        p = SupervisionPair(
+            "t\u00e9", "\u4e2d\u6587 \u00fcber", "math_reasoning",
+            WeightMatrix(3, w), NodeMask(3, np.array([1.0, 1.0, 0.0])), 0.5,
+        )
+        line = p.to_json_line()
+        assert line == reference_json_line(p)
+        assert "-0.0" in line and "0.25" in line and "\\u4e2d" in line
+
+
+class TestNanWeights:
+    """NaN fails both range comparisons, so it is reported as out of range,
+    not as weight outside the mask."""
+
+    NAN_ROWS = [[0.0, float("nan"), 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+    def test_weight_matrix(self):
+        with pytest.raises(ValidationError, match=r"weights must lie in \[0, 1\]"):
+            WeightMatrix(3, np.array(self.NAN_ROWS))
+
+    def test_topology_document(self):
+        doc = json.dumps({"n_max": 3, "mask": [1, 1, 0], "weights": self.NAN_ROWS})
+        with pytest.raises(ValidationError, match=r"weights must lie in \[0, 1\]"):
+            parse_topology(doc)
+
+    def test_corpus_line(self):
+        line = json.dumps({
+            "task_id": "t", "task_text": "q", "category": "math_reasoning", "score": 1.0,
+            "y": [1, 1, 0], "a_gt": self.NAN_ROWS,
+        })
+        with pytest.raises(ValidationError, match=r"weights must lie in \[0, 1\]"):
+            read_corpus(line)

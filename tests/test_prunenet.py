@@ -1,5 +1,6 @@
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from commtopo.prunenet import (
     PruneNetParams,
     TrainConfig,
     _Adam,
+    _views,
     design_topology,
     edge_loss,
     forward,
     gumbel_noise,
     Labels,
+    TrainLogRow,
     forward_losses,
     heads,
     labels,
@@ -434,19 +437,149 @@ class TestAdam:
     def test_in_place_step_is_bitwise_the_reference(self):
         rng = np.random.default_rng(5)
         cfg = TrainConfig(lr=3e-2, weight_decay=1e-2)
-        tensors = small_params().tensors()
-        ref = {k: v.copy() for k, v in tensors.items()}
+        shapes = PruneNetParams.shapes(SMALL)
+        ref = {k: v.copy() for k, v in small_params().tensors().items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
         ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
-        opt = _Adam(cfg, tensors)
+        flat = np.concatenate([v.ravel() for v in ref.values()])
+        grad = np.empty_like(flat)
+        tensors, grads = _views(flat, shapes), _views(grad, shapes)
+        opt = _Adam(cfg, shapes)
+        m, v = _views(opt.m, shapes), _views(opt.v, shapes)
         for t in range(1, 51):
-            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape) for k, v in ref.items()}
-            opt.step(tensors, grads)
+            for g in grads.values():
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=g.shape)
+            opt.step(flat, grad)
             reference_adam_step(cfg, t, ref, ref_m, ref_v, grads)
             for k in ref:
                 assert tensors[k].tobytes() == ref[k].tobytes(), (t, k)
-                assert opt.m[k].tobytes() == ref_m[k].tobytes(), (t, k)
-                assert opt.v[k].tobytes() == ref_v[k].tobytes(), (t, k)
+                assert m[k].tobytes() == ref_m[k].tobytes(), (t, k)
+                assert v[k].tobytes() == ref_v[k].tobytes(), (t, k)
+
+
+def reference_train(corpus, pool, backend, cfg, net):
+    """The full-width training loop that ``train`` replaced: every row of
+    w_gcn1 goes through forward, backward and Adam, and each step's
+    noise is drawn on its own.  Kept as the reference."""
+    rng = np.random.default_rng(cfg.seed)
+    params = PruneNetParams.init(net, rng)
+    texts = list(dict.fromkeys(pair.task_text for pair in corpus))
+    pool_x, query_x = node_features(pool, texts, backend)
+    row = {text: i for i, text in enumerate(texts)}
+    query_row = np.array([row[pair.task_text] for pair in corpus])
+    a_all = np.stack([pair.a_gt.w for pair in corpus])
+    y_all = np.stack([pair.y.m for pair in corpus])
+    n_batches = -(-len(corpus) // cfg.batch)
+    total_steps = cfg.epochs * n_batches
+    tensors = params.tensors()
+    m = {k: np.zeros_like(v) for k, v in tensors.items()}
+    v = {k: np.zeros_like(t) for k, t in tensors.items()}
+    tail_start = int(np.ceil(total_steps * (1.0 - cfg.avg_tail)))
+    tail = {k: np.zeros_like(t) for k, t in tensors.items()}
+    log = []
+    for step in range(total_steps):
+        b = step % n_batches
+        if b == 0:
+            order = rng.permutation(len(corpus))
+        batch = order[b * cfg.batch : (b + 1) * cfg.batch]
+        tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
+        focal = float(np.mean(y_all[batch].mean(axis=1))) < cfg.focal_threshold
+        noise = gumbel_noise(rng, (len(batch), pool.n_max))
+        f = forward(params, pool_x, query_x[query_row[batch]])
+        lab = labels(a_all[batch], y_all[batch])
+        _, grads, terms = loss_and_grads(params, f, lab, cfg, tau, noise, focal)
+        losses = forward_losses(f, lab, terms, cfg, tau, focal)
+        reference_adam_step(cfg, step + 1, tensors, m, v, grads)
+        bad = [k for k, t in tensors.items() if not np.isfinite(t).all()]
+        if bad:
+            raise TrainingDiverged(step, f"training diverged at step {step}: non-finite {', '.join(bad)}")
+        if step >= tail_start:
+            for k in tail:
+                tail[k] += tensors[k]
+        log.append(TrainLogRow(step, *losses, tau))
+    if total_steps > tail_start:
+        params = PruneNetParams(**{k: t / (total_steps - tail_start) for k, t in tail.items()})
+    return params, log
+
+
+class ZeroColumnBackend:
+    """A random vector per text (seeded by its crc32), zero in the columns
+    where ``live`` is False."""
+
+    def __init__(self, live):
+        self.live = np.asarray(live, dtype=bool)
+        self.dim = self.live.size
+
+    def embed(self, text):
+        v = np.random.default_rng(zlib.crc32(text.encode())).normal(size=self.dim)
+        return np.where(self.live, v, 0.0)
+
+
+def pair_corpus(rng, pool, size):
+    pairs = []
+    for i in range(size):
+        members = sorted(rng.choice(pool.n_max, int(rng.integers(2, 6)), replace=False).tolist())
+        a_gt, y = lift_subgraph(Topology.complete(len(members)), members, pool.n_max)
+        pairs.append(SupervisionPair(f"t{i}", f"question {i % 3}", "math_reasoning", a_gt, y, 1.0))
+    return pairs
+
+
+class TestLiveRows:
+    NET = NetConfig(d=12, h=8, h_m=4, n_max=15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        live=st.one_of(st.just([True] * 12), st.lists(st.booleans(), min_size=12, max_size=12)),
+        avg_tail=st.sampled_from([0.0, 1.0]),
+        batch=st.integers(1, 4),
+    )
+    def test_train_equals_the_full_width_loop(self, seed, live, avg_tail, batch):
+        pool = load_default_pool()
+        corpus = pair_corpus(np.random.default_rng(seed), pool, 5)
+        cfg = TrainConfig(seed=seed, epochs=3, batch=batch, avg_tail=avg_tail, lr=1e-2, weight_decay=0.1)
+        got, got_log = train(corpus, pool, ZeroColumnBackend(live), cfg, self.NET)
+        want, want_log = reference_train(corpus, pool, ZeroColumnBackend(live), cfg, self.NET)
+        # a column is dead when every text embeds to 0 there; an all-zero
+        # text embeds to the first basis vector, so column 0 may be live anyway
+        pool_x, query_x = node_features(pool, list({p.task_text for p in corpus}), ZeroColumnBackend(live))
+        dead = ~((pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0))
+        assert got.w_gcn1[dead].tobytes() == want.w_gcn1[dead].tobytes()
+        for name, t in got.tensors().items():
+            ref = want.tensors()[name]
+            assert t.shape == ref.shape
+            # relative to the tensor's scale: an entry near 0 keeps the
+            # absolute round-off of the larger ones
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(t, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+        assert len(got_log) == len(want_log)
+        for g, w in zip(got_log, want_log):
+            assert (g.step, g.tau) == (w.step, w.tau)
+            np.testing.assert_allclose(
+                [g.edge_loss, g.node_loss, g.total], [w.edge_loss, w.node_loss, w.total], rtol=1e-12
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_a_dead_row_is_named_as_the_full_width_loop_names_it(self):
+        # d = 2 with only column 0 live.  At step 0 the decay overflows the
+        # dead row's largest entry but no entry of the live row, which Adam
+        # moves by at most lr.
+        pool = load_default_pool()
+        net = NetConfig(d=2, h=8, h_m=4, n_max=15)
+        lr = 0.5
+        w = PruneNetParams.init(net, np.random.default_rng(0)).w_gcn1
+        live_max, dead_max = np.abs(w[0]).max() + lr, np.abs(w[1]).max()
+        assert dead_max > 1.5 * live_max
+        decay = np.finfo(float).max / np.sqrt(live_max * dead_max)
+        cfg = TrainConfig(seed=0, epochs=2, lr=lr, weight_decay=decay / lr)
+        corpus = pair_corpus(np.random.default_rng(0), pool, 3)
+        backend = ZeroColumnBackend([True, False])
+        with pytest.raises(TrainingDiverged) as want:
+            reference_train(corpus, pool, backend, cfg, net)
+        with pytest.raises(TrainingDiverged) as got:
+            train(corpus, pool, backend, cfg, net)
+        assert "w_gcn1" in str(want.value)
+        assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
 
 
 class TestDesignTopology:
