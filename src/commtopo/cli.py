@@ -71,11 +71,9 @@ def _load_pool(cfg: AppConfig):
 def _embed_backend(cfg: AppConfig):
     if cfg.embed_backend == "hash":
         return HashingBackend()
-    if cfg.embed_backend == "http":
-        if not cfg.embed_endpoint:
-            raise EmbeddingUnavailable("embedding endpoint missing")
-        return HttpBackend(cfg.embed_endpoint, cfg.api_key)
-    raise ConfigError(f"unknown embedding backend {cfg.embed_backend!r}")
+    if not cfg.embed_endpoint:
+        raise EmbeddingUnavailable("embedding endpoint missing")
+    return HttpBackend(cfg.embed_endpoint, cfg.api_key)
 
 
 def _chat_backends(cfg: AppConfig, pool, tasks=()) -> BackendSet:
@@ -83,14 +81,12 @@ def _chat_backends(cfg: AppConfig, pool, tasks=()) -> BackendSet:
         return BackendSet(default=EchoBackend(), decision=MajorityVoteDecision())
     if cfg.agent_backend == "planted":
         return planted_backends(tasks, pool)
-    if cfg.agent_backend == "http":
-        if not cfg.chat_endpoint:
-            raise BackendError("chat endpoint missing")
-        if not cfg.api_key:
-            raise BackendError("credentials missing")
-        http = HttpChatBackend(cfg.chat_endpoint, cfg.api_key, cfg.model)
-        return BackendSet(default=http, decision=http)
-    raise ConfigError(f"unknown agent backend {cfg.agent_backend!r}")
+    if not cfg.chat_endpoint:
+        raise BackendError("chat endpoint missing")
+    if not cfg.api_key:
+        raise BackendError("credentials missing")
+    http = HttpChatBackend(cfg.chat_endpoint, cfg.api_key, cfg.model)
+    return BackendSet(default=http, decision=http)
 
 
 def _read_tasks_file(path: str):
@@ -105,11 +101,9 @@ def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) ->
     pool = _load_pool(cfg)
     if cfg.evaluator == "planted":
         evaluator = make_planted_evaluator(cfg.planted_mode)
-    elif cfg.evaluator == "orchestrator":
+    else:
         backends = _chat_backends(cfg, pool, tasks)
         evaluator = make_orchestrator_evaluator(pool, backends, cfg.k_rounds, cfg.theta)
-    else:
-        raise ConfigError(f"unknown evaluator {cfg.evaluator!r}")
     pairs, stats = collector_mod.collect_supervision(tasks, pool, cfg.collector, evaluator)
     out = Path(out_path or cfg.corpus_path)
     out.write_text(write_corpus(pairs))
@@ -127,8 +121,6 @@ def cmd_train(cfg: AppConfig) -> None:
     if not corpus_path.exists():
         raise ConfigError(f"corpus not found: {corpus_path}")
     corpus = read_corpus(corpus_path.read_text())
-    if not corpus:
-        raise ConfigError("corpus is empty")
     pool = _load_pool(cfg)
     backend = _embed_backend(cfg)
     params, log = prunenet.train(corpus, pool, backend, cfg.train)
@@ -143,18 +135,22 @@ def cmd_train(cfg: AppConfig) -> None:
     print(f"checkpoint written to {cfg.checkpoint_path}; log to {cfg.train_log_path}")
 
 
-def _load_checkpoint(cfg: AppConfig):
+def _designer(cfg: AppConfig, pool):
+    """Design for a query with the checkpoint, which must fit the pool and the embedder."""
     path = Path(cfg.checkpoint_path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    return prunenet.load_checkpoint(path.read_bytes())
+    params, net = prunenet.load_checkpoint(path.read_bytes())
+    embed = _embed_backend(cfg)
+    have, need = (net.n_max, net.d), (pool.n_max, embed.dim)
+    if have != need:
+        raise CheckpointError(f"checkpoint (n_max, d) {have} does not fit the pool and embedder {need}")
+    return lambda query: prunenet.design_topology(query, pool, embed, params, theta=cfg.theta)
 
 
 def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | None = None) -> None:
     pool = _load_pool(cfg)
-    params, _ = _load_checkpoint(cfg)
-    backend = _embed_backend(cfg)
-    topo = prunenet.design_topology(query, pool, backend, params, theta=cfg.theta)
+    topo = _designer(cfg, pool)(query)
     payload = serialize_topology(topo, fmt).decode()
     if out_path:
         Path(out_path).write_text(payload)
@@ -166,11 +162,10 @@ def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | No
 
 def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> None:
     pool = _load_pool(cfg)
-    params, _ = _load_checkpoint(cfg)
-    backend = _embed_backend(cfg)
+    design = _designer(cfg, pool)
     tasks = _read_tasks_file(suite_path) if suite_path else ()
     backends = _chat_backends(cfg, pool, tasks)
-    topo = prunenet.design_topology(query, pool, backend, params, theta=cfg.theta)
+    topo = design(query)
     task = next(
         (t for t in tasks if t.task_text == query),
         collector_mod.TaskSpec("query", query, "general_reasoning", "", "contains"),
@@ -196,18 +191,14 @@ def cmd_bench(
         raise ConfigError(f"unknown methods {unknown}; valid: {', '.join(VALID_BENCH_METHODS)}")
     suite = _read_tasks_file(suite_file)
     pool = _load_pool(cfg)
-    embed = _embed_backend(cfg)
-    all_members = list(range(pool.n_max))
     sources = {}
     for m in methods:
         if m == "designed":
-            params, _ = _load_checkpoint(cfg)
-            sources[m] = lambda task, p=params: prunenet.design_topology(
-                task.task_text, pool, embed, p, theta=cfg.theta
-            )
+            design = _designer(cfg, pool)
+            sources[m] = lambda task: design(task.task_text)
         else:
             rng = np.random.default_rng(cfg.seed)
-            topo = bench_mod.make_static(m, all_members, pool.n_max, p=0.3, rng=rng)
+            topo = bench_mod.make_static(m, range(pool.n_max), pool.n_max, p=0.3, rng=rng)
             sources[m] = lambda task, t=topo: t
     report = bench_mod.run_bench(
         suite,

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .backends import MAX_IN_FLIGHT
 from .errors import (
@@ -20,6 +19,8 @@ from .errors import (
     InvalidOrder,
     MineUnderflow,
     ScoreUnavailable,
+    check_within,
+    within,
 )
 from .graphs import CATEGORIES, SupervisionPair, Topology, lift_subgraph
 from .pool import AgentPool
@@ -119,11 +120,11 @@ def answer_matches(task: TaskSpec, answer: str) -> bool:
 
 @dataclass
 class CollectorConfig:
-    budget: int = 2000
-    sigma: float = 2.0
-    mu: float | None = None  # defaults to n_max / 2
-    top_k: int = 2
-    candidates_per_task: int = 20
+    budget: int = within(2000, "[1, inf)")
+    sigma: float = within(2.0, "(0, inf)")
+    mu: float | None = within(None, "[2, inf)")  # None: n_max / 2; resolved_mu caps it at n_max
+    top_k: int = within(2, "[1, inf)")
+    candidates_per_task: int = within(20, "[1, inf)")
     seed: int = 0
 
     def resolved_mu(self, n_max: int) -> float:
@@ -137,12 +138,7 @@ class CollectorConfig:
     MIN_ACCEPTED_MASS = 1e-3
 
     def validate(self, n_max: int) -> None:
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
-        if not 0 < self.sigma < math.inf:  # a NaN or infinite sigma never draws an order
-            raise ConfigError("sigma must be finite and > 0")
-        if self.top_k < 1 or self.candidates_per_task < 1:
-            raise ConfigError("top_k and candidates_per_task must be >= 1")
+        check_within(self)
         mass = accepted_mass(self, n_max)
         if not mass >= self.MIN_ACCEPTED_MASS:
             raise ConfigError(
@@ -170,12 +166,16 @@ def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | N
 
 def accepted_mass(cfg: CollectorConfig, n_max: int) -> float:
     """Probability that one Gaussian draw of ``sample_orders`` lies in [2, n_max]."""
+    from scipy.special import ndtr  # imported here: it is slow to load, and only collect needs it
+
     mu = cfg.resolved_mu(n_max)
     return float(ndtr((n_max - mu) / cfg.sigma) - ndtr((2 - mu) / cfg.sigma))
 
 
 def order_distribution(cfg: CollectorConfig, n_max: int) -> np.ndarray:
     """Exact pmf of sample_orders over the integers 2..n_max."""
+    from scipy.special import ndtr
+
     mu, sigma = cfg.resolved_mu(n_max), cfg.sigma
     ks = np.arange(2, n_max + 1)
     lo = np.maximum(ks - 0.5, 2.0)

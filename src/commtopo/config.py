@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .collector import CollectorConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_within, within
 from .prunenet import TrainConfig
 
 ENV_API_KEY = "COMMTOPO_API_KEY"
@@ -29,20 +29,20 @@ class AppConfig:
     train_log_path: str = "train_log.csv"
     transcript_path: str = "transcript.json"
 
-    embed_backend: str = "hash"  # hash | http
+    embed_backend: str = within("hash", ("hash", "http"))
     embed_endpoint: str = ""
-    agent_backend: str = "echo"  # echo | planted | http
+    agent_backend: str = within("echo", ("echo", "planted", "http"))
     chat_endpoint: str = ""
     model: str = "gpt-4o-mini"
     api_key: str = ""
-    evaluator: str = "planted"  # planted | orchestrator
-    planted_mode: str = "jaccard"
+    evaluator: str = within("planted", ("planted", "orchestrator"))
+    planted_mode: str = within("jaccard", ("jaccard", "overlap"))
 
     collector: CollectorConfig = field(default_factory=CollectorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    k_rounds: int = 3
-    theta: float = 0.5
-    seed: int = 0
+    k_rounds: int = within(3, "[1, inf)")
+    theta: float = within(0.5, "[0, 1]")
+    seed: int = within(0, "[0, inf)")
 
     def split_seeds(self) -> dict[str, int]:
         """Derive stable per-subsystem seeds from the root seed."""
@@ -51,8 +51,8 @@ class AppConfig:
         return {n: int(c.generate_state(1)[0]) for n, c in zip(names, children)}
 
     def finalize(self) -> "AppConfig":
-        if not 0.0 <= self.theta <= 1.0:  # NaN too: it would keep no agent and fall back to top-2
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
+        for obj in (self, self.collector, self.train):
+            check_within(obj)
         seeds = self.split_seeds()
         self.collector.seed = seeds["collector"]
         self.train.seed = seeds["train"]

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the check of declared option values."""
+from dataclasses import field, fields
 
 
 class CommTopoError(Exception):
@@ -71,6 +72,28 @@ class RunAborted(CommTopoError):
 
 class ConfigError(CommTopoError):
     """Invalid configuration value."""
+
+
+def within(default, allowed):
+    """A dataclass field with its allowed values: a tuple of choices, or an interval like "[0, inf)"."""
+    return field(default=default, metadata={"within": allowed})
+
+
+def check_within(obj) -> None:
+    """Raise ``ConfigError`` for the first field of ``obj`` outside its declared values."""
+    for f in fields(obj):
+        allowed, value = f.metadata.get("within"), getattr(obj, f.name)
+        if allowed is None or (value is None and f.default is None):  # None: left unset
+            continue
+        if isinstance(allowed, tuple):
+            if value not in allowed:
+                raise ConfigError(f"{f.name} must be one of {list(allowed)}, got {value!r}")
+            continue
+        lo, hi = (float(end) for end in allowed[1:-1].split(","))
+        above = lo <= value if allowed[0] == "[" else lo < value
+        below = value <= hi if allowed[-1] == "]" else value < hi
+        if not (above and below):  # NaN fails every comparison, inf its open end
+            raise ConfigError(f"{f.name} must be finite and lie in {allowed}, got {value!r}")
 
 
 class FitDegenerate(CommTopoError):

@@ -55,10 +55,6 @@ class Topology:
         adj = np.ones((n, n)) - np.eye(n)
         return cls(n, adj)
 
-    @classmethod
-    def empty(cls, n: int) -> "Topology":
-        return cls(n, np.zeros((n, n)))
-
     def edge_count(self) -> int:
         return int(self.adj.sum())
 

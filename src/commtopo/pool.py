@@ -52,9 +52,6 @@ class AgentPool:
     def __getitem__(self, agent_id: int) -> AgentProfile:
         return self.agents[agent_id]
 
-    def roles(self) -> list[str]:
-        return [a.role for a in self.agents]
-
 
 def load_pool(source: bytes | str) -> AgentPool:
     """Parse a JSONL profile file (one object per line) into a pool."""

@@ -17,10 +17,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
-from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
+from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged, check_within, within
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
 from .pool import AgentPool
 
@@ -155,6 +154,11 @@ def forward(params: PruneNetParams, pool_x: np.ndarray, query_x: np.ndarray) -> 
     return Forward(c0, c, xq, u, q, z, zb, t, lmat, s)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp overflows to inf for x < -709, giving 0
+        return 1 / (1 + np.exp(-x))
+
+
 def heads(
     f: Forward, tau: float = 1.0, node_noise: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,11 +168,11 @@ def heads(
     node logits this is the Gumbel-Sigmoid relaxation; without noise it is
     the deterministic head used for logging and design.
     """
-    w_pred = expit(f.lmat / tau)
+    w_pred = _sigmoid(f.lmat / tau)
     diag = np.arange(w_pred.shape[-1])
     w_pred[..., diag, diag] = 0.0
     s = f.s if node_noise is None else f.s + node_noise
-    return w_pred, expit(s / tau)
+    return w_pred, _sigmoid(s / tau)
 
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -270,38 +274,32 @@ def total_loss(edge, node, beta: float):
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    weight_decay: float = 1e-5
-    epochs: int = 20
-    batch: int = 10
-    lambda_off: float = 0.5
-    lambda_s: float = 0.1
-    lambda_c: float = 0.05
-    beta: float = 1.0
-    tau_start: float = 1.0
-    tau_end: float = 0.1
-    focal_gamma: float = 2.0
-    focal_threshold: float = 0.20
+    lr: float = within(1e-3, "[0, inf)")
+    adam_beta1: float = within(0.9, "[0, 1)")
+    adam_beta2: float = within(0.95, "[0, 1)")
+    weight_decay: float = within(1e-5, "[0, inf)")
+    epochs: int = within(20, "[0, inf)")  # 0 suits a config that never trains
+    batch: int = within(10, "[1, inf)")
+    lambda_off: float = within(0.5, "[0, inf)")
+    lambda_s: float = within(0.1, "[0, inf)")
+    lambda_c: float = within(0.05, "[0, inf)")
+    beta: float = within(1.0, "[0, inf)")
+    tau_start: float = within(1.0, "(0, inf)")
+    tau_end: float = within(0.1, "(0, inf)")
+    focal_gamma: float = within(2.0, "[0, inf)")
+    focal_threshold: float = within(0.20, "[0, 1]")
     # fraction of final steps whose parameters are averaged into the
     # returned weights; late low-temperature updates are high-variance,
     # and the tail mean is far more stable than the last iterate
-    avg_tail: float = 0.25
+    avg_tail: float = within(0.25, "[0, 1]")
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.lr < 0:
-            raise ConfigError("lr must be non-negative")
-        if self.batch < 1 or self.epochs < 1:
-            raise ConfigError("batch and epochs must be >= 1")
-        if not self.tau_start >= self.tau_end > 0:
-            raise ConfigError("temperatures must satisfy tau_start >= tau_end > 0")
-        if not 0.0 <= self.avg_tail <= 1.0:
-            raise ConfigError("avg_tail must lie in [0, 1]")
+        check_within(self)
+        if self.epochs < 1:
+            raise ConfigError(f"training needs epochs >= 1, got {self.epochs}")
+        if self.tau_start < self.tau_end:
+            raise ConfigError(f"tau_start={self.tau_start} must be >= tau_end={self.tau_end}")
 
 
 class EdgeTerms(NamedTuple):
@@ -421,7 +419,7 @@ def forward_losses(
     The edge head draws no noise, so its terms are the noisy pass's
     ``terms``; only the mask loss needs the noise-free node head.
     """
-    y_hat = expit(f.s / tau)
+    y_hat = _sigmoid(f.s / tau)
     node = _mask_losses(y_hat, lab.y, cfg.lambda_s, focal, cfg.focal_gamma) + terms.coherence
     return _means(terms.edge, node, cfg.beta)
 
@@ -523,8 +521,11 @@ def train(
     one flat buffer; the other rows are only decayed, as Adam would.
     """
     if not corpus:
-        raise ValueError("corpus is empty")
+        raise ConfigError("corpus is empty")
     cfg.validate()
+    sizes = {pair.y.n for pair in corpus} - {pool.n_max}
+    if sizes:
+        raise DimensionError(f"corpus pairs have {min(sizes)} agents but the pool has {pool.n_max}")
     net = net or NetConfig(d=backend.dim, n_max=pool.n_max)
     rng = np.random.default_rng(cfg.seed)
     init = PruneNetParams.init(net, rng)

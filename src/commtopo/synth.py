@@ -16,7 +16,7 @@ import numpy as np
 from .backends import BackendSet, EchoBackend, PlantedDecisionBackend
 from .collector import Evaluator, SampledGraph, TaskSpec, answer_matches
 from .errors import ScoreUnavailable
-from .graphs import lift_subgraph
+from .graphs import induce, lift_subgraph
 from .orchestrator import run_topology
 from .pool import AgentPool
 
@@ -130,8 +130,6 @@ def make_orchestrator_evaluator(
 
     def evaluator(g: SampledGraph, task: TaskSpec) -> float:
         weights, mask = lift_subgraph(g.topology, g.members, pool.n_max)
-        from .graphs import induce
-
         topo = induce(weights, mask)
         key = ",".join(map(str, g.members)) + "|" + task.task_id
         rng = np.random.default_rng(zlib.crc32(key.encode()))

@@ -1,17 +1,20 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from commtopo.cli import _build_parser, _config, main
 from commtopo.collector import TaskSpec, write_tasks
-from commtopo.config import options
+from commtopo.config import AppConfig, options
 from commtopo.graphs import (
     SupervisionPair,
     Topology,
+    induce,
     lift_subgraph,
     parse_topology,
     read_corpus,
+    serialize_topology,
     write_corpus,
 )
 
@@ -34,13 +37,13 @@ def write_suite(path, n=10, team=(1, 2, 3)):
     return tasks
 
 
-def make_checkpoint(workdir, name="checkpoint.json"):
+def make_checkpoint(workdir, name="checkpoint.json", d=None):
     from commtopo.embed import HashingBackend
     from commtopo.pool import load_default_pool
     from commtopo.prunenet import NetConfig, PruneNetParams, save_checkpoint
 
     pool = load_default_pool()
-    net = NetConfig(d=HashingBackend().dim, n_max=pool.n_max)
+    net = NetConfig(d=d or HashingBackend().dim, n_max=pool.n_max)
     params = PruneNetParams.init(net, np.random.default_rng(0))
     path = workdir / name
     path.write_bytes(save_checkpoint(params, net))
@@ -250,6 +253,7 @@ class TestParser:
 
 
 EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localhost:1/v1\n"
+POOL3 = "[paths]\npool_path = pool3.jsonl\n"
 
 
 @pytest.mark.parametrize(
@@ -264,7 +268,7 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         ("[run]\nk_rounds = abc\n", ["design", "--query", "q"], 1, "[run] k_rounds"),
         ("", ["bench", "--suite", "suite.jsonl", "--methods", "complete", "--repeats", "0"],
          1, "repeats"),
-        ("", ["run", "--query", "q", "--k", "0"], 1, "k must be"),
+        ("", ["run", "--query", "q", "--k", "0"], 1, "k_rounds must be finite and lie in [1, inf)"),
         ("", ["design", "--query", "q", "--checkpoint", "list.json"], 4, "malformed checkpoint"),
         ("api_key = x\n", ["design", "--query", "q"], 1, "cfg.ini: File contains no section"),
         ("[agents]\nmodel = a\nmodel = b\n", ["design", "--query", "q"], 1, "'model'"),
@@ -284,10 +288,30 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         ("[train]\nbeta = nan\n", ["train", "--corpus", "good.jsonl"], 1, "beta must be finite"),
         ("[train]\nlambda_s = inf\n", ["train", "--corpus", "good.jsonl"], 1, "lambda_s"),
         ("[train]\nweight_decay = nan\n", ["train", "--corpus", "good.jsonl"], 1, "weight_decay"),
-        ("[run]\ntheta = nan\n", ["design", "--query", "q"], 1, "theta must lie in [0, 1]"),
-        ("", ["design", "--query", "q", "--theta", "1.5"], 1, "theta must lie in [0, 1]"),
-        ("", ["run", "--query", "q", "--theta", "-0.1"], 1, "theta must lie in [0, 1]"),
+        ("[run]\ntheta = nan\n", ["design", "--query", "q"], 1,
+         "theta must be finite and lie in [0, 1]"),
+        ("", ["design", "--query", "q", "--theta", "1.5"], 1,
+         "theta must be finite and lie in [0, 1]"),
+        ("", ["run", "--query", "q", "--theta", "-0.1"], 1,
+         "theta must be finite and lie in [0, 1]"),
         ("", ["collect", "--tasks", "duplicate_ids.jsonl"], 1, "duplicate task id 't'"),
+        ("[agents]\nplanted_mode = foo\n", ["collect", "--tasks", "suite.jsonl"], 1, "planted_mode"),
+        ("[agents]\nevaluator = orchestrator\n[run]\nk_rounds = 0\n",
+         ["collect", "--tasks", "suite.jsonl"], 1, "k_rounds"),
+        ("", ["--seed", "-1", "design", "--query", "q"], 1, "seed must be finite and lie in [0, inf)"),
+        ("[train]\nadam_beta2 = 1.0\n", ["train", "--corpus", "good.jsonl"], 1, "adam_beta2"),
+        ("[train]\nadam_beta1 = 1.5\n", ["train", "--corpus", "good.jsonl"], 1, "adam_beta1"),
+        ("[train]\nweight_decay = -1\n", ["train", "--corpus", "good.jsonl"], 1, "weight_decay"),
+        ("[train]\nlambda_s = -5\n", ["train", "--corpus", "good.jsonl"], 1, "lambda_s"),
+        (POOL3, ["design", "--query", "q"], 4, "checkpoint (n_max, d) (15, 384) does not fit"),
+        (POOL3, ["run", "--query", "q"], 4, "does not fit the pool and embedder (3, 384)"),
+        (POOL3, ["bench", "--suite", "suite.jsonl", "--methods", "designed"], 4, "does not fit"),
+        ("", ["design", "--query", "q", "--checkpoint", "d8.json"], 4,
+         "checkpoint (n_max, d) (15, 8) does not fit the pool and embedder (15, 384)"),
+        (POOL3, ["train", "--corpus", "good.jsonl"], 1,
+         "corpus pairs have 15 agents but the pool has 3"),
+        ("", ["train", "--corpus", "five_agents.jsonl"], 1,
+         "corpus pairs have 5 agents but the pool has 15"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -300,7 +324,12 @@ EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localho
         "config-unknown-option", "config-parallelism", "config-seed-in-train",
         "train-nan-lr", "train-nan-beta", "train-inf-lambda-s", "train-nan-weight-decay",
         "design-nan-theta", "design-theta-above-one", "run-negative-theta",
-        "collect-duplicate-task-ids",
+        "collect-duplicate-task-ids", "collect-unknown-planted-mode", "collect-orchestrator-zero-rounds",
+        "negative-seed", "train-adam-beta2-one", "train-adam-beta1-above-one",
+        "train-negative-weight-decay", "train-negative-lambda-s", "design-checkpoint-larger-than-pool",
+        "run-checkpoint-larger-than-pool", "bench-checkpoint-larger-than-pool",
+        "design-checkpoint-narrower-than-embedder", "train-corpus-larger-than-pool",
+        "train-corpus-smaller-than-pool",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -314,6 +343,10 @@ def test_bad_input_exits_with_table_code_and_one_line(
 
     monkeypatch.setattr(embed_mod.HttpBackend, "embed", unreachable)
     make_checkpoint(workdir)
+    make_checkpoint(workdir, "d8.json", d=8)
+    (workdir / "pool3.jsonl").write_text(
+        "".join(json.dumps({"id": i, "role": f"r{i}"}) + "\n" for i in range(3))
+    )
     (workdir / "list.json").write_text("[]")
     task = {"task_id": "t", "task_text": "q", "category": "math_reasoning"}
     pair = {**task, "score": 1.0, "y": [1, 1, 0], "a_gt": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}
@@ -325,11 +358,71 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "good.jsonl").write_text(
         write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
     )
+    a_gt, y = lift_subgraph(Topology.complete(3), [0, 1, 4], 5)
+    (workdir / "five_agents.jsonl").write_text(
+        write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
+    )
     write_suite(workdir / "suite.jsonl", n=2)
     (workdir / "cfg.ini").write_text(ini)
     assert main(["--config", "cfg.ini", *argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+
+# Every option, its default and the values its field declares ``within``.
+OPTIONS = [
+    (section, name, getattr(target, name),
+     next(f.metadata.get("within") for f in fields(target) if f.name == name))
+    for section, (target, names) in options(AppConfig()).items()
+    for name in names
+]
+# every option but the str ones that take any text: paths, endpoints, the model name and the key
+DECLARED = [
+    row for row in OPTIONS
+    if not isinstance(row[2], str)
+    or (row[1] not in ("model", "api_key") and not row[1].endswith(("_path", "_endpoint")))
+]
+
+
+def just_outside(current, allowed) -> list[str]:
+    """INI values that ``allowed`` rejects: an unlisted choice, or for an interval
+    the nearest value past each finite end, and NaN and +-inf for a float."""
+    if isinstance(allowed, tuple):
+        return ["unlisted"]
+    lo, hi = (float(end) for end in allowed[1:-1].split(","))
+    is_int = isinstance(current, int)  # None marks an optional float
+    values = [] if is_int else ["nan", "inf", "-inf"]
+    for end, closed, away in ((lo, allowed[0] == "[", -1), (hi, allowed[-1] == "]", 1)):
+        if np.isinf(end):
+            continue
+        if not closed:
+            past = end
+        else:
+            past = end + away if is_int else np.nextafter(end, away * np.inf)
+        values.append(str(int(past)) if is_int else repr(float(past)))
+    return values
+
+
+@pytest.mark.parametrize(
+    "section, name, current, allowed", DECLARED, ids=[f"{row[0]}.{row[1]}" for row in DECLARED]
+)
+def test_every_value_outside_an_options_declaration_exits_1_naming_it(
+    workdir, capsys, section, name, current, allowed
+):
+    if isinstance(current, str):
+        assert isinstance(allowed, tuple), f"[{section}] {name} declares no choices"
+    else:
+        assert isinstance(allowed, str), f"[{section}] {name} declares no interval"
+    # export reads no option, so only the check of the values can fail it
+    topo = induce(*lift_subgraph(Topology.complete(3), [0, 1, 2], 3))
+    (workdir / "t.json").write_bytes(serialize_topology(topo))
+    assert main(["export", "--topology", "t.json"]) == 0
+    for value in just_outside(current, allowed):
+        (workdir / "cfg.ini").write_text(f"[{section}]\n{name} = {value}\n")
+        capsys.readouterr()
+        assert main(["--config", "cfg.ini", "export", "--topology", "t.json"]) == 1, value
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name} must be "), (value, err)
 
 
 # (argv, the flag under test, section, option its dest names, file value, flag value)

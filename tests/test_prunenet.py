@@ -17,6 +17,7 @@ from commtopo.prunenet import (
     PruneNetParams,
     TrainConfig,
     _Adam,
+    _sigmoid,
     _views,
     design_topology,
     edge_loss,
@@ -135,6 +136,14 @@ class TestNodeHead:
         x = np.random.default_rng(3).normal(size=(6, 8)) * 5
         _, y_hat = heads(fwd(small_params(), x))
         assert np.all(y_hat > 0.0) and np.all(y_hat < 1.0)
+
+    def test_sigmoid_is_expit_to_round_off(self):
+        # scipy's expit is the reference: a few ulps apart, and 0 where
+        # exp(-x) overflows (x < -709) against expit's subnormal
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001), [0.0, -np.inf, np.inf]])
+        np.testing.assert_allclose(_sigmoid(x), expit(x), rtol=4 * np.finfo(float).eps, atol=1e-300)
 
 
 class TestGumbelSigmoid:
@@ -396,12 +405,22 @@ class TestTrain:
             train([pair], pool, backend, TrainConfig(avg_tail=1.5, epochs=2))
 
     @pytest.mark.parametrize(
-        "bad", [{"batch": 0}, {"epochs": 0}, {"tau_end": 0.0}], ids=["batch", "epochs", "tau_end"]
+        "bad",
+        [{"batch": 0}, {"epochs": 0}, {"tau_end": 0.0}, {"tau_start": 0.05}],
+        ids=["batch", "epochs", "tau_end", "tau_start-below-tau_end"],
     )
     def test_invalid_config_is_config_error(self, bad):
         pool, backend, pair, _ = memorization_fixture()
         with pytest.raises(ConfigError):
             train([pair], pool, backend, TrainConfig(seed=3, **bad))
+
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_corpus_that_does_not_fit_the_pool_is_dimension_error(self, n):
+        pool, backend, pair, _ = memorization_fixture()
+        a_gt, y = lift_subgraph(Topology.complete(3), [0, 1, 2], n)
+        other = SupervisionPair("other", "another question", "math_reasoning", a_gt, y, 1.0)
+        with pytest.raises(DimensionError, match=f"corpus pairs have {n} agents but the pool has 15"):
+            train([pair, other], pool, backend, TrainConfig(epochs=1))
 
     def test_logged_trajectory_pinned(self):
         # totals logged by the implementation before the forward pass was

@@ -1,7 +1,9 @@
-"""Every function the benchmark wraps by name still exists.
+"""Every function the benchmark wraps by name still exists, and every
+workload's configuration passes the options' declared values.
 
-``benchmarks/workloads.py`` lists them in ``TRACE_TARGETS``; a rename or a
-deletion would otherwise show only in the slower benchmark self-test.
+``benchmarks/workloads.py`` lists the functions in ``TRACE_TARGETS``; a
+rename, a deletion or a tightened range would otherwise show only in the
+slower benchmark self-test.
 """
 import importlib
 from pathlib import Path
@@ -17,3 +19,11 @@ def test_every_trace_target_is_callable(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert targets and missing == []
+
+
+def test_every_workload_config_passes_the_declared_values(monkeypatch):
+    # collect-orch never trains and sets epochs = 0, which finalize must accept
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    for sizes in (*workloads.FULL.values(), *workloads.TINY.values()):
+        workloads.pipeline_config(sizes)
