@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .errors import BackendError
+from .errors import BackendError, ConfigError
 from .pool import AgentPool
 
 Completion = tuple[str, int | None, int | None]
@@ -110,6 +110,16 @@ class MajorityVoteDecision:
         return best, None, None
 
 
+def check_planted_teams(tasks, pool: AgentPool) -> None:
+    """Raise ``ConfigError`` for the first task whose planted team names an agent the pool lacks."""
+    for task in tasks:
+        bad = [v for v in task.planted_team or () if not 0 <= v < pool.n_max]
+        if bad:
+            raise ConfigError(
+                f"task {task.task_id!r}: planted_team id {bad[0]} is not in the pool (ids 0..{pool.n_max - 1})"
+            )
+
+
 class PlantedDecisionBackend:
     """Decision mock for planted suites.
 
@@ -119,6 +129,7 @@ class PlantedDecisionBackend:
 
     def __init__(self, tasks, pool: AgentPool):
         self.tasks = list(tasks)
+        check_planted_teams(self.tasks, pool)
         self.role_to_id = {a.role: a.id for a in pool.agents}
 
     def complete(self, system: str, user: str) -> Completion:

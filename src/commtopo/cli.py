@@ -25,7 +25,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import collector as collector_mod
 from . import prunenet
-from .backends import BackendSet, EchoBackend, HttpChatBackend, MajorityVoteDecision
+from .backends import BackendSet, EchoBackend, HttpChatBackend, MajorityVoteDecision, check_planted_teams
 from .config import AppConfig, load_config, options
 from .embed import HashingBackend, HttpBackend
 from .errors import (
@@ -99,6 +99,7 @@ def _read_tasks_file(path: str):
 def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) -> None:
     tasks = _read_tasks_file(tasks_file)
     pool = _load_pool(cfg)
+    check_planted_teams(tasks, pool)
     if cfg.evaluator == "planted":
         evaluator = make_planted_evaluator(cfg.planted_mode)
     else:

@@ -41,7 +41,8 @@ class HashingBackend:
 
     Trigrams are taken per word with boundary markers, hashed with crc32
     (stable across processes), counted, L2-normalized, and zero-padded to
-    the configured dimension.
+    the configured dimension.  Each word's bins are hashed once per
+    backend and kept.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM, bins: int = 64):
@@ -49,13 +50,18 @@ class HashingBackend:
             raise ValueError("bins must not exceed dim")
         self.dim = dim
         self.bins = bins
+        self._word_bins: dict[str, list[int]] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        bins = [
-            zlib.crc32(padded[k : k + 3].encode()) % self.bins
-            for padded in (f"#{word}#" for word in text.lower().split())
-            for k in range(len(padded) - 2)
-        ]
+        bins = []
+        for word in text.lower().split():
+            hit = self._word_bins.get(word)
+            if hit is None:
+                padded = f"#{word}#"
+                hit = self._word_bins[word] = [
+                    zlib.crc32(padded[k : k + 3].encode()) % self.bins for k in range(len(padded) - 2)
+                ]
+            bins += hit
         v = np.zeros(self.dim)
         v[: self.bins] = np.bincount(np.array(bins, dtype=int), minlength=self.bins)
         return _normalize(v)

@@ -123,34 +123,64 @@ class SupervisionPair:
         if (self.a_gt.w * (1 - m[:, None] * m)).any():
             raise ValidationError("a_gt has weight on edges outside the mask")
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "task_id": self.task_id,
-                "task_text": self.task_text,
-                "category": self.category,
-                "score": self.score,
-                "y": self.y.m.astype(int).tolist(),
-                "a_gt": self.a_gt.w.tolist(),
-            },
+    def to_json_line(self, rendered: dict | None = None) -> str:
+        """The pair as ``json.dumps(..., sort_keys=True)`` writes it.
+
+        ``rendered`` maps the ``id`` of a label object to the object and its
+        JSON text, so that lines sharing a label object render it once.
+        """
+        rendered = {} if rendered is None else rendered
+        fields = json.dumps(
+            {"category": self.category, "score": self.score,
+             "task_id": self.task_id, "task_text": self.task_text},
             sort_keys=True,
         )
+        # "a_gt" sorts before the other keys and "y" after them
+        a_gt, y = _label_json(self.a_gt, rendered), _label_json(self.y, rendered)
+        return f'{{"a_gt": {a_gt}, {fields[1:-1]}, "y": {y}}}'
 
     @classmethod
-    def from_json_line(cls, line: str) -> "SupervisionPair":
+    def from_json_line(cls, line: str, interned: dict | None = None) -> "SupervisionPair":
+        """Parse one corpus line.
+
+        ``interned`` holds the label objects already read, keyed on their
+        float64 bytes, so that lines with equal labels share one object;
+        bytes rather than values keep ``0.0`` and ``-0.0`` apart.
+        """
+        interned = {} if interned is None else interned
         try:
             obj = json.loads(line)
-            y = NodeMask(len(obj["y"]), obj["y"])
+            n = len(obj["y"])
             return cls(
                 task_id=obj["task_id"],
                 task_text=obj["task_text"],
                 category=obj["category"],
-                a_gt=WeightMatrix(y.n, obj["a_gt"]),
-                y=y,
+                a_gt=_interned(WeightMatrix, n, obj["a_gt"], interned),
+                y=_interned(NodeMask, n, obj["y"], interned),
                 score=float(obj["score"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad supervision pair line: {exc}") from exc
+
+
+def _label_json(label: WeightMatrix | NodeMask, rendered: dict) -> str:
+    """The JSON text of a label, rendered once per object in ``rendered``."""
+    hit = rendered.get(id(label))
+    if hit is None:
+        values = label.w if isinstance(label, WeightMatrix) else label.m.astype(int)
+        # the object is kept with its text, so its id cannot be reused
+        hit = rendered[id(label)] = (label, json.dumps(values.tolist()))
+    return hit[1]
+
+
+def _interned(kind, n: int, values, interned: dict):
+    """``kind(n, values)``, or the one in ``interned`` with the same float64 bytes."""
+    a = np.array(values, dtype=float)
+    key = (kind, n, a.shape, a.tobytes())
+    label = interned.get(key)
+    if label is None:
+        label = interned[key] = kind(n, a)
+    return label
 
 
 @dataclass(frozen=True)
@@ -254,12 +284,15 @@ def parse_topology(data: bytes | str) -> CommTopology:
 
 
 def write_corpus(pairs: Iterable[SupervisionPair]) -> str:
-    return "".join(p.to_json_line() + "\n" for p in pairs)
+    rendered: dict = {}
+    return "".join(p.to_json_line(rendered) + "\n" for p in pairs)
 
 
 def read_corpus(text: str) -> list[SupervisionPair]:
+    """The pairs of a corpus; lines with equal labels share one label object."""
+    interned: dict = {}
     return [
-        SupervisionPair.from_json_line(line)
+        SupervisionPair.from_json_line(line, interned)
         for line in text.splitlines()
         if line.strip()
     ]

@@ -523,7 +523,12 @@ def train(
     if not corpus:
         raise ConfigError("corpus is empty")
     cfg.validate()
-    sizes = {pair.y.n for pair in corpus} - {pool.n_max}
+    # (id(a_gt), id(y)) -> (label row, pair): pairs that carry the same
+    # label objects, as mined or read corpora do, share one row of labels
+    groups: dict = {}
+    label_row = np.array([groups.setdefault((id(p.a_gt), id(p.y)), (len(groups), p))[0] for p in corpus])
+    distinct = [pair for _, pair in groups.values()]
+    sizes = {pair.y.n for pair in distinct} - {pool.n_max}
     if sizes:
         raise DimensionError(f"corpus pairs have {min(sizes)} agents but the pool has {pool.n_max}")
     net = net or NetConfig(d=backend.dim, n_max=pool.n_max)
@@ -539,9 +544,8 @@ def train(
     pool_x, query_x = pool_x[:, live_ids], query_x[:, live_ids]
     row = {text: i for i, text in enumerate(texts)}
     query_row = np.array([row[pair.task_text] for pair in corpus])
-    a_all = np.stack([pair.a_gt.w for pair in corpus])
-    y_all = np.stack([pair.y.m for pair in corpus])
-    active = y_all.mean(axis=1)
+    lab_all = labels(np.stack([p.a_gt.w for p in distinct]), np.stack([p.y.m for p in distinct]))
+    active = lab_all.y.mean(axis=1)[label_row]
 
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
     total_steps = cfg.epochs * n_batches
@@ -570,7 +574,8 @@ def train(
         tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
         focal = active[batch].sum() / batch.size < cfg.focal_threshold
         f = forward(params, pool_x, query_x[query_row[batch]])
-        lab = labels(a_all[batch], y_all[batch])
+        picked = label_row[batch]
+        lab = Labels(*(v[picked] for v in lab_all))
         noisy, _, terms = loss_and_grads(
             params, f, lab, cfg, tau=tau, node_noise=noise[rows], focal=focal, out=grad
         )

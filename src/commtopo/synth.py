@@ -104,8 +104,7 @@ def planted_utility(members, team, mode: str = "overlap") -> float:
     overlap: 1 for any superset of the team, else overlap fraction;
     jaccard: intersection over union, maximized only by the exact team.
     """
-    members = set(int(v) for v in members)
-    team = set(int(v) for v in team)
+    members, team = set(members), set(team)
     inter = len(members & team)
     if mode == "overlap":
         return 1.0 if team <= members else inter / len(team)

@@ -4,8 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 import requests
 
-from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, ScriptedBackend
-from commtopo.errors import BackendError
+from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, PlantedDecisionBackend, ScriptedBackend
+from commtopo.collector import TaskSpec
+from commtopo.errors import BackendError, ConfigError
+from commtopo.pool import load_default_pool
 
 OK_BODY = {
     "choices": [{"message": {"content": "four"}}],
@@ -132,3 +134,13 @@ class TestScriptedBackend:
         assert b.calls == n
         with pytest.raises(BackendError, match="exhausted"):
             b.complete("s", "u")
+
+
+@pytest.mark.parametrize("team, bad", [((0, 15), 15), ((-1, 2), -1)], ids=["past-the-pool", "negative"])
+def test_planted_decision_backend_rejects_a_team_outside_the_pool(team, bad):
+    tasks = [
+        TaskSpec("ok", "q", "math_reasoning", planted_team=(0, 1)),
+        TaskSpec("bad", "r", "math_reasoning", planted_team=team),
+    ]
+    with pytest.raises(ConfigError, match=rf"task 'bad': planted_team id {bad} is not in the pool \(ids 0..14\)"):
+        PlantedDecisionBackend(tasks, load_default_pool())

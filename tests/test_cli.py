@@ -312,6 +312,13 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
          "corpus pairs have 15 agents but the pool has 3"),
         ("", ["train", "--corpus", "five_agents.jsonl"], 1,
          "corpus pairs have 5 agents but the pool has 15"),
+        ("", ["collect", "--tasks", "team99.jsonl", "--budget", "30"], 1,
+         "task 't0': planted_team id 99 is not in the pool (ids 0..14)"),
+        ("[agents]\nevaluator = orchestrator\n", ["collect", "--tasks", "team99.jsonl", "--budget", "30"],
+         1, "task 't0': planted_team id 99"),
+        ("[agents]\nagent_backend = planted\n",
+         ["bench", "--suite", "team99.jsonl", "--methods", "complete", "--repeats", "1"], 1,
+         "task 't0': planted_team id 99"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -329,7 +336,8 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "train-negative-weight-decay", "train-negative-lambda-s", "design-checkpoint-larger-than-pool",
         "run-checkpoint-larger-than-pool", "bench-checkpoint-larger-than-pool",
         "design-checkpoint-narrower-than-embedder", "train-corpus-larger-than-pool",
-        "train-corpus-smaller-than-pool",
+        "train-corpus-smaller-than-pool", "collect-planted-team-outside-pool",
+        "collect-orchestrator-planted-team-outside-pool", "bench-planted-backend-team-outside-pool",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -363,6 +371,7 @@ def test_bad_input_exits_with_table_code_and_one_line(
         write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
     )
     write_suite(workdir / "suite.jsonl", n=2)
+    write_suite(workdir / "team99.jsonl", n=3, team=(99,))
     (workdir / "cfg.ini").write_text(ini)
     assert main(["--config", "cfg.ini", *argv]) == code
     err = capsys.readouterr().err.splitlines()

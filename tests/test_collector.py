@@ -530,6 +530,29 @@ class TestPlantedUtility:
         assert planted_utility((1, 2), team, "jaccard") < 1.0
 
 
+def reference_planted_utility(members, team, mode):
+    """The int-converting scorer that ``planted_utility`` replaced, kept as the reference."""
+    members = set(int(v) for v in members)
+    team = set(int(v) for v in team)
+    inter = len(members & team)
+    if mode == "overlap":
+        return 1.0 if team <= members else inter / len(team)
+    return inter / len(members | team)
+
+
+IDS = st.lists(st.integers(0, 14), unique=True, max_size=15)
+KINDS = st.sampled_from([list, tuple, lambda ids: np.array(ids, dtype=np.int64)])
+
+
+class TestPlantedUtilityInputs:
+    @settings(max_examples=200, deadline=None)
+    @given(members=IDS, team=IDS.filter(bool), kinds=st.tuples(KINDS, KINDS),
+           mode=st.sampled_from(["overlap", "jaccard"]))
+    def test_equals_the_int_converting_reference(self, members, team, kinds, mode):
+        members, team = kinds[0](members), kinds[1](team)
+        assert planted_utility(members, team, mode) == reference_planted_utility(members, team, mode)
+
+
 class TestTaskIO:
     def test_round_trip(self):
         tasks = [task("a", team=(0, 1, 2)), task("b")]

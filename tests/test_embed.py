@@ -1,9 +1,11 @@
+import sys
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commtopo.embed import (
@@ -45,6 +47,35 @@ class TestHashingBackend:
     def test_equals_the_per_trigram_loop(self, text, dims):
         b = HashingBackend(*dims)
         assert b.embed(text).tobytes() == reference_embed(b, text).tobytes()
+
+
+# one backend per width for every example, so that later texts read the
+# word bins that earlier ones left in its memo
+SHARED = {dims: HashingBackend(*dims) for dims in [(384, 64), (10, 3)]}
+WORDS = st.one_of(st.sampled_from(["math", "MATH", "Math.", "über", "中文", "x", "ab"]), st.text(max_size=5))
+
+
+class TestWordMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.lists(WORDS, max_size=8).map(" ".join), dims=st.sampled_from(sorted(SHARED)))
+    @example(text="", dims=(384, 64))
+    @example(text="math math MATH math", dims=(384, 64))
+    @example(text="über 中文 über naïve 中文", dims=(10, 3))
+    def test_equals_the_per_trigram_loop_on_a_reused_backend(self, text, dims):
+        b = SHARED[dims]
+        assert b.embed(text).tobytes() == reference_embed(b, text).tobytes()
+
+    def test_threads_filling_one_memo_get_the_reference_vectors(self):
+        b = HashingBackend()
+        texts = [f"word{i % 7} shared über {i % 3} word{i % 5}" for i in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as workers:
+                got = list(workers.map(b.embed, texts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(v.tobytes() == reference_embed(b, t).tobytes() for v, t in zip(got, texts))
 
 
 def reference_embed(backend, text):

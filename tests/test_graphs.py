@@ -1,9 +1,12 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commtopo.collector import collect_supervision
 from commtopo.errors import (
     DegenerateTopology,
     DimensionError,
@@ -26,6 +29,7 @@ from commtopo.graphs import (
     serialize_topology,
     write_corpus,
 )
+from commtopo.synth import make_planted_evaluator
 
 
 def complete_weights(n, value=1.0):
@@ -376,6 +380,32 @@ class TestCorpusWriter:
         line = p.to_json_line()
         assert line == reference_json_line(p)
         assert "-0.0" in line and "0.25" in line and "\\u4e2d" in line
+
+
+class TestSharedLabels:
+    def test_labels_that_differ_in_the_sign_of_a_zero_stay_apart(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = 1.0
+        negative = w.copy()
+        negative[1, 0] = -0.0
+        y = NodeMask(3, np.array([1.0, 1.0, 0.0]))
+        pairs = [SupervisionPair("t", "q", "math_reasoning", WeightMatrix(3, a), y, 1.0) for a in (w, negative)]
+        text = write_corpus(pairs)
+        assert text == "".join(reference_json_line(p) + "\n" for p in pairs)
+        back = read_corpus(text)
+        assert write_corpus(back) == text
+        assert back[0].a_gt is not back[1].a_gt and back[0].y is back[1].y
+
+    def test_the_train_workload_corpus_reads_one_object_per_distinct_label(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        suite, pool, cfg = workloads.TrainWorkload(100, workloads.FULL["train"], 0.0, 0.0).setup()
+        pairs, _ = collect_supervision(suite.train_tasks, pool, cfg.collector, make_planted_evaluator("jaccard"))
+        back = read_corpus(write_corpus(pairs))
+        for label, values in (("a_gt", "w"), ("y", "m")):
+            objects = {id(getattr(p, label)) for p in back}
+            contents = {getattr(getattr(p, label), values).tobytes() for p in back}
+            assert len(objects) == len(contents) < len(back), label
 
 
 class TestNanWeights:

@@ -543,6 +543,43 @@ def pair_corpus(rng, pool, size):
     return pairs
 
 
+def copied(pair):
+    """``pair`` with label objects of its own."""
+    a_gt, y = WeightMatrix(pair.a_gt.n, pair.a_gt.w), NodeMask(pair.y.n, pair.y.m)
+    return SupervisionPair(pair.task_id, pair.task_text, pair.category, a_gt, y, pair.score)
+
+
+class TestSharedLabels:
+    NET = NetConfig(d=12, h=8, h_m=4, n_max=15)
+
+    def assert_trains_bitwise_as_copies(self, corpus, batch):
+        pool, backend = load_default_pool(), ZeroColumnBackend([True] * 12)
+        cfg = TrainConfig(seed=4, epochs=3, batch=batch, lr=1e-2)
+        got, got_log = train(corpus, pool, backend, cfg, self.NET)
+        want, want_log = train([copied(p) for p in corpus], pool, backend, cfg, self.NET)
+        for name, t in got.tensors().items():
+            assert t.tobytes() == want.tensors()[name].tobytes(), name
+        assert got_log == want_log
+
+    def test_pairs_sharing_label_objects_train_as_copies(self):
+        pool = load_default_pool()
+        graphs = [lift_subgraph(Topology.complete(len(m)), m, pool.n_max) for m in ([0, 3, 6], [2, 5], [1, 8, 13, 14])]
+        corpus = [
+            SupervisionPair(f"t{i}", f"question {i % 4}", "math_reasoning", *graphs[i % 3], 1.0)
+            for i in range(11)
+        ]
+        self.assert_trains_bitwise_as_copies(corpus, batch=4)
+
+    def test_pairs_sharing_a_gt_but_not_y_keep_their_own_y(self):
+        zero = WeightMatrix(15, np.zeros((15, 15)))
+        masks = [NodeMask(15, np.isin(np.arange(15), m)) for m in ([0, 3, 6], [2, 5, 7, 9, 11])]
+        corpus = [
+            SupervisionPair(f"t{i}", f"question {i}", "math_reasoning", zero, masks[i % 2], 1.0)
+            for i in range(6)
+        ]
+        self.assert_trains_bitwise_as_copies(corpus, batch=3)
+
+
 class TestLiveRows:
     NET = NetConfig(d=12, h=8, h_m=4, n_max=15)
 
