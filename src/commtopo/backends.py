@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .errors import BackendError, ConfigError
-from .pool import AgentPool
+from .pool import DECISION_PROFILE, AgentPool, render_system_prompt
 
 Completion = tuple[str, int | None, int | None]
 
@@ -123,17 +123,22 @@ def check_planted_teams(tasks, pool: AgentPool) -> None:
 class PlantedDecisionBackend:
     """Decision mock for planted suites.
 
-    Locates the task by its text inside the system prompt, then answers
-    correctly iff every planted-team role appears in the transcript.
+    Locates the task whose decision prompt is the system prompt (the
+    first such task, if texts repeat), then answers correctly iff every
+    planted-team role appears in the transcript.
     """
 
     def __init__(self, tasks, pool: AgentPool):
-        self.tasks = list(tasks)
-        check_planted_teams(self.tasks, pool)
+        tasks = list(tasks)
+        check_planted_teams(tasks, pool)
+        # keyed on the whole prompt: one task's text can lie inside another's
+        self.by_prompt = {}
+        for t in tasks:
+            self.by_prompt.setdefault(render_system_prompt(DECISION_PROFILE, t.task_text), t)
         self.role_to_id = {a.role: a.id for a in pool.agents}
 
     def complete(self, system: str, user: str) -> Completion:
-        task = next((t for t in self.tasks if t.task_text in system), None)
+        task = self.by_prompt.get(system)
         if task is None or task.planted_team is None:
             return "unknown task", None, None
         present = {

@@ -19,6 +19,7 @@ from .errors import (
     InvalidOrder,
     MineUnderflow,
     ScoreUnavailable,
+    check_strings,
     check_within,
     within,
 )
@@ -74,6 +75,7 @@ class TaskSpec:
     def from_json_line(cls, line: str) -> "TaskSpec":
         try:
             obj = json.loads(line)
+            check_strings(obj, "task_id", "task_text", "category", "expected_answer", "check")
             return cls(
                 task_id=obj["task_id"],
                 task_text=obj["task_text"],
@@ -139,7 +141,9 @@ class CollectorConfig:
 
     def validate(self, n_max: int) -> None:
         check_within(self)
-        mass = accepted_mass(self, n_max)
+        # accepted_mass with the standard library's erfc, so that no stage loads scipy
+        mu, scale = self.resolved_mu(n_max), self.sigma * math.sqrt(2)
+        mass = 0.5 * math.erfc((mu - n_max) / scale) - 0.5 * math.erfc((mu - 2) / scale)
         if not mass >= self.MIN_ACCEPTED_MASS:
             raise ConfigError(
                 f"sigma={self.sigma} leaves {mass:.3g} of the order distribution in "
@@ -166,7 +170,7 @@ def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | N
 
 def accepted_mass(cfg: CollectorConfig, n_max: int) -> float:
     """Probability that one Gaussian draw of ``sample_orders`` lies in [2, n_max]."""
-    from scipy.special import ndtr  # imported here: it is slow to load, and only collect needs it
+    from scipy.special import ndtr  # imported here: it is slow to load, and no CLI stage calls this
 
     mu = cfg.resolved_mu(n_max)
     return float(ndtr((n_max - mu) / cfg.sigma) - ndtr((2 - mu) / cfg.sigma))
@@ -312,7 +316,6 @@ def collect_supervision(
         if task.task_id in seen:
             raise ConfigError(f"duplicate task id {task.task_id!r}")
         seen.add(task.task_id)
-    cfg.validate(pool.n_max)
     rng = np.random.default_rng(cfg.seed)
     graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
     n_tasks = len(tasks)

@@ -96,5 +96,12 @@ def check_within(obj) -> None:
             raise ConfigError(f"{f.name} must be finite and lie in {allowed}, got {value!r}")
 
 
+def check_strings(obj: dict, *keys: str) -> None:
+    """Raise ``TypeError`` for the first of ``keys`` that the parsed JSON ``obj`` maps to a non-string."""
+    for key in keys:
+        if key in obj and not isinstance(obj[key], str):
+            raise TypeError(f"{key} must be a string, got {type(obj[key]).__name__}")
+
+
 class FitDegenerate(CommTopoError):
     """Histogram has too little spread for a Gaussian fit."""

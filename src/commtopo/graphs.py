@@ -18,6 +18,7 @@ from .errors import (
     FormatError,
     InvalidMembers,
     ValidationError,
+    check_strings,
 )
 
 CATEGORIES = ("general_reasoning", "math_reasoning", "code_generation")
@@ -150,6 +151,7 @@ class SupervisionPair:
         interned = {} if interned is None else interned
         try:
             obj = json.loads(line)
+            check_strings(obj, "task_id", "task_text", "category")
             n = len(obj["y"])
             return cls(
                 task_id=obj["task_id"],

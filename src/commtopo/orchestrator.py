@@ -30,13 +30,7 @@ from .backends import MAX_IN_FLIGHT, BackendSet
 from .collector import TaskSpec
 from .errors import BackendError, ConfigError, DegenerateTopology, RunAborted
 from .graphs import CommTopology, Topology, binarize, serialize_topology
-from .pool import AgentPool, AgentProfile, render_system_prompt, render_user_prompt
-
-DECISION_PROFILE = AgentProfile(
-    id=-1,
-    role="Decision Maker",
-    expertise="Aggregate the dialogue history and produce the final solution",
-)
+from .pool import DECISION_PROFILE, AgentPool, render_system_prompt, render_user_prompt
 
 _TAG_ALPHABET = string.ascii_uppercase + string.digits
 

@@ -37,6 +37,13 @@ class AgentProfile:
         return text
 
 
+DECISION_PROFILE = AgentProfile(
+    id=-1,
+    role="Decision Maker",
+    expertise="Aggregate the dialogue history and produce the final solution",
+)
+
+
 @dataclass(frozen=True)
 class AgentPool:
     agents: tuple[AgentProfile, ...]

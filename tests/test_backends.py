@@ -7,7 +7,7 @@ import requests
 from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, PlantedDecisionBackend, ScriptedBackend
 from commtopo.collector import TaskSpec
 from commtopo.errors import BackendError, ConfigError
-from commtopo.pool import load_default_pool
+from commtopo.pool import DECISION_PROFILE, load_default_pool, render_system_prompt, render_user_prompt
 
 OK_BODY = {
     "choices": [{"message": {"content": "four"}}],
@@ -144,3 +144,15 @@ def test_planted_decision_backend_rejects_a_team_outside_the_pool(team, bad):
     ]
     with pytest.raises(ConfigError, match=rf"task 'bad': planted_team id {bad} is not in the pool \(ids 0..14\)"):
         PlantedDecisionBackend(tasks, load_default_pool())
+
+
+def test_planted_decision_backend_answers_the_task_of_its_prompt():
+    # "What is 2+2" lies inside b's prompt too: matching any substring answered "four" for b
+    pool = load_default_pool()
+    a = TaskSpec("a", "What is 2+2", "math_reasoning", "four", planted_team=(0, 1))
+    b = TaskSpec("b", "What is 2+2+2", "math_reasoning", "six", planted_team=(0, 1))
+    backend = PlantedDecisionBackend([a, b], pool)
+    team = render_user_prompt([{"id": str(i), "role": pool[i].role, "output": "x"} for i in (0, 1)])
+    for task in (a, b):
+        system = render_system_prompt(DECISION_PROFILE, task.task_text)
+        assert backend.complete(system, team)[0] == task.expected_answer

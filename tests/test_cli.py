@@ -1,10 +1,19 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from commtopo.cli import _build_parser, _config, main
+from commtopo.cli import EXIT_CODES, _build_parser, _config, main
 from commtopo.collector import TaskSpec, write_tasks
 from commtopo.config import AppConfig, options
 from commtopo.graphs import (
@@ -252,6 +261,32 @@ class TestParser:
         assert "config file not found" in capsys.readouterr().err
 
 
+def test_no_stage_loads_scipy(tmp_path):
+    # importing scipy.special cost every collect about 23 MB of RSS and a quarter second
+    write_suite(tmp_path / "suite.jsonl", n=6)
+    (tmp_path / "orch.ini").write_text("[agents]\nevaluator = orchestrator\n")
+    runs = [
+        ["collect", "--tasks", "suite.jsonl", "--budget", "10"],
+        ["--config", "orch.ini", "collect", "--tasks", "suite.jsonl", "--budget", "10", "--out", "o.jsonl"],
+        ["train", "--epochs", "1"],
+        ["design", "--query", "question number 1"],
+        ["run", "--query", "question number 1"],
+        ["bench", "--suite", "suite.jsonl", "--methods", "designed,complete", "--repeats", "1"],
+    ]
+    code = (
+        "import os, sys\n"
+        "from commtopo.cli import main\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COMMTOPO_")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localhost:1/v1\n"
 POOL3 = "[paths]\npool_path = pool3.jsonl\n"
 
@@ -319,6 +354,10 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         ("[agents]\nagent_backend = planted\n",
          ["bench", "--suite", "team99.jsonl", "--methods", "complete", "--repeats", "1"], 1,
          "task 't0': planted_team id 99"),
+        ("", ["collect", "--tasks", "list_id.jsonl"], 1, "bad task line: task_id must be a string, got list"),
+        ("", ["collect", "--tasks", "list_answer.jsonl"], 1, "expected_answer must be a string, got list"),
+        ("", ["train", "--corpus", "int_text.jsonl"], 1,
+         "bad supervision pair line: task_text must be a string, got int"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -338,6 +377,7 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "design-checkpoint-narrower-than-embedder", "train-corpus-larger-than-pool",
         "train-corpus-smaller-than-pool", "collect-planted-team-outside-pool",
         "collect-orchestrator-planted-team-outside-pool", "bench-planted-backend-team-outside-pool",
+        "collect-task-id-not-a-string", "collect-answer-not-a-string", "train-task-text-not-a-string",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -362,6 +402,8 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "duplicate_ids.jsonl").write_text(f"{json.dumps(task)}\n{json.dumps({**task, 'task_text': 'r'})}\n")
     (workdir / "bad_score.jsonl").write_text(json.dumps({**pair, "score": "high"}))
     (workdir / "bad_y.jsonl").write_text(json.dumps({**pair, "y": ["a", 1, 0]}))
+    (workdir / "list_id.jsonl").write_text(json.dumps({**task, "task_id": []}))
+    (workdir / "list_answer.jsonl").write_text(json.dumps({**task, "expected_answer": ["42"]}))
     a_gt, y = lift_subgraph(Topology.complete(3), [0, 4, 9], 15)
     (workdir / "good.jsonl").write_text(
         write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
@@ -370,6 +412,8 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "five_agents.jsonl").write_text(
         write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
     )
+    good = json.loads((workdir / "good.jsonl").read_text())
+    (workdir / "int_text.jsonl").write_text(json.dumps({**good, "task_text": 7}))
     write_suite(workdir / "suite.jsonl", n=2)
     write_suite(workdir / "team99.jsonl", n=3, team=(99,))
     (workdir / "cfg.ini").write_text(ini)
@@ -477,3 +521,77 @@ def test_flag_overrides_config_file(tmp_path, argv, flag, section, name, in_file
     at = argv.index(flag)
     assert value(argv[:at] + argv[at + 2:]) == in_file
     assert value(argv) == from_flag
+
+
+# Valid inputs of collect and train, for the mutation strategy below to break.
+FUZZ_TASKS = [
+    {"task_id": f"t{i}", "task_text": f"question number {i}", "category": "math_reasoning",
+     "expected_answer": "42", "check": "exact", "planted_team": [1, 2, 3]}
+    for i in range(3)
+]
+FUZZ_CORPUS = [
+    json.loads(line)
+    for line in write_corpus(
+        SupervisionPair(f"t{i}", f"question number {i}", "math_reasoning",
+                        *lift_subgraph(Topology.complete(3), members, 15), 1.0)
+        for i, members in enumerate([(0, 4, 9), (1, 2, 3)])
+    ).splitlines()
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated(draw, lines):
+    """``lines`` with one defect at a drawn depth: a key or element dropped, a list
+    grown, or a value replaced by another JSON value, a NaN or an id outside the pool."""
+    lines = copy.deepcopy(lines)
+    node, key = lines, draw(st.integers(0, len(lines) - 1))
+    while isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node)) if isinstance(node, dict) else st.integers(0, len(node) - 1))
+    edit = draw(st.sampled_from(["drop", "grow", "retype", "nan", "id"]))
+    if edit == "drop":
+        del node[key]
+    elif edit == "grow" and isinstance(node[key], list):
+        node[key].append(copy.deepcopy(node[key][-1]) if node[key] else 0)
+    elif edit == "nan":
+        node[key] = float("nan")
+    elif edit == "id":
+        node[key] = draw(st.sampled_from([-1, 15, 99, 0.5, 2]))
+    else:
+        node[key] = draw(JSON_VALUES)
+    return lines
+
+
+def exits_in_one_line(argv, name, lines):
+    """Run ``main`` on ``lines`` written to ``name``; a failure must be one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, name).write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.replace("{dir}", tmp) for arg in argv])
+    errors = err.getvalue().splitlines()
+    if code == 0:
+        assert not any(line.startswith("error:") for line in errors), errors
+    else:
+        assert code in {c for _, c in EXIT_CODES}, code
+        assert len(errors) == 1 and errors[0].startswith("error:"), errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=mutated(FUZZ_TASKS))
+def test_a_mutated_tasks_file_fails_collect_in_one_line(lines):
+    argv = ["collect", "--tasks", "{dir}/tasks.jsonl", "--out", "{dir}/corpus.jsonl", "--budget", "30"]
+    exits_in_one_line(argv, "tasks.jsonl", lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=mutated(FUZZ_CORPUS))
+def test_a_mutated_corpus_fails_train_in_one_line(lines):
+    argv = ["train", "--corpus", "{dir}/corpus.jsonl", "--checkpoint", "{dir}/c.json",
+            "--log", "{dir}/log.csv", "--epochs", "1"]
+    exits_in_one_line(argv, "corpus.jsonl", lines)

@@ -106,6 +106,32 @@ class TestSampleOrders:
             assert order_distribution(cfg, n_max).tolist() == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 64).flatmap(lambda n: st.tuples(st.just(n), st.floats(2, n))),
+    st.floats(1e-3, 1e7),
+)
+def test_guard_mass_matches_accepted_mass(n_max_mu, sigma):
+    n_max, mu = n_max_mu
+    cfg = CollectorConfig(mu=mu, sigma=sigma)
+    want = accepted_mass(cfg, n_max)
+    # Each side subtracts two normal cdf values computed by a different erf, each
+    # within an ulp or so of the true value: 2**-51 bounds the gap of the difference.
+    tol = 1e-12 * want + 2**-51
+    if abs(want - cfg.MIN_ACCEPTED_MASS) > 1e-9 * cfg.MIN_ACCEPTED_MASS:
+        if want >= cfg.MIN_ACCEPTED_MASS:
+            cfg.validate(n_max)
+        else:
+            with pytest.raises(ConfigError, match="sigma"):
+                cfg.validate(n_max)
+    # validate accepts iff its mass reaches the threshold, so two thresholds bracket that mass
+    cfg.MIN_ACCEPTED_MASS = want - tol
+    cfg.validate(n_max)
+    cfg.MIN_ACCEPTED_MASS = want + tol
+    with pytest.raises(ConfigError, match="sigma"):
+        cfg.validate(n_max)
+
+
 def test_importing_commtopo_loads_neither_scipy_stats_nor_optimize():
     # nor any other scipy module: scipy.special alone took half the start-up of a command
     code = (
