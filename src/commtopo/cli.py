@@ -34,6 +34,7 @@ from .errors import (
     CommTopoError,
     ConfigError,
     EmbeddingUnavailable,
+    FormatError,
     MineUnderflow,
     RunAborted,
     TrainingDiverged,
@@ -62,9 +63,20 @@ EXIT_CODES = (
 VALID_BENCH_METHODS = bench_mod.STATIC_SHAPES + ("designed",)
 
 
+def _read_input(path: str, what: str) -> str:
+    """The text of an input file the user named; a missing or non-UTF-8 file fails in one line."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_pool(cfg: AppConfig):
     if cfg.pool_path:
-        return load_pool(Path(cfg.pool_path).read_bytes())
+        return load_pool(_read_input(cfg.pool_path, "pool"))
     return load_default_pool()
 
 
@@ -89,15 +101,8 @@ def _chat_backends(cfg: AppConfig, pool, tasks=()) -> BackendSet:
     return BackendSet(default=http, decision=http)
 
 
-def _read_tasks_file(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"tasks file not found: {path}")
-    return collector_mod.read_tasks(p.read_text())
-
-
 def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) -> None:
-    tasks = _read_tasks_file(tasks_file)
+    tasks = collector_mod.read_tasks(_read_input(tasks_file, "tasks file"))
     pool = _load_pool(cfg)
     check_planted_teams(tasks, pool)
     if cfg.evaluator == "planted":
@@ -118,10 +123,7 @@ def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) ->
 
 
 def cmd_train(cfg: AppConfig) -> None:
-    corpus_path = Path(cfg.corpus_path)
-    if not corpus_path.exists():
-        raise ConfigError(f"corpus not found: {corpus_path}")
-    corpus = read_corpus(corpus_path.read_text())
+    corpus = read_corpus(_read_input(cfg.corpus_path, "corpus"))
     pool = _load_pool(cfg)
     backend = _embed_backend(cfg)
     params, log = prunenet.train(corpus, pool, backend, cfg.train)
@@ -164,7 +166,7 @@ def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | No
 def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> None:
     pool = _load_pool(cfg)
     design = _designer(cfg, pool)
-    tasks = _read_tasks_file(suite_path) if suite_path else ()
+    tasks = collector_mod.read_tasks(_read_input(suite_path, "tasks file")) if suite_path else ()
     backends = _chat_backends(cfg, pool, tasks)
     topo = design(query)
     task = next(
@@ -190,7 +192,7 @@ def cmd_bench(
     unknown = [m for m in methods if m not in VALID_BENCH_METHODS]
     if unknown or not methods:
         raise ConfigError(f"unknown methods {unknown}; valid: {', '.join(VALID_BENCH_METHODS)}")
-    suite = _read_tasks_file(suite_file)
+    suite = collector_mod.read_tasks(_read_input(suite_file, "tasks file"))
     pool = _load_pool(cfg)
     sources = {}
     for m in methods:
@@ -219,7 +221,7 @@ def cmd_bench(
 
 
 def cmd_export(topology_path: str, fmt: str) -> None:
-    topo = parse_topology(Path(topology_path).read_bytes())
+    topo = parse_topology(_read_input(topology_path, "topology"))
     sys.stdout.write(serialize_topology(topo, fmt).decode())
 
 

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import threading
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -19,7 +20,7 @@ from .errors import (
     InvalidOrder,
     MineUnderflow,
     ScoreUnavailable,
-    check_strings,
+    check_types,
     check_within,
     within,
 )
@@ -75,7 +76,10 @@ class TaskSpec:
     def from_json_line(cls, line: str) -> "TaskSpec":
         try:
             obj = json.loads(line)
-            check_strings(obj, "task_id", "task_text", "category", "expected_answer", "check")
+            check_types(
+                obj, task_id=str, task_text=str, category=str, expected_answer=str, check=str,
+                planted_team=[int],
+            )
             return cls(
                 task_id=obj["task_id"],
                 task_text=obj["task_text"],
@@ -271,17 +275,19 @@ class CollectStats:
 
 
 def _score_unit(unit, evaluator: Evaluator, stop: threading.Event) -> dict:
-    """Score one graph's new (key, graph, task) items in order, until
-    `stop` is set.  Each key maps to its utility, or to the message of
-    its ScoreUnavailable."""
+    """Score one graph's new (key, graph, task, occurrences) items in
+    order, until `stop` is set.  A key is scored up to once per
+    occurrence, until a utility comes back, and maps to the messages of
+    its ScoreUnavailable failures, then that utility."""
     outcomes = {}
-    for key, graph, task in unit:
-        if stop.is_set():
-            break
-        try:
-            outcomes[key] = score_graph(graph, task, evaluator)
-        except ScoreUnavailable as exc:
-            outcomes[key] = str(exc)
+    for key, graph, task, occurrences in unit:
+        outcomes[key] = tried = []
+        while len(tried) < occurrences and not stop.is_set():
+            try:
+                tried.append(score_graph(graph, task, evaluator))
+                break
+            except ScoreUnavailable as exc:
+                tried.append(str(exc))
     return outcomes
 
 
@@ -296,18 +302,20 @@ def collect_supervision(
     Each sampled graph is scored against a strided window of tasks, so
     every task sees about ``candidates_per_task`` candidates even when
     the budget is much smaller than the task count; neighboring tasks
-    still get largely disjoint candidate sets.  Scores are cached by
+    still get largely disjoint candidate sets.  Scores are shared by
     (member set, task id) since duplicate subsets are allowed; a key whose
-    scoring failed is scored again at its next occurrence.  Tasks that
+    scoring failed is scored again for its next occurrence.  Tasks that
     share an id would share scores, so they are a ConfigError.
 
-    Every graph is drawn up front.  Each graph's first occurrences of
-    (member set, task) keys form one unit of work, and the units run on
-    a pool of at most `MAX_IN_FLIGHT` threads owned by the call.  The
-    results are merged on the calling thread in sampling order, so the
-    pairs, the stats and the skip warnings equal those of scoring one
-    key at a time.  If the merge raises, queued units are cancelled and
-    running ones stop before their next scoring.
+    Every graph is drawn and every key's occurrences are counted up
+    front.  Each graph's first occurrences of keys form one unit of work,
+    which scores each key up to once per occurrence, until a utility
+    comes back.  The units run on a pool of at most `MAX_IN_FLIGHT`
+    threads owned by the call, and their results are merged on the
+    calling thread in sampling order: each failed scoring skips one
+    occurrence, so the pairs, the stats and the skip warnings equal those
+    of scoring one key at a time.  If the merge raises, queued units are
+    cancelled and running ones stop before their next scoring.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -323,48 +331,34 @@ def collect_supervision(
         n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget))
     )
     gap = max(1, n_tasks // stride)
+
+    def targets(i: int) -> list:
+        """(key, task index) of graph i's target tasks, in task order.  Built
+        again on each pass: holding them for every graph raised the peak
+        memory of a collect."""
+        window = sorted({(i + s * gap) % n_tasks for s in range(stride)})
+        return [((graphs[i].members, tasks[j].task_id), j) for j in window]
+
+    occurrences = Counter(key for i in range(len(graphs)) for key, _ in targets(i))
     entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
-    cache: dict[tuple[tuple[int, ...], str], float] = {}
-    repeats: dict[tuple[tuple[int, ...], str], list] = {}  # later occurrences, in order
-    retries = {}  # key -> the future scoring its next occurrence after a failure
     stats = CollectStats(tasks=n_tasks)
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
-        visits = []
+        futures = deque()
         for i, graph in enumerate(graphs):
-            # (key, task index) of each target task, in task order
-            targets = [
-                ((graph.members, tasks[j].task_id), j)
-                for j in sorted({(i + s * gap) % n_tasks for s in range(stride)})
-            ]
-            unit = []
-            for key, j in targets:
-                later = repeats.get(key)
-                if later is None:
-                    repeats[key] = []
-                    unit.append((key, graph, tasks[j]))
+            unit = [(key, graph, tasks[j], occurrences.pop(key)) for key, j in targets(i) if key in occurrences]
+            futures.append(executor.submit(_score_unit, unit, evaluator, stop))
+        outcomes = {}
+        for i, graph in enumerate(graphs):
+            outcomes.update(futures.popleft().result())
+            for key, j in targets(i):
+                tried = outcomes[key]
+                if isinstance(tried[0], str):
+                    stats.graphs_skipped += 1
+                    log.warning("skipping graph %s on task %s: %s", *key, tried.pop(0))
                 else:
-                    later.append((graph, tasks[j]))
-            future = executor.submit(_score_unit, unit, evaluator, stop) if unit else None
-            visits.append((graph, targets, future))
-        for graph, targets, future in visits:
-            fresh = future.result() if future is not None else {}
-            for key, j in targets:
-                utility = cache.get(key)
-                if utility is None:
-                    outcome = fresh.pop(key, None)
-                    if outcome is None:
-                        outcome = retries.pop(key).result()[key]
-                    if isinstance(outcome, str):
-                        stats.graphs_skipped += 1
-                        log.warning("skipping graph %s on task %s: %s", *key, outcome)
-                        if repeats[key]:
-                            unit = [(key, *repeats[key].pop(0))]
-                            retries[key] = executor.submit(_score_unit, unit, evaluator, stop)
-                        continue
-                    utility = cache[key] = outcome
-                entries[j].append((graph, utility))
+                    entries[j].append((graph, tried[0]))
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)

@@ -96,11 +96,25 @@ def check_within(obj) -> None:
             raise ConfigError(f"{f.name} must be finite and lie in {allowed}, got {value!r}")
 
 
-def check_strings(obj: dict, *keys: str) -> None:
-    """Raise ``TypeError`` for the first of ``keys`` that the parsed JSON ``obj`` maps to a non-string."""
-    for key in keys:
-        if key in obj and not isinstance(obj[key], str):
-            raise TypeError(f"{key} must be a string, got {type(obj[key]).__name__}")
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list"}
+
+
+def check_types(obj: dict, **kinds) -> None:
+    """Raise ``TypeError`` for the first key of ``kinds`` that the parsed JSON ``obj``
+    maps to a value of another kind.  A kind is ``str``, ``int``, ``float`` (which
+    takes an int too) or ``[kind]``, a list of that kind; a bool is no number."""
+    for key, kind in kinds.items():
+        if key in obj:
+            _check_kind(obj[key], kind, key)
+
+
+def _check_kind(value, kind, name: str) -> None:
+    if isinstance(kind, list):
+        _check_kind(value, list, name)
+        for i, item in enumerate(value):
+            _check_kind(item, kind[0], f"{name}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
 
 
 class FitDegenerate(CommTopoError):

@@ -18,7 +18,7 @@ from .errors import (
     FormatError,
     InvalidMembers,
     ValidationError,
-    check_strings,
+    check_types,
 )
 
 CATEGORIES = ("general_reasoning", "math_reasoning", "code_generation")
@@ -151,7 +151,7 @@ class SupervisionPair:
         interned = {} if interned is None else interned
         try:
             obj = json.loads(line)
-            check_strings(obj, "task_id", "task_text", "category")
+            check_types(obj, task_id=str, task_text=str, category=str, score=float)
             n = len(obj["y"])
             return cls(
                 task_id=obj["task_id"],
@@ -277,7 +277,8 @@ def parse_topology(data: bytes | str) -> CommTopology:
         data = data.decode()
     try:
         obj = json.loads(data)
-        n = int(obj["n_max"])
+        check_types(obj, n_max=int)
+        n = obj["n_max"]
         mask = NodeMask(n, np.array(obj["mask"], dtype=float))
         weights = WeightMatrix(n, np.array(obj["weights"], dtype=float))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

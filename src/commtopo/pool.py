@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .errors import AnchoringError, FormatError
+from .errors import AnchoringError, FormatError, check_types
 
 DEFAULT_SYSTEM_TEMPLATE = "<Profile>. And your task is to solve the question: <Task>. "
 USER_PROMPT_PREFIX = (
@@ -71,12 +71,13 @@ def load_pool(source: bytes | str) -> AgentPool:
     for ln in lines:
         try:
             obj = json.loads(ln)
+            check_types(obj, id=int, role=str, expertise=str, system_template=str)
             profiles.append(
                 AgentProfile(
-                    id=int(obj["id"]),
-                    role=str(obj["role"]),
-                    expertise=str(obj.get("expertise", "")),
-                    system_template=str(obj.get("system_template", DEFAULT_SYSTEM_TEMPLATE)),
+                    id=obj["id"],
+                    role=obj["role"],
+                    expertise=obj.get("expertise", ""),
+                    system_template=obj.get("system_template", DEFAULT_SYSTEM_TEMPLATE),
                 )
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

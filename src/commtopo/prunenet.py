@@ -488,24 +488,6 @@ def _decay(w: np.ndarray, cfg: TrainConfig, buf: np.ndarray) -> None:
     w -= buf
 
 
-def _decay_only(
-    w: np.ndarray, cfg: TrainConfig, steps: int, tail_start: int
-) -> tuple[np.ndarray, int]:
-    """Every step's update of rows that never get a gradient: Adam moves
-    them by exactly 0, so each step only decays them.  Updates ``w`` in
-    place and returns its sum over the steps from ``tail_start`` on, and
-    the first step at which it is non-finite (``steps`` if none)."""
-    buf, tail = np.empty_like(w), np.zeros_like(w)
-    first_bad = steps
-    for step in range(steps):
-        _decay(w, cfg, buf)
-        if step >= tail_start:
-            tail += w
-        if first_bad == steps and not np.isfinite(w).all():
-            first_bad = step
-    return tail, first_bad
-
-
 def train(
     corpus: Sequence[SupervisionPair],
     pool: AgentPool,
@@ -518,7 +500,9 @@ def train(
     A feature column that is zero in the pool rows and in every query row
     gives its ``w_gcn1`` row exactly zero gradient, so forward, backward
     and Adam run on the live rows only, held with every other tensor in
-    one flat buffer; the other rows are only decayed, as Adam would.
+    one flat buffer.  The other rows sit in front of them in that buffer,
+    and each step only decays them, as Adam would; the finiteness check
+    and the tail average cover the whole buffer.
     """
     if not corpus:
         raise ConfigError("corpus is empty")
@@ -539,8 +523,8 @@ def train(
     pool_x, query_x = node_features(pool, texts, backend)
     if pool_x.shape[1] != net.d:
         raise DimensionError(f"feature width {pool_x.shape[1]} does not match d={net.d}")
-    live = (pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0)
-    live_ids, dead_ids = np.flatnonzero(live), np.flatnonzero(~live)
+    used = (pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0)
+    live_ids, dead_ids = np.flatnonzero(used), np.flatnonzero(~used)
     pool_x, query_x = pool_x[:, live_ids], query_x[:, live_ids]
     row = {text: i for i, text in enumerate(texts)}
     query_row = np.array([row[pair.task_text] for pair in corpus])
@@ -550,16 +534,13 @@ def train(
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
     total_steps = cfg.epochs * n_batches
     tail_start = int(np.ceil(total_steps * (1.0 - cfg.avg_tail)))
-    # the dead rows go first, so that a step at which they turn non-finite
-    # raises in the loop below, as a non-finite live tensor does
-    dead = init.w_gcn1[dead_ids]
-    dead_tail, dead_bad = _decay_only(dead, cfg, total_steps, tail_start)
-
+    dead = init.w_gcn1[dead_ids].ravel()
     init.w_gcn1 = init.w_gcn1[live_ids]
     shapes = {k: v.shape for k, v in init.tensors().items()}
-    flat = np.concatenate([v.ravel() for v in init.tensors().values()])
-    params = PruneNetParams(**_views(flat, shapes))
-    grad, tail = np.empty_like(flat), np.zeros_like(flat)
+    flat = np.concatenate([dead, *(v.ravel() for v in init.tensors().values())])
+    dead, live = flat[: dead.size], flat[dead.size :]
+    params = PruneNetParams(**_views(live, shapes))
+    grad, tail, buf = np.empty_like(live), np.zeros_like(flat), np.empty_like(dead)
     opt = _Adam(cfg, shapes)
     log: list[TrainLogRow] = []
 
@@ -585,11 +566,12 @@ def train(
         mean_losses = forward_losses(f, lab, terms, cfg, tau=tau, focal=focal)
         if not np.isfinite(mean_losses).all():
             raise TrainingDiverged(step)
-        opt.step(flat, grad)
-        if step == dead_bad or not np.isfinite(flat).all():
+        opt.step(live, grad)
+        _decay(dead, cfg, buf)
+        if not np.isfinite(flat).all():
             bad = [
                 k for k, v in params.tensors().items()
-                if not np.isfinite(v).all() or (k == "w_gcn1" and step == dead_bad)
+                if not np.isfinite(v).all() or (k == "w_gcn1" and not np.isfinite(dead).all())
             ]
             raise TrainingDiverged(
                 step, f"training diverged at step {step}: non-finite {', '.join(bad)}"
@@ -597,12 +579,11 @@ def train(
         if step >= tail_start:
             tail += flat
         log.append(TrainLogRow(step, mean_losses[0], mean_losses[1], mean_losses[2], tau))
-    tail_count = total_steps - tail_start
-    if tail_count > 0:
-        flat, dead = tail / tail_count, dead_tail / tail_count
-    out = _views(flat, shapes)
+    if total_steps > tail_start:
+        flat = tail / (total_steps - tail_start)
+    out = _views(flat[dead.size :], shapes)
     w_gcn1 = np.empty((net.d, net.h))
-    w_gcn1[live_ids], w_gcn1[dead_ids] = out["w_gcn1"], dead
+    w_gcn1[live_ids], w_gcn1[dead_ids] = out["w_gcn1"], flat[: dead.size].reshape(-1, net.h)
     return PruneNetParams(**{**out, "w_gcn1": w_gcn1}), log
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,35 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         ("", ["collect", "--tasks", "list_answer.jsonl"], 1, "expected_answer must be a string, got list"),
         ("", ["train", "--corpus", "int_text.jsonl"], 1,
          "bad supervision pair line: task_text must be a string, got int"),
+        ("", ["collect", "--tasks", "latin.bin"], 1, "tasks file latin.bin is not UTF-8"),
+        ("", ["run", "--query", "q", "--suite", "latin.bin"], 1, "tasks file latin.bin is not UTF-8"),
+        ("", ["bench", "--suite", "latin.bin", "--methods", "complete"], 1,
+         "tasks file latin.bin is not UTF-8"),
+        ("", ["train", "--corpus", "latin.bin"], 1, "corpus latin.bin is not UTF-8"),
+        ("[paths]\npool_path = latin.bin\n", ["design", "--query", "q"], 1, "pool latin.bin is not UTF-8"),
+        ("", ["export", "--topology", "latin.bin"], 1, "topology latin.bin is not UTF-8"),
+        ("", ["collect", "--tasks", "team_text.jsonl"], 1,
+         "bad task line: planted_team must be a list, got str"),
+        ("", ["collect", "--tasks", "team_float_bool.jsonl"], 1,
+         "bad task line: planted_team[0] must be an integer, got float"),
+        ("", ["collect", "--tasks", "team_bool.jsonl"], 1,
+         "bad task line: planted_team[1] must be an integer, got bool"),
+        ("", ["train", "--corpus", "score_text.jsonl"], 1,
+         "bad supervision pair line: score must be a number, got str"),
+        ("", ["train", "--corpus", "score_bool.jsonl"], 1,
+         "bad supervision pair line: score must be a number, got bool"),
+        ("[paths]\npool_path = id_bool.jsonl\n", ["design", "--query", "q"], 1,
+         "bad profile line: id must be an integer, got bool"),
+        ("[paths]\npool_path = id_float.jsonl\n", ["design", "--query", "q"], 1,
+         "bad profile line: id must be an integer, got float"),
+        ("[paths]\npool_path = role_int.jsonl\n", ["design", "--query", "q"], 1,
+         "bad profile line: role must be a string, got int"),
+        ("[paths]\npool_path = expertise_null.jsonl\n", ["design", "--query", "q"], 1,
+         "bad profile line: expertise must be a string, got NoneType"),
+        ("", ["export", "--topology", "n_max_text.json"], 1,
+         "bad topology document: n_max must be an integer, got str"),
+        ("", ["export", "--topology", "n_max_float.json"], 1,
+         "bad topology document: n_max must be an integer, got float"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -378,6 +408,11 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "train-corpus-smaller-than-pool", "collect-planted-team-outside-pool",
         "collect-orchestrator-planted-team-outside-pool", "bench-planted-backend-team-outside-pool",
         "collect-task-id-not-a-string", "collect-answer-not-a-string", "train-task-text-not-a-string",
+        "collect-tasks-not-utf8", "run-suite-not-utf8", "bench-suite-not-utf8", "train-corpus-not-utf8",
+        "design-pool-not-utf8", "export-topology-not-utf8", "collect-team-a-string",
+        "collect-team-float-and-bool", "collect-team-bool", "train-score-a-string", "train-score-a-bool", "design-pool-id-bool",
+        "design-pool-id-float", "design-pool-role-int", "design-pool-expertise-null",
+        "export-n-max-a-string", "export-n-max-a-float",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -414,6 +449,19 @@ def test_bad_input_exits_with_table_code_and_one_line(
     )
     good = json.loads((workdir / "good.jsonl").read_text())
     (workdir / "int_text.jsonl").write_text(json.dumps({**good, "task_text": 7}))
+    (workdir / "latin.bin").write_bytes(b"\xff\xfe" + json.dumps(task).encode())
+    (workdir / "team_text.jsonl").write_text(json.dumps({**task, "planted_team": "12"}))
+    (workdir / "team_float_bool.jsonl").write_text(json.dumps({**task, "planted_team": [1.9, True]}))
+    (workdir / "team_bool.jsonl").write_text(json.dumps({**task, "planted_team": [1, True]}))
+    (workdir / "score_text.jsonl").write_text(json.dumps({**good, "score": "0.5"}))
+    (workdir / "score_bool.jsonl").write_text(json.dumps({**good, "score": True}))
+    profile = {"id": 0, "role": "r", "expertise": "e"}
+    for name, bad in [("id_bool", {"id": False}), ("id_float", {"id": 1.9}), ("role_int", {"role": 5}),
+                      ("expertise_null", {"expertise": None})]:
+        (workdir / f"{name}.jsonl").write_text(json.dumps({**profile, **bad}))
+    topology = json.loads(serialize_topology(induce(*lift_subgraph(Topology.complete(2), [0, 1], 2))))
+    (workdir / "n_max_text.json").write_text(json.dumps({**topology, "n_max": "2"}))
+    (workdir / "n_max_float.json").write_text(json.dumps({**topology, "n_max": 2.7}))
     write_suite(workdir / "suite.jsonl", n=2)
     write_suite(workdir / "team99.jsonl", n=3, team=(99,))
     (workdir / "cfg.ini").write_text(ini)
@@ -595,3 +643,60 @@ def test_a_mutated_corpus_fails_train_in_one_line(lines):
     argv = ["train", "--corpus", "{dir}/corpus.jsonl", "--checkpoint", "{dir}/c.json",
             "--log", "{dir}/log.csv", "--epochs", "1"]
     exits_in_one_line(argv, "corpus.jsonl", lines)
+
+
+# Valid pool and topology files for the mutation strategy, and bytes that are not UTF-8.
+FUZZ_POOL = [
+    json.loads(line)
+    for line in resources.files("commtopo.data").joinpath("default_pool.jsonl").read_text().splitlines()
+]
+FUZZ_TOPOLOGY = [json.loads(serialize_topology(induce(*lift_subgraph(Topology.complete(3), [0, 4, 9], 15))))]
+NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
+
+
+@st.composite
+def mutated_bytes(draw, lines):
+    """The JSON lines of ``mutated(lines)``, or of ``lines`` with bytes that
+    are not UTF-8 put in at a drawn offset."""
+    if draw(st.booleans()):
+        return "".join(json.dumps(line) + "\n" for line in draw(mutated(lines))).encode()
+    data = "".join(json.dumps(line) + "\n" for line in lines).encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+
+
+def main_exits_in_one_line(argv):
+    """Run ``main``; a failure must be one ``error:`` line with an ``EXIT_CODES`` code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = err.getvalue().splitlines()
+    if code == 0:
+        assert not any(line.startswith("error:") for line in errors), errors
+    else:
+        assert code in {c for _, c in EXIT_CODES}, code
+        assert len(errors) == 1 and errors[0].startswith("error:"), errors
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A checkpoint that fits the shipped pool, and a config whose pool is ``pool.jsonl`` beside it."""
+    path = tmp_path_factory.mktemp("fuzz")
+    make_checkpoint(path)
+    (path / "cfg.ini").write_text(f"[paths]\npool_path = {path / 'pool.jsonl'}\n")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=mutated_bytes(FUZZ_POOL))
+def test_a_mutated_pool_fails_design_in_one_line(fuzz_dir, data):
+    (fuzz_dir / "pool.jsonl").write_bytes(data)
+    main_exits_in_one_line(["--config", str(fuzz_dir / "cfg.ini"), "design", "--query", "q",
+                            "--checkpoint", str(fuzz_dir / "checkpoint.json")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_bytes(FUZZ_TOPOLOGY))
+def test_a_mutated_topology_fails_export_in_one_line(fuzz_dir, data):
+    (fuzz_dir / "topology.json").write_bytes(data)
+    main_exits_in_one_line(["export", "--topology", str(fuzz_dir / "topology.json")])

@@ -396,6 +396,21 @@ class FlakyEvaluator:
         return r / self.modulus
 
 
+class StubbornEvaluator(FlakyEvaluator):
+    """Fails each key on its first 2, 3 or 4 attempts, by a checksum of the
+    key, with a message that names the attempt; then a utility."""
+
+    def __call__(self, g, t):
+        key = (g.members, t.task_id)
+        with self._lock:
+            self.calls.setdefault(key, []).append(t.task_text)
+            attempt = len(self.calls[key])
+        r = zlib.crc32(repr(key).encode()) % self.modulus
+        if attempt <= 2 + r % 3:
+            raise ScoreUnavailable(f"busy on attempt {attempt}")
+        return r / self.modulus
+
+
 def collect_outcome(run, tasks, pool, cfg, evaluator):
     with Warnings() as warnings:
         try:
@@ -432,6 +447,33 @@ class TestConcurrentCollect:
             sys.setswitchinterval(interval)
         want = collect_outcome(sequential_collect, tasks, pool, cfg, FlakyEvaluator(modulus))
         assert got == want
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_keys_retried_more_than_once_equal_the_sequential_collect(self, data):
+        # 4 member sets of 3 agents, at most 12 keys and at least 30
+        # occurrences: some key occurs 3 times or more
+        pool = AgentPool(load_default_pool().agents[:3])
+        n_tasks = data.draw(st.integers(1, 3))
+        tasks = [TaskSpec(f"t{j}", f"question {j}", "math_reasoning", "42") for j in range(n_tasks)]
+        cfg = CollectorConfig(
+            budget=data.draw(st.integers(30, 60)),
+            mu=data.draw(st.sampled_from([2.0, 3.0])),
+            sigma=data.draw(st.sampled_from([0.5, 1.5])),
+            top_k=1,
+            candidates_per_task=data.draw(st.integers(1, 8)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        modulus = data.draw(st.sampled_from([7, 50]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = collect_outcome(collect_supervision, tasks, pool, cfg, StubbornEvaluator(modulus))
+        finally:
+            sys.setswitchinterval(interval)
+        want = collect_outcome(sequential_collect, tasks, pool, cfg, StubbornEvaluator(modulus))
+        assert got == want
+        assert max(map(len, want[2].values())) >= 3
 
     def test_scorings_are_in_flight_at_once(self):
         barrier = threading.Barrier(4, timeout=5)
