@@ -108,6 +108,17 @@ def check_types(obj: dict, **kinds) -> None:
             _check_kind(obj[key], kind, key)
 
 
+def check_numbers(value, name: str) -> None:
+    """Raise ``TypeError`` unless the parsed JSON ``value`` is a number or a list,
+    nested to any depth, of numbers; a bool, a string or null is no number."""
+    if not isinstance(value, list):
+        _check_kind(value, float, name)
+        return
+    for i, item in enumerate(value):
+        if type(item) is not float and type(item) is not int:  # a bool is not of type int
+            check_numbers(item, f"{name}[{i}]")
+
+
 def _check_kind(value, kind, name: str) -> None:
     if isinstance(kind, list):
         _check_kind(value, list, name)

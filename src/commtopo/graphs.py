@@ -13,11 +13,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CommTopoError,
     DegenerateTopology,
     DimensionError,
     FormatError,
     InvalidMembers,
     ValidationError,
+    check_numbers,
     check_types,
 )
 
@@ -177,6 +179,7 @@ def _label_json(label: WeightMatrix | NodeMask, rendered: dict) -> str:
 
 def _interned(kind, n: int, values, interned: dict):
     """``kind(n, values)``, or the one in ``interned`` with the same float64 bytes."""
+    check_numbers(values, "a_gt" if kind is WeightMatrix else "y")
     a = np.array(values, dtype=float)
     key = (kind, n, a.shape, a.tobytes())
     label = interned.get(key)
@@ -279,6 +282,8 @@ def parse_topology(data: bytes | str) -> CommTopology:
         obj = json.loads(data)
         check_types(obj, n_max=int)
         n = obj["n_max"]
+        check_numbers(obj["mask"], "mask")
+        check_numbers(obj["weights"], "weights")
         mask = NodeMask(n, np.array(obj["mask"], dtype=float))
         weights = WeightMatrix(n, np.array(obj["weights"], dtype=float))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -292,10 +297,55 @@ def write_corpus(pairs: Iterable[SupervisionPair]) -> str:
 
 
 def read_corpus(text: str) -> list[SupervisionPair]:
-    """The pairs of a corpus; lines with equal labels share one label object."""
+    """The pairs of a corpus; lines with equal labels share one label object.
+
+    A line in ``to_json_line``'s layout (``a_gt`` first, then the other
+    fields, then ``y``) has its two label texts cut out: only the fields
+    between them are parsed per line, and each distinct label text is
+    parsed, checked and interned once.  Any other line, and one that
+    fails there, goes through ``from_json_line``, which words the error.
+    """
     interned: dict = {}
     return [
-        SupervisionPair.from_json_line(line, interned)
+        _writer_line(line, interned) or SupervisionPair.from_json_line(line, interned)
         for line in text.splitlines()
         if line.strip()
     ]
+
+
+_A_GT, _Y = '{"a_gt": ', ', "y": '
+
+
+def _writer_line(line: str, interned: dict) -> SupervisionPair | None:
+    """The pair of a line in ``to_json_line``'s layout, or None.
+
+    A label of numbers holds no '"', so the first ', "' ends ``a_gt`` and
+    the last ', "y": ' starts ``y``.  When the three cut texts parse on
+    their own, the line parses to the same object, so the pair equals
+    ``from_json_line``'s.
+    """
+    cut, y_at = line.find(', "', len(_A_GT)), line.rfind(_Y)
+    if not (line.startswith(_A_GT) and line.endswith("}") and 0 < cut <= y_at):
+        return None
+    try:
+        obj = json.loads("{" + line[cut + 2 : y_at] + "}")
+        if "a_gt" in obj or "y" in obj:
+            return None
+        check_types(obj, task_id=str, task_text=str, category=str, score=float)
+        y = _parsed(NodeMask, None, line[y_at + len(_Y) : -1], interned)
+        a_gt = _parsed(WeightMatrix, y.n, line[len(_A_GT) : cut], interned)
+        # a missing or an unknown field fails here, and from_json_line decides
+        return SupervisionPair(**{**obj, "score": float(obj["score"]), "a_gt": a_gt, "y": y})
+    except (KeyError, TypeError, ValueError, CommTopoError):
+        return None
+
+
+def _parsed(kind, n: int | None, text: str, interned: dict):
+    """The label of JSON ``text`` on ``n`` nodes (None: as many as it has values),
+    parsed and interned once per distinct text."""
+    key = (kind, n, text)
+    label = interned.get(key)
+    if label is None:
+        values = json.loads(text)
+        label = interned[key] = _interned(kind, len(values) if n is None else n, values, interned)
+    return label

@@ -19,7 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
-from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged, check_within, within
+from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
+from .errors import check_numbers, check_types, check_within, within
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
 from .pool import AgentPool
 
@@ -124,11 +125,26 @@ class Forward(NamedTuple):
     s: np.ndarray  # (B, n) node logits
 
 
-def forward(params: PruneNetParams, pool_x: np.ndarray, query_x: np.ndarray) -> Forward:
+def pool_rows(pool_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Forward.c0`` and ``Forward.c``: the layer-1 propagation of the pool rows."""
+    n_full = pool_x.shape[0] + 1
+    pool_mean = _MEAN_WEIGHT / n_full * pool_x.sum(axis=0)
+    c = np.full(n_full, _MEAN_WEIGHT / n_full + _QUERY_WEIGHT)
+    c[-1] += _SELF_WEIGHT
+    return np.vstack([_SELF_WEIGHT * pool_x + pool_mean, pool_mean]), c
+
+
+def forward(
+    params: PruneNetParams,
+    pool_x: np.ndarray,
+    query_x: np.ndarray,
+    pool_part: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Forward:
     """Two propagation layers (relu after the first only), then both heads' logits.
 
     ``pool_x`` holds one row per agent, ``query_x`` one row per query of
-    the batch; every query is propagated over the same pool.
+    the batch; every query is propagated over the same pool.  ``pool_part``
+    is ``pool_rows(pool_x)``, computed here when not given.
     """
     pool_x = np.asarray(pool_x, dtype=float)
     xq = np.asarray(query_x, dtype=float)
@@ -137,12 +153,8 @@ def forward(params: PruneNetParams, pool_x: np.ndarray, query_x: np.ndarray) -> 
         raise DimensionError(
             f"feature shapes {pool_x.shape} and {xq.shape} do not match d={d}"
         )
-    n_full = pool_x.shape[0] + 1
-    mean_w = _MEAN_WEIGHT / n_full
-    pool_mean = mean_w * pool_x.sum(axis=0)
-    c0 = np.vstack([_SELF_WEIGHT * pool_x + pool_mean, pool_mean])
-    c = np.full(n_full, mean_w + _QUERY_WEIGHT)
-    c[-1] += _SELF_WEIGHT
+    c0, c = pool_rows(pool_x) if pool_part is None else pool_part
+    mean_w = _MEAN_WEIGHT / (pool_x.shape[0] + 1)
     u = (c0 @ params.w_gcn1) + c[:, None] * (xq @ params.w_gcn1)[:, None, :]
     r = np.maximum(u, 0.0)
     q = _SELF_WEIGHT * r[:, :-1] + (mean_w * r.sum(axis=1) + _QUERY_WEIGHT * r[:, -1])[:, None]
@@ -317,7 +329,7 @@ def loss_and_grads(
     tau: float = 1.0,
     node_noise: np.ndarray | None = None,
     focal: bool = False,
-    out: np.ndarray | None = None,
+    out: tuple[np.ndarray, dict[str, np.ndarray]] | None = None,
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray], EdgeTerms]:
     """A batch of supervision pairs: mean losses and the gradients of the mean total loss.
 
@@ -326,8 +338,8 @@ def loss_and_grads(
     perturbation (Gumbel differences during training, None for the
     deterministic path); tau rescales logits before the sigmoid in both
     heads.  The gradients are views, in ``params`` order, of one flat
-    buffer: ``out`` if given, else a new one.  The edge terms are
-    returned for ``forward_losses``.
+    buffer: ``out`` if given, as the buffer and its ``_views``, else a
+    new one.  The edge terms are returned for ``forward_losses``.
     """
     b, n = f.s.shape
     h = f.z.shape[2]
@@ -362,10 +374,11 @@ def loss_and_grads(
     ge = d_wp * w_pred * (1.0 - w_pred) / tau
     ds = d_yh * y_hat * (1.0 - y_hat) / tau
 
-    tensors = params.tensors()
-    size = sum(v.size for v in tensors.values())
-    flat = np.empty(size) if out is None else out
-    grads = _views(flat, {k: v.shape for k, v in tensors.items()})
+    if out is None:
+        tensors = params.tensors()
+        flat = np.empty(sum(v.size for v in tensors.values()))
+        out = flat, _views(flat, {k: v.shape for k, v in tensors.items()})
+    flat, grads = out
 
     # edge head: lmat = z B z^T, so dz = ge z B^T + ge^T (z B)
     z = f.z
@@ -541,6 +554,8 @@ def train(
     dead, live = flat[: dead.size], flat[dead.size :]
     params = PruneNetParams(**_views(live, shapes))
     grad, tail, buf = np.empty_like(live), np.zeros_like(flat), np.empty_like(dead)
+    # built once: the gradient views of grad and the pool rows' layer-1 propagation
+    grads, pool_part = (grad, _views(grad, shapes)), pool_rows(pool_x)
     opt = _Adam(cfg, shapes)
     log: list[TrainLogRow] = []
 
@@ -554,11 +569,11 @@ def train(
         batch = order[rows]
         tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
         focal = active[batch].sum() / batch.size < cfg.focal_threshold
-        f = forward(params, pool_x, query_x[query_row[batch]])
+        f = forward(params, pool_x, query_x[query_row[batch]], pool_part)
         picked = label_row[batch]
         lab = Labels(*(v[picked] for v in lab_all))
         noisy, _, terms = loss_and_grads(
-            params, f, lab, cfg, tau=tau, node_noise=noise[rows], focal=focal, out=grad
+            params, f, lab, cfg, tau=tau, node_noise=noise[rows], focal=focal, out=grads
         )
         if not np.isfinite(noisy[2]):
             raise TrainingDiverged(step)
@@ -622,9 +637,12 @@ def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
         obj = json.loads(data)
         if not isinstance(obj, dict) or not isinstance(obj.get("tensors", {}), dict):
             raise CheckpointError('malformed checkpoint: expected an object with a "tensors" object')
+        check_types(obj, version=int)
         if obj.get("version") != 1:
             raise CheckpointError(f"unsupported checkpoint version {obj.get('version')}")
         net = NetConfig(**obj["config"])
+        for k, v in obj["tensors"].items():
+            check_numbers(v, k)
         t = {k: np.array(v, dtype=float) for k, v in obj["tensors"].items()}
     except CheckpointError:
         raise

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commtopo.cli import EXIT_CODES, _build_parser, _config, main
+from commtopo.cli import EXIT_CHECKPOINT, EXIT_CODES, _build_parser, _config, main
 from commtopo.collector import TaskSpec, write_tasks
 from commtopo.config import AppConfig, options
+from commtopo.embed import HashingBackend
 from commtopo.graphs import (
     SupervisionPair,
     Topology,
@@ -27,6 +28,7 @@ from commtopo.graphs import (
     serialize_topology,
     write_corpus,
 )
+from commtopo.prunenet import NetConfig, PruneNetParams, save_checkpoint
 
 
 @pytest.fixture
@@ -388,6 +390,30 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
          "bad topology document: n_max must be an integer, got str"),
         ("", ["export", "--topology", "n_max_float.json"], 1,
          "bad topology document: n_max must be an integer, got float"),
+        ("", ["design", "--query", "q", "--checkpoint", "w_gcn1_text.json"], 4,
+         "malformed checkpoint: w_gcn1[0][0] must be a number, got str"),
+        ("", ["design", "--query", "q", "--checkpoint", "w_gcn2_bool.json"], 4,
+         "malformed checkpoint: w_gcn2[0][0] must be a number, got bool"),
+        ("", ["design", "--query", "q", "--checkpoint", "b_edge_text.json"], 4,
+         "malformed checkpoint: b_edge[0][0] must be a number, got str"),
+        ("", ["design", "--query", "q", "--checkpoint", "mlp_w1_bool.json"], 4,
+         "malformed checkpoint: mlp_w1[0][0] must be a number, got bool"),
+        ("", ["design", "--query", "q", "--checkpoint", "version_bool.json"], 4,
+         "malformed checkpoint: version must be an integer, got bool"),
+        ("", ["export", "--topology", "mask_text.json"], 1,
+         "bad topology document: mask[1] must be a number, got str"),
+        ("", ["export", "--topology", "mask_bool.json"], 1,
+         "bad topology document: mask[0] must be a number, got bool"),
+        ("", ["export", "--topology", "weights_null.json"], 1,
+         "bad topology document: weights[0][1] must be a number, got NoneType"),
+        ("", ["train", "--corpus", "y_text_bool.jsonl"], 1,
+         "bad supervision pair line: y[0] must be a number, got str"),
+        ("", ["train", "--corpus", "y_null.jsonl"], 1,
+         "bad supervision pair line: y[2] must be a number, got NoneType"),
+        ("", ["train", "--corpus", "a_gt_bool.jsonl"], 1,
+         "bad supervision pair line: a_gt[0][4] must be a number, got bool"),
+        ("", ["train", "--corpus", "y_bool_unsorted.jsonl"], 1,
+         "bad supervision pair line: y[1] must be a number, got bool"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -412,7 +438,11 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "design-pool-not-utf8", "export-topology-not-utf8", "collect-team-a-string",
         "collect-team-float-and-bool", "collect-team-bool", "train-score-a-string", "train-score-a-bool", "design-pool-id-bool",
         "design-pool-id-float", "design-pool-role-int", "design-pool-expertise-null",
-        "export-n-max-a-string", "export-n-max-a-float",
+        "export-n-max-a-string", "export-n-max-a-float", "design-checkpoint-w-gcn1-a-string",
+        "design-checkpoint-w-gcn2-a-bool", "design-checkpoint-b-edge-a-string",
+        "design-checkpoint-mlp-w1-a-bool", "design-checkpoint-version-a-bool", "export-mask-a-string",
+        "export-mask-a-bool", "export-weights-null", "train-y-a-string-and-bool", "train-y-null",
+        "train-a-gt-bool", "train-y-bool-in-another-layout",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -462,6 +492,25 @@ def test_bad_input_exits_with_table_code_and_one_line(
     topology = json.loads(serialize_topology(induce(*lift_subgraph(Topology.complete(2), [0, 1], 2))))
     (workdir / "n_max_text.json").write_text(json.dumps({**topology, "n_max": "2"}))
     (workdir / "n_max_float.json").write_text(json.dumps({**topology, "n_max": 2.7}))
+    (workdir / "mask_text.json").write_text(json.dumps({**topology, "mask": [1, "1"]}))
+    (workdir / "mask_bool.json").write_text(json.dumps({**topology, "mask": [True, 1]}))
+    (workdir / "weights_null.json").write_text(json.dumps({**topology, "weights": [[0, None], [1, 0]]}))
+    checkpoint = (workdir / "checkpoint.json").read_text()
+    for name, old, new in [("w_gcn1_text", '"w_gcn1": [[', '"w_gcn1": [["1", '),
+                           ("w_gcn2_bool", '"w_gcn2": [[', '"w_gcn2": [[true, '),
+                           ("b_edge_text", '"b_edge": [[', '"b_edge": [["1", '),
+                           ("mlp_w1_bool", '"mlp_w1": [[', '"mlp_w1": [[true, '),
+                           ("version_bool", '"version": 1', '"version": true')]:
+        (workdir / f"{name}.json").write_text(checkpoint.replace(old, new, 1))
+    # good keeps the writer's key order, so these lines take the reader's fast path
+    (workdir / "y_text_bool.jsonl").write_text(json.dumps({**good, "y": ["1", True, *good["y"][2:]]}))
+    (workdir / "y_null.jsonl").write_text(json.dumps({**good, "y": [1, 0, None, *good["y"][3:]]}))
+    a_gt_bool = copy.deepcopy(good["a_gt"])
+    a_gt_bool[0][4] = True
+    (workdir / "a_gt_bool.jsonl").write_text(json.dumps({**good, "a_gt": a_gt_bool}))
+    (workdir / "y_bool_unsorted.jsonl").write_text(
+        json.dumps({**good, "y": [1, True, *good["y"][2:]]}, sort_keys=True, separators=(",", ":"))
+    )
     write_suite(workdir / "suite.jsonl", n=2)
     write_suite(workdir / "team99.jsonl", n=3, team=(99,))
     (workdir / "cfg.ini").write_text(ini)
@@ -651,6 +700,9 @@ FUZZ_POOL = [
     for line in resources.files("commtopo.data").joinpath("default_pool.jsonl").read_text().splitlines()
 ]
 FUZZ_TOPOLOGY = [json.loads(serialize_topology(induce(*lift_subgraph(Topology.complete(3), [0, 4, 9], 15))))]
+# a checkpoint that fits the shipped pool and embedder, with narrow hidden layers to keep it small
+FUZZ_NET = NetConfig(d=HashingBackend().dim, h=4, h_m=2, n_max=15)
+FUZZ_CHECKPOINT = [json.loads(save_checkpoint(PruneNetParams.init(FUZZ_NET, np.random.default_rng(0)), FUZZ_NET))]
 NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
 
 
@@ -665,8 +717,8 @@ def mutated_bytes(draw, lines):
     return data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
 
 
-def main_exits_in_one_line(argv):
-    """Run ``main``; a failure must be one ``error:`` line with an ``EXIT_CODES`` code."""
+def main_exits_in_one_line(argv) -> int:
+    """Run ``main`` and return its code; a failure must be one ``error:`` line with an ``EXIT_CODES`` code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -676,6 +728,7 @@ def main_exits_in_one_line(argv):
     else:
         assert code in {c for _, c in EXIT_CODES}, code
         assert len(errors) == 1 and errors[0].startswith("error:"), errors
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -700,3 +753,16 @@ def test_a_mutated_pool_fails_design_in_one_line(fuzz_dir, data):
 def test_a_mutated_topology_fails_export_in_one_line(fuzz_dir, data):
     (fuzz_dir / "topology.json").write_bytes(data)
     main_exits_in_one_line(["export", "--topology", str(fuzz_dir / "topology.json")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=mutated_bytes(FUZZ_CHECKPOINT))
+def test_a_mutated_checkpoint_fails_design_in_one_line(fuzz_dir, data):
+    (fuzz_dir / "mutated.json").write_bytes(data)
+    code = main_exits_in_one_line(["design", "--query", "q", "--checkpoint", str(fuzz_dir / "mutated.json")])
+    assert code in (0, EXIT_CHECKPOINT)
+    if code == 0:  # then the version is the integer 1 and every tensor element a number
+        obj = json.loads(data)
+        assert type(obj["version"]) is int
+        for tensor in obj["tensors"].values():
+            assert all(type(v) in (int, float) for v in np.array(tensor, dtype=object).ravel())

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from commtopo.collector import collect_supervision
 from commtopo.errors import (
+    CommTopoError,
     DegenerateTopology,
     DimensionError,
     InvalidMembers,
@@ -30,6 +31,7 @@ from commtopo.graphs import (
     write_corpus,
 )
 from commtopo.synth import make_planted_evaluator
+from test_cli import FUZZ_CORPUS, mutated
 
 
 def complete_weights(n, value=1.0):
@@ -406,6 +408,99 @@ class TestSharedLabels:
             objects = {id(getattr(p, label)) for p in back}
             contents = {getattr(getattr(p, label), values).tobytes() for p in back}
             assert len(objects) == len(contents) < len(back), label
+
+
+def label_sharing(pairs):
+    """For each pair, the index of the first pair holding its ``a_gt`` object, and its ``y`` object."""
+    first_a, first_y = {}, {}
+    return [(first_a.setdefault(id(p.a_gt), i), first_y.setdefault(id(p.y), i)) for i, p in enumerate(pairs)]
+
+
+def outcome(read):
+    """What ``read()`` gives: the pairs' lines and label sharing, or the error it raises."""
+    try:
+        pairs = read()
+    except CommTopoError as exc:
+        return type(exc).__name__, str(exc)
+    return [p.to_json_line() for p in pairs], label_sharing(pairs)
+
+
+def assert_reads_as_from_json_line(text):
+    interned = {}
+    lines = [line for line in text.splitlines() if line.strip()]
+    expected = outcome(lambda: [SupervisionPair.from_json_line(line, interned) for line in lines])
+    assert outcome(lambda: read_corpus(text)) == expected
+
+
+@st.composite
+def corpora(draw):
+    """``write_corpus`` of drawn pairs, some of them repeated, so that lines share labels."""
+    pairs = draw(st.lists(supervision_pairs(), min_size=1, max_size=3))
+    return write_corpus([pairs[i] for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=6))])
+
+
+WRITER_KEYS = ["a_gt", "category", "score", "task_id", "task_text", "y"]
+SPACINGS = [(", ", ": "), (",", ":"), (" , ", " : ")]
+
+
+@st.composite
+def relaid_corpora(draw):
+    """The lines of ``corpora()`` with drawn key orders and spacing, inside the labels too."""
+    lines = []
+    for line in draw(corpora()).splitlines():
+        obj = json.loads(line)
+        keys = draw(st.just(WRITER_KEYS) | st.permutations(WRITER_KEYS))
+        (comma, colon), label = draw(st.sampled_from(SPACINGS)), draw(st.sampled_from(SPACINGS))
+        fields = (json.dumps(k) + colon + json.dumps(obj[k], separators=label if k in ("a_gt", "y") else None)
+                  for k in keys)
+        pad = draw(st.sampled_from(["", " "]))
+        lines.append(pad + "{" + comma.join(fields) + "}" + pad)
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCorpusReader:
+    """``read_corpus`` parses the labels of a line in the writer's layout once per
+    distinct text; it must read every line as ``from_json_line`` does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_the_writers_lines(self, text):
+        assert_reads_as_from_json_line(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relaid_corpora())
+    def test_lines_in_other_key_orders_and_spacing(self, text):
+        assert_reads_as_from_json_line(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mutated_lines(self, data):
+        lines = data.draw(mutated(FUZZ_CORPUS + FUZZ_CORPUS[:1]))  # lines 0 and 2 share labels
+        assert_reads_as_from_json_line("".join(json.dumps(line) + "\n" for line in lines))
+
+    def test_a_label_key_among_the_middle_fields_is_read_as_json_reads_it(self):
+        a_gt, y = lift_subgraph(Topology.complete(3), [0, 1, 2], 4)
+        line = write_corpus([SupervisionPair("t", "q", "math_reasoning", a_gt, y, 1.0)])
+        other_a_gt = json.dumps(lift_subgraph(Topology(3, np.eye(3, k=1)), [0, 1, 2], 4)[0].w.tolist())
+        for key, value in (("a_gt", other_a_gt), ("y", "[1, 1, 0, 0]")):
+            edited = line.replace('"category": ', f'"{key}": {value}, "category": ', 1)
+            assert_reads_as_from_json_line(edited)
+            # the last of two equal keys wins, as in json.loads
+            assert read_corpus(edited)[0].a_gt.w.tolist() == (json.loads(value) if key == "a_gt" else a_gt.w.tolist())
+
+    def test_parses_each_distinct_label_text_once(self, monkeypatch):
+        teams = [(0, 1), (1, 2, 3), (0, 2)] * 10
+        pairs = [
+            SupervisionPair(f"t{i}", f"q{i}", "math_reasoning", *lift_subgraph(Topology.complete(len(team)), team, 5), 1.0)
+            for i, team in enumerate(teams)
+        ]
+        text = write_corpus(pairs)
+        labels = {json.dumps(p.a_gt.w.tolist()) for p in pairs} | {json.dumps(p.y.m.astype(int).tolist()) for p in pairs}
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda s, *args, **kw: parsed.append(s) or loads(s, *args, **kw))
+        assert write_corpus(read_corpus(text)) == text
+        assert len(parsed) <= len(pairs) + len(labels) == 36
+        assert sorted(s for s in parsed if s.startswith("[")) == sorted(labels)
 
 
 class TestNanWeights:
