@@ -1,21 +1,21 @@
-"""Chat backends: deterministic mocks for tests/benchmarks and an
-OpenAI-compatible HTTP client with retries.
+"""Chat backends: deterministic mocks for the CLI, tests and benchmarks,
+and an OpenAI-compatible HTTP client with retries.
 
 A backend maps (system prompt, user prompt) to (output text,
 prompt_tokens, completion_tokens); token counts may be None, in which
 case the orchestrator falls back to whitespace counting.  One
 orchestrator run calls a backend from up to `MAX_IN_FLIGHT` threads at
-once, and a collect scores up to `MAX_IN_FLIGHT` graphs at once.
+once.  A collect runs up to `MAX_IN_FLIGHT` units, runs of keys, at once,
+and each unit scores its keys one at a time.
 """
 from __future__ import annotations
 
 import json
-import threading
 import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 from .errors import BackendError, ConfigError
 from .pool import DECISION_PROFILE, AgentPool, render_system_prompt
@@ -51,41 +51,6 @@ class EchoBackend:
             f"And my answer to the <Task> is {digest}."
         )
         return text, None, None
-
-
-class StaticBackend:
-    """Always returns the same text."""
-
-    def __init__(self, text: str, prompt_tokens: int | None = None, completion_tokens: int | None = None):
-        self.text = text
-        self.prompt_tokens = prompt_tokens
-        self.completion_tokens = completion_tokens
-
-    def complete(self, system: str, user: str) -> Completion:
-        return self.text, self.prompt_tokens, self.completion_tokens
-
-
-class ScriptedBackend:
-    """Returns pre-recorded outputs in call order.
-
-    The call order is deterministic only where every wave of a run holds
-    one call, as in a complete graph or a chain, and only within one run:
-    concurrent calls, from one run's wave or from a collect's concurrent
-    scorings, take outputs in the order they arrive.
-    """
-
-    def __init__(self, outputs: Sequence[str]):
-        self.outputs = list(outputs)
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def complete(self, system: str, user: str) -> Completion:
-        with self._lock:
-            if self.calls >= len(self.outputs):
-                raise BackendError("script exhausted")
-            out = self.outputs[self.calls]
-            self.calls += 1
-        return out, None, None
 
 
 def _transcript_entries(user: str) -> list[dict]:

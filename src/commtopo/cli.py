@@ -308,7 +308,8 @@ def main(argv=None) -> int:
         code = next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), None)
         if code is None:
             raise
-        print(f"error: {exc}", file=sys.stderr)
+        # a message can quote input text that holds line breaks; the error stays one line
+        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return code
     return EXIT_OK
 

@@ -9,6 +9,7 @@ import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -88,7 +89,7 @@ class TaskSpec:
                 check=obj.get("check", "exact"),
                 planted_team=tuple(obj["planted_team"]) if "planted_team" in obj else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FormatError(f"bad task line: {exc}") from exc
 
 
@@ -274,9 +275,16 @@ class CollectStats:
     category_histogram: dict = field(default_factory=dict)
 
 
+UNITS = 4 * MAX_IN_FLIGHT
+"""A collect cuts its keys into runs of ``len(keys) // UNITS`` (at least
+1): four units per worker keep the workers evenly busy, and a collect of
+many cheap scorings pays the hand-off to a worker about `UNITS` times,
+not once per key."""
+
+
 def _score_unit(unit, evaluator: Evaluator, stop: threading.Event) -> dict:
-    """Score one graph's new (key, graph, task, occurrences) items in
-    order, until `stop` is set.  A key is scored up to once per
+    """Score a unit's (key, graph, task, occurrences) items in order,
+    until `stop` is set.  A key is scored up to once per
     occurrence, until a utility comes back, and maps to the messages of
     its ScoreUnavailable failures, then that utility."""
     outcomes = {}
@@ -308,14 +316,16 @@ def collect_supervision(
     share an id would share scores, so they are a ConfigError.
 
     Every graph is drawn and every key's occurrences are counted up
-    front.  Each graph's first occurrences of keys form one unit of work,
-    which scores each key up to once per occurrence, until a utility
-    comes back.  The units run on a pool of at most `MAX_IN_FLIGHT`
-    threads owned by the call, and their results are merged on the
-    calling thread in sampling order: each failed scoring skips one
-    occurrence, so the pairs, the stats and the skip warnings equal those
-    of scoring one key at a time.  If the merge raises, queued units are
-    cancelled and running ones stop before their next scoring.
+    front.  The keys' first occurrences, in sampling order, are cut into
+    units of ``len(keys) // UNITS`` consecutive keys (at least one), each
+    filled as it is submitted; a unit scores each key up to once per
+    occurrence, until a utility comes back.  The units run on a pool of
+    at most `MAX_IN_FLIGHT` threads owned by the call, and their results
+    are merged on the calling thread in sampling order, taking units in
+    order until the next key's outcome is in: each failed scoring skips
+    one occurrence, so the pairs, the stats and the skip warnings equal
+    those of scoring one key at a time.  If the merge raises, queued
+    units are cancelled and running ones stop before their next scoring.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -340,19 +350,28 @@ def collect_supervision(
         return [((graphs[i].members, tasks[j].task_id), j) for j in window]
 
     occurrences = Counter(key for i in range(len(graphs)) for key, _ in targets(i))
+    size = max(1, len(occurrences) // UNITS)
+
+    def first_occurrences():
+        for i, graph in enumerate(graphs):
+            for key, j in targets(i):
+                if key in occurrences:
+                    yield key, graph, tasks[j], occurrences.pop(key)
+
     entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
     stats = CollectStats(tasks=n_tasks)
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
+        items = first_occurrences()
         futures = deque()
-        for i, graph in enumerate(graphs):
-            unit = [(key, graph, tasks[j], occurrences.pop(key)) for key, j in targets(i) if key in occurrences]
+        while unit := list(islice(items, size)):
             futures.append(executor.submit(_score_unit, unit, evaluator, stop))
         outcomes = {}
         for i, graph in enumerate(graphs):
-            outcomes.update(futures.popleft().result())
             for key, j in targets(i):
+                while key not in outcomes:
+                    outcomes.update(futures.popleft().result())
                 tried = outcomes[key]
                 if isinstance(tried[0], str):
                     stats.graphs_skipped += 1

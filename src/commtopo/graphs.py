@@ -163,7 +163,7 @@ class SupervisionPair:
                 y=_interned(NodeMask, n, obj["y"], interned),
                 score=float(obj["score"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FormatError(f"bad supervision pair line: {exc}") from exc
 
 
@@ -286,7 +286,7 @@ def parse_topology(data: bytes | str) -> CommTopology:
         check_numbers(obj["weights"], "weights")
         mask = NodeMask(n, np.array(obj["mask"], dtype=float))
         weights = WeightMatrix(n, np.array(obj["weights"], dtype=float))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"bad topology document: {exc}") from exc
     return CommTopology(mask, weights)
 
@@ -336,7 +336,7 @@ def _writer_line(line: str, interned: dict) -> SupervisionPair | None:
         a_gt = _parsed(WeightMatrix, y.n, line[len(_A_GT) : cut], interned)
         # a missing or an unknown field fails here, and from_json_line decides
         return SupervisionPair(**{**obj, "score": float(obj["score"]), "a_gt": a_gt, "y": y})
-    except (KeyError, TypeError, ValueError, CommTopoError):
+    except (KeyError, TypeError, ValueError, RecursionError, CommTopoError):
         return None
 
 

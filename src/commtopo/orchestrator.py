@@ -13,7 +13,8 @@ round, an agent's depth is one more than the deepest of its
 in-neighbors with a lower id; the agents of one depth form a wave and
 are called together, after the previous wave and round have finished.
 Prompts are rendered and entries committed on the calling thread in
-canonical order, and every tag is drawn up front, so the transcript --
+canonical order, each system prompt and each entry's history JSON once
+per run, and every tag is drawn up front, so the transcript --
 and, on a backend failure, the error and partial transcript -- equal
 those of running the calls one at a time.
 """
@@ -30,7 +31,8 @@ from .backends import MAX_IN_FLIGHT, BackendSet
 from .collector import TaskSpec
 from .errors import BackendError, ConfigError, DegenerateTopology, RunAborted
 from .graphs import CommTopology, Topology, binarize, serialize_topology
-from .pool import DECISION_PROFILE, AgentPool, render_system_prompt, render_user_prompt
+from .pool import DECISION_PROFILE, USER_PROMPT_PREFIX, AgentPool, join_user_prompt, render_entry, render_system_prompt
+from .pool import render_user_prompt  # noqa: F401 -- benchmarks/workloads.py traces it by this name
 
 _TAG_ALPHABET = string.ascii_uppercase + string.digits
 
@@ -89,6 +91,9 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
+_PREFIX_TOKENS = count_tokens(USER_PROMPT_PREFIX)
+
+
 def visible_history(
     history: list[DialogueEntry],
     agent_id: int,
@@ -96,13 +101,14 @@ def visible_history(
     weights,
 ) -> list[DialogueEntry]:
     """Entries from in-neighbors, ordered by edge weight desc then arrival."""
-    w = np.asarray(getattr(weights, "w", weights), dtype=float)
+    w = np.asarray(getattr(weights, "w", weights), dtype=float)[:, agent_id].tolist()
+    linked = adj.adj[:, agent_id].tolist()
     indexed = [
         (idx, e)
         for idx, e in enumerate(history)
-        if e.agent_id >= 0 and adj.adj[e.agent_id, agent_id] >= 1.0
+        if e.agent_id >= 0 and linked[e.agent_id] >= 1.0
     ]
-    indexed.sort(key=lambda pair: (-w[pair[1].agent_id, agent_id], pair[0]))
+    indexed.sort(key=lambda pair: (-w[pair[1].agent_id], pair[0]))
     return [e for _, e in indexed]
 
 
@@ -116,9 +122,10 @@ def _new_tags(rng: np.random.Generator, n: int) -> list[str]:
 
 def _depths(active: list[int], adj: Topology) -> dict[int, int]:
     """Wave index of each agent within a round: 1 + the deepest in-neighbor i < j."""
+    rows = adj.adj.tolist()
     depth: dict[int, int] = {}
     for j in active:
-        depth[j] = 1 + max((depth[i] for i in active if i < j and adj.adj[i, j] >= 1.0), default=0)
+        depth[j] = 1 + max((depth[i] for i in active if i < j and rows[i][j] >= 1.0), default=0)
     return depth
 
 
@@ -156,30 +163,48 @@ def run_topology(
         [(pos, j) for pos, j in enumerate(active) if depth[j] == d]
         for d in range(1, max(depth.values()) + 1)
     ]
+    profiles = {**{j: pool[j] for j in active}, -1: DECISION_PROFILE}
+    # each agent's system prompt and its token count, rendered once per run
+    systems = {j: render_system_prompt(p, task.task_text) for j, p in profiles.items()}
+    system_tokens = {j: count_tokens(system) for j, system in systems.items()}
+    # id of each committed entry -> (its history JSON, that text's token count)
+    rendered: dict[int, tuple[str, int]] = {}
     abort_at = len(slots)  # slot of the first failure in canonical order
     failure: tuple[int, int, BackendError] | None = None
     executor: ThreadPoolExecutor | None = None
 
+    def call(slot: int, agent_id: int, seen: list[DialogueEntry]) -> tuple:
+        """(slot, agent, role, system prompt, user prompt, their `count_tokens`).
+        The prefix ends in a space and every entry text starts with '{' and
+        ends with '}', so joining them adds no token and merges none: the
+        user prompt's count is the prefix's plus the entries', or 1 more for "[]"."""
+        entries = [rendered[id(e)] for e in seen]
+        user = join_user_prompt([text for text, _ in entries])
+        tokens = system_tokens[agent_id] + _PREFIX_TOKENS + (sum(n for _, n in entries) or 1)
+        return slot, agent_id, profiles[agent_id].role, systems[agent_id], user, tokens
+
     def call_wave(calls: list[tuple], backend, rnd: int) -> None:
         nonlocal abort_at, failure, executor
         if len(calls) < 2:
-            outcomes = [_complete(backend, system, user) for _, _, _, system, user in calls]
+            outcomes = [_complete(backend, system, user) for _, _, _, system, user, _ in calls]
         else:
             if executor is None:
                 executor = ThreadPoolExecutor(max_workers=min(m, MAX_IN_FLIGHT))
-            futures = [executor.submit(_complete, backend, system, user) for _, _, _, system, user in calls]
+            futures = [executor.submit(_complete, backend, system, user) for _, _, _, system, user, _ in calls]
             outcomes = [f.result() for f in futures]
-        for (slot, agent_id, role, system, user), outcome in zip(calls, outcomes):
+        for (slot, agent_id, role, _, _, prompt_tokens), outcome in zip(calls, outcomes):
             if isinstance(outcome, BackendError):
                 if slot < abort_at:
                     abort_at, failure = slot, (agent_id, rnd, outcome)
                 continue
             output, p_tok, c_tok = outcome
             if p_tok is None:
-                p_tok = count_tokens(system) + count_tokens(user)
+                p_tok = prompt_tokens
             if c_tok is None:
                 c_tok = count_tokens(output)
-            slots[slot] = DialogueEntry(tags[slot], rnd, agent_id, role, output, p_tok, c_tok)
+            entry = slots[slot] = DialogueEntry(tags[slot], rnd, agent_id, role, output, p_tok, c_tok)
+            text = render_entry(entry.as_history_item())
+            rendered[id(entry)] = text, count_tokens(text)
 
     try:
         for rnd in range(1, k + 1):
@@ -189,19 +214,13 @@ def run_topology(
                     slot = (rnd - 1) * m + pos
                     if slot >= abort_at:
                         break
-                    profile = pool[agent_id]
                     before = [e for e in slots[:slot] if e is not None]
-                    seen = visible_history(before, agent_id, adj, t.weights)
-                    system = render_system_prompt(profile, task.task_text)
-                    user = render_user_prompt([e.as_history_item() for e in seen])
-                    calls.append((slot, agent_id, profile.role, system, user))
+                    calls.append(call(slot, agent_id, visible_history(before, agent_id, adj, t.weights)))
                 call_wave(calls, backends.default, rnd)
             if failure is not None:
                 break
         else:
-            system = render_system_prompt(DECISION_PROFILE, task.task_text)
-            user = render_user_prompt([e.as_history_item() for e in slots[:-1]])
-            call_wave([(k * m, -1, DECISION_PROFILE.role, system, user)], backends.decision, k)
+            call_wave([call(k * m, -1, slots[:-1])], backends.decision, k)
     finally:
         if executor is not None:
             executor.shutdown()

@@ -80,7 +80,7 @@ def load_pool(source: bytes | str) -> AgentPool:
                     system_template=obj.get("system_template", DEFAULT_SYSTEM_TEMPLATE),
                 )
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise FormatError(f"bad profile line: {exc}") from exc
     profiles.sort(key=lambda p: p.id)
     ids = [p.id for p in profiles]
@@ -102,13 +102,17 @@ def render_system_prompt(p: AgentProfile, task: str) -> str:
     return p.system_template.replace("<Profile>", profile).replace("<Task>", task)
 
 
-def render_user_prompt(history: Sequence[Mapping[str, str]]) -> str:
-    """Fixed prefix plus the dialogue history as a JSON array.
+def render_entry(h: Mapping[str, str]) -> str:
+    """One history entry as a JSON object with exactly the keys id, role, output."""
+    return json.dumps({"id": h["id"], "role": h["role"], "output": h["output"]}, ensure_ascii=False)
 
-    Each entry is serialized with exactly the keys id, role, output, in
-    arrival order.
-    """
-    entries = [
-        {"id": h["id"], "role": h["role"], "output": h["output"]} for h in history
-    ]
-    return USER_PROMPT_PREFIX + json.dumps(entries, ensure_ascii=False)
+
+def join_user_prompt(entries: Sequence[str]) -> str:
+    """Fixed prefix plus rendered entries as a JSON array, in the given order:
+    the bytes ``json.dumps`` gives the list of their objects."""
+    return USER_PROMPT_PREFIX + "[" + ", ".join(entries) + "]"
+
+
+def render_user_prompt(history: Sequence[Mapping[str, str]]) -> str:
+    """Fixed prefix plus the dialogue history as a JSON array, in arrival order."""
+    return join_user_prompt([render_entry(h) for h in history])

@@ -646,7 +646,7 @@ def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
         t = {k: np.array(v, dtype=float) for k, v in obj["tensors"].items()}
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     shapes = PruneNetParams.shapes(net)
     for name, shape in shapes.items():

@@ -4,10 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 import requests
 
-from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, PlantedDecisionBackend, ScriptedBackend
+from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, PlantedDecisionBackend
 from commtopo.collector import TaskSpec
 from commtopo.errors import BackendError, ConfigError
 from commtopo.pool import DECISION_PROFILE, load_default_pool, render_system_prompt, render_user_prompt
+from doubles import ScriptedBackend
 
 OK_BODY = {
     "choices": [{"message": {"content": "four"}}],

@@ -414,6 +414,17 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
          "bad supervision pair line: a_gt[0][4] must be a number, got bool"),
         ("", ["train", "--corpus", "y_bool_unsorted.jsonl"], 1,
          "bad supervision pair line: y[1] must be a number, got bool"),
+        ("", ["collect", "--tasks", "deep_tasks.jsonl"], 1, "bad task line: maximum recursion depth exceeded"),
+        ("", ["train", "--corpus", "deep_corpus.jsonl"], 1,
+         "bad supervision pair line: maximum recursion depth exceeded"),
+        ("[paths]\npool_path = deep_pool.jsonl\n", ["design", "--query", "q"], 1,
+         "bad profile line: maximum recursion depth exceeded"),
+        ("", ["export", "--topology", "deep_topology.json"], 1,
+         "bad topology document: maximum recursion depth exceeded"),
+        ("", ["design", "--query", "q", "--checkpoint", "deep_checkpoint.json"], 4,
+         "malformed checkpoint: maximum recursion depth exceeded"),
+        ("", ["design", "--query", "q", "--checkpoint", "config_key_newline.json"], 4,
+         "malformed checkpoint: NetConfig.__init__() got an unexpected keyword argument 'a b'"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -442,7 +453,9 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "design-checkpoint-w-gcn2-a-bool", "design-checkpoint-b-edge-a-string",
         "design-checkpoint-mlp-w1-a-bool", "design-checkpoint-version-a-bool", "export-mask-a-string",
         "export-mask-a-bool", "export-weights-null", "train-y-a-string-and-bool", "train-y-null",
-        "train-a-gt-bool", "train-y-bool-in-another-layout",
+        "train-a-gt-bool", "train-y-bool-in-another-layout", "collect-tasks-nested-too-deep",
+        "train-corpus-nested-too-deep", "design-pool-nested-too-deep", "export-topology-nested-too-deep",
+        "design-checkpoint-nested-too-deep", "design-checkpoint-config-key-with-a-line-break",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -511,6 +524,15 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "y_bool_unsorted.jsonl").write_text(
         json.dumps({**good, "y": [1, True, *good["y"][2:]]}, sort_keys=True, separators=(",", ":"))
     )
+    # a list nested deeper than any JSON decoder's recursion limit, in each kind of input file
+    deep = "[" * 100_000 + "]" * 100_000
+    (workdir / "deep_tasks.jsonl").write_text(json.dumps(task)[:-1] + f', "planted_team": {deep}}}')
+    good_line = (workdir / "good.jsonl").read_text()
+    (workdir / "deep_corpus.jsonl").write_text(good_line[: good_line.rindex('"y": ')] + f'"y": {deep}}}')
+    (workdir / "deep_pool.jsonl").write_text(f'{{"id": 0, "role": {deep}}}')
+    (workdir / "deep_topology.json").write_text(f'{{"n_max": 2, "mask": {deep}, "weights": [[0, 1], [1, 0]]}}')
+    (workdir / "deep_checkpoint.json").write_text(f'{{"version": 1, "config": {{}}, "tensors": {{"w_gcn1": {deep}}}}}')
+    (workdir / "config_key_newline.json").write_text(checkpoint.replace('"config": {', '"config": {"a\\nb": 1, ', 1))
     write_suite(workdir / "suite.jsonl", n=2)
     write_suite(workdir / "team99.jsonl", n=3, team=(99,))
     (workdir / "cfg.ini").write_text(ini)
@@ -766,3 +788,62 @@ def test_a_mutated_checkpoint_fails_design_in_one_line(fuzz_dir, data):
         assert type(obj["version"]) is int
         for tensor in obj["tensors"].values():
             assert all(type(v) in (int, float) for v in np.array(tensor, dtype=object).ravel())
+
+
+# A valid config for every command, with no option that sizes a run: those come from flags.
+FUZZ_INI = [
+    "[embedding]", "embed_backend = hash",
+    "[agents]", "agent_backend = echo", "evaluator = planted", "planted_mode = jaccard", "model = m",
+    "[run]", "theta = 0.5", "seed = 3",
+    "[collector]", "sigma = 2.0", "mu = 4.0", "top_k = 1", "candidates_per_task = 20",
+    "[train]", "lr = 0.001", "batch = 4", "beta = 1.0", "avg_tail = 0.25",
+]
+INI_COMMANDS = {
+    "collect": ["collect", "--tasks", "{dir}/suite.jsonl", "--out", "{dir}/mined.jsonl", "--budget", "30"],
+    "train": ["train", "--corpus", "{dir}/corpus.jsonl", "--checkpoint", "{dir}/trained.json",
+              "--log", "{dir}/log.csv", "--epochs", "1"],
+    "design": ["design", "--query", "q", "--checkpoint", "{dir}/checkpoint.json"],
+    "run": ["run", "--query", "q", "--checkpoint", "{dir}/checkpoint.json", "--k", "1",
+            "--transcript", "{dir}/transcript.json"],
+    "bench": ["bench", "--suite", "{dir}/suite.jsonl", "--methods", "designed,star", "--repeats", "1",
+              "--checkpoint", "{dir}/checkpoint.json", "--out-prefix", "{dir}/bench"],
+    "export": ["export", "--topology", "{dir}/topology.json"],
+}
+
+
+@st.composite
+def mutated_ini(draw):
+    """``FUZZ_INI`` with a line dropped or its value (a header: the whole line)
+    replaced by drawn text, or with bytes that are not UTF-8 put in at a drawn offset."""
+    lines = list(FUZZ_INI)
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["drop", "retype", "not-utf8"]))
+    if edit == "drop":
+        del lines[at]
+    elif edit == "retype":
+        lines[at] = lines[at].split("=")[0] + "= " * ("=" in lines[at]) + draw(st.text(max_size=4))
+    data = "".join(line + "\n" for line in lines).encode()
+    if edit == "not-utf8":
+        offset = draw(st.integers(0, len(data)))
+        data = data[:offset] + draw(st.sampled_from(NOT_UTF8)) + data[offset:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def ini_dir(tmp_path_factory):
+    """Valid inputs for every command of ``INI_COMMANDS``."""
+    path = tmp_path_factory.mktemp("ini")
+    write_suite(path / "suite.jsonl", n=2)
+    (path / "corpus.jsonl").write_text("".join(json.dumps(line) + "\n" for line in FUZZ_CORPUS))
+    make_checkpoint(path)
+    (path / "topology.json").write_text(json.dumps(FUZZ_TOPOLOGY[0]))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(INI_COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=mutated_ini())
+def test_a_mutated_config_fails_every_command_in_one_line(ini_dir, command, data):
+    (ini_dir / "cfg.ini").write_bytes(data)
+    argv = [arg.replace("{dir}", str(ini_dir)) for arg in INI_COMMANDS[command]]
+    main_exits_in_one_line(["--config", str(ini_dir / "cfg.ini"), *argv])

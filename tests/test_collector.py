@@ -583,6 +583,43 @@ class TestConcurrentCollect:
         assert all(w.endswith("utility is NaN") for w in warnings)
 
 
+def recording_units(monkeypatch):
+    """The units `collect_supervision` scores, each as its list of keys."""
+    units = []
+    score_unit = collector._score_unit
+    monkeypatch.setattr(
+        collector, "_score_unit", lambda unit, *rest: units.append([item[0] for item in unit]) or score_unit(unit, *rest)
+    )
+    return units
+
+
+class TestCollectUnits:
+    def test_orchestrator_scorings_at_benchmark_sizes_take_one_key_per_unit(self, monkeypatch):
+        # 10 tasks per family, budget 60, 4 candidates per task: 120 scorings of 2 tasks per graph
+        suite = make_planted_suite(10, 0, seed=3)
+        pool = load_default_pool()
+        cfg = CollectorConfig(budget=60, mu=5.0, sigma=1.5, candidates_per_task=4, seed=8)
+        units = recording_units(monkeypatch)
+        evaluator = make_orchestrator_evaluator(pool, planted_backends(suite.train_tasks, pool))
+        got, _ = collect_supervision(suite.train_tasks, pool, cfg, evaluator)
+        want, _ = sequential_collect(suite.train_tasks, pool, cfg, evaluator)
+        assert write_corpus(got) == write_corpus(want)
+        assert len(units) > 100 and all(len(unit) == 1 for unit in units)
+
+    def test_many_keys_go_into_at_most_one_unit_more_than_the_unit_count(self, monkeypatch):
+        tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(300)]
+        pool = load_default_pool()
+        cfg = CollectorConfig(budget=300, candidates_per_task=20, seed=6)
+        units = recording_units(monkeypatch)
+        got, _ = collect_supervision(tasks, pool, cfg, make_planted_evaluator())
+        want, _ = sequential_collect(tasks, pool, cfg, make_planted_evaluator())
+        assert write_corpus(got) == write_corpus(want)
+        keys = [key for unit in units for key in unit]
+        assert len(keys) == len(set(keys)) > 5000
+        assert len(units) <= 4 * MAX_IN_FLIGHT + 1
+        assert {len(unit) for unit in units[:-1]} == {len(keys) // (4 * MAX_IN_FLIGHT)}
+
+
 class TestPlantedUtility:
     def test_superset_scores_one_in_overlap_mode(self):
         assert planted_utility((1, 2, 3, 7), (1, 2, 3), "overlap") == 1.0

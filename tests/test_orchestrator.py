@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commtopo.backends import (
-    BackendSet,
-    EchoBackend,
-    ScriptedBackend,
-    StaticBackend,
-)
+from commtopo.backends import BackendSet, EchoBackend
 from commtopo.collector import TaskSpec
 from commtopo.bench import make_static
 from commtopo.errors import BackendError, DegenerateTopology, RunAborted
@@ -27,6 +22,7 @@ from commtopo.orchestrator import (
     visible_history,
 )
 from commtopo.pool import load_default_pool, render_system_prompt, render_user_prompt
+from doubles import ScriptedBackend, StaticBackend
 
 N = 15
 
@@ -396,3 +392,41 @@ class TestCountTokens:
         assert count_tokens("one two  three\nfour") == 4
         assert count_tokens("") == 0
         assert count_tokens("   ") == 0
+
+
+# Outputs whose whitespace and escapes a rendering could get wrong: str.split()
+# splits on \xa0, \x85, \u2028 and \x1c, and JSON escapes only the last of them.
+AWKWARD_OUTPUTS = ["", " ", "  lead", "trail  ", '""', 'say "hi"', "back\\slash\\", "a\xa0b", "c\x85d",
+                   "e\u2028f", "g\x1ch", "\U0001f600 \U00010348", "{[, ]}"]
+
+
+class Speaking:
+    """Answers with one of `outputs`, chosen by a checksum of the prompts, and
+    reports no usage; records every prompt pair it was sent."""
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+        self.prompts = []
+        self._lock = threading.Lock()
+
+    def complete(self, system, user):
+        with self._lock:
+            self.prompts.append((system, user))
+        return self.outputs[zlib.crc32((system + "\x00" + user).encode()) % len(self.outputs)], None, None
+
+
+class TestArbitraryOutputs:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_sequential_run(self, data):
+        members = data.draw(st.lists(st.integers(0, N - 1), min_size=2, max_size=8, unique=True))
+        w = {(a, b): data.draw(st.sampled_from([0.0, 0.4, 0.6, 1.0])) for a in members for b in members if a != b}
+        k = data.draw(st.integers(1, 3))
+        outputs = data.draw(st.lists(st.sampled_from(AWKWARD_OUTPUTS) | st.text(max_size=12), min_size=1, max_size=5))
+        seed = data.draw(st.integers(0, 2**16))
+        sides = []
+        for run in (run_topology, sequential_run):
+            backends = BackendSet(default=Speaking(outputs), decision=Speaking(outputs))
+            result = run(topo(members, w), task(), load_default_pool(), backends, k=k, rng=np.random.default_rng(seed))
+            sides.append((result.to_json(), sorted(backends.default.prompts), backends.decision.prompts))
+        assert sides[0] == sides[1]

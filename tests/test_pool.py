@@ -1,12 +1,16 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from commtopo.errors import AnchoringError, FormatError
 from commtopo.pool import (
+    USER_PROMPT_PREFIX,
     AgentProfile,
+    join_user_prompt,
     load_default_pool,
     load_pool,
+    render_entry,
     render_system_prompt,
     render_user_prompt,
 )
@@ -132,3 +136,18 @@ class TestUserPrompt:
         ]
         arr = json.loads(render_user_prompt(hist)[len(self.PREFIX):])
         assert [e["output"] for e in arr] == ["first", "second"]
+
+
+AWKWARD = ["", " ", " lead", "trail ", '""', '"q"', "back\\slash", "\xa0", "\x85", "\u2028", "\x1c", "\U0001f600"]
+TEXTS = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=8))
+HISTORIES = st.lists(st.fixed_dictionaries({"id": TEXTS, "role": TEXTS, "output": TEXTS}), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(HISTORIES)
+@example([])
+def test_user_prompt_is_the_join_of_its_rendered_entries(history):
+    want = USER_PROMPT_PREFIX + json.dumps(
+        [{"id": h["id"], "role": h["role"], "output": h["output"]} for h in history], ensure_ascii=False
+    )
+    assert render_user_prompt(history) == join_user_prompt([render_entry(h) for h in history]) == want
