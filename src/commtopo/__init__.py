@@ -31,7 +31,7 @@ from .prunenet import (
     train,
 )
 from .orchestrator import RunResult, run_topology
-from .bench import BenchReport, fit_node_count_gaussian, make_static, run_bench
+from .bench import BenchReport, make_static, run_bench
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

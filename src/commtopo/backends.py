@@ -195,4 +195,7 @@ def _parse_completion(resp) -> Completion:
         raise BackendError(f"malformed chat response: {exc!r}") from exc
     if not isinstance(text, str):
         raise BackendError("malformed chat response: content is not a string")
+    for name, count in zip(("prompt_tokens", "completion_tokens"), tokens):
+        if count is not None and (type(count) is not int or count < 0):  # a bool is not of type int
+            raise BackendError(f"malformed chat response: usage.{name} is {count!r}, not a count")
     return (text, *tokens)

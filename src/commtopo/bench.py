@@ -1,5 +1,5 @@
-"""Static-topology baselines, the benchmark harness, and the
-node-count Gaussian fit used for team-size analysis."""
+"""Static-topology baselines, and the benchmark harness that runs each
+method's topologies through the orchestrator."""
 from __future__ import annotations
 
 import csv
@@ -12,7 +12,7 @@ import numpy as np
 
 from .backends import BackendSet
 from .collector import TaskSpec, answer_matches
-from .errors import ConfigError, FitDegenerate, RunAborted
+from .errors import ConfigError, RunAborted
 from .graphs import CommTopology, NodeMask, WeightMatrix
 from .orchestrator import run_topology
 from .pool import AgentPool
@@ -160,28 +160,3 @@ def run_bench(
                     correct += 1
         rows.append(BenchRow(name, correct / runs, float(np.mean(tokens)), runs))
     return BenchReport(tuple(rows), suite_id, seed)
-
-
-def fit_node_count_gaussian(topologies: Sequence[CommTopology]) -> tuple[float, float, float]:
-    """Least-squares fit of A*exp(-(x-mu)^2 / (2 sigma^2)) to the
-    histogram of active-node counts; returns (A, mu, |sigma|)."""
-    from scipy.optimize import curve_fit  # imported here: scipy.optimize is slow to load and large
-
-    if len(topologies) < 5:
-        raise FitDegenerate("need at least 5 topologies")
-    counts = np.array([t.mask.active_count() for t in topologies])
-    xs = np.arange(counts.min(), counts.max() + 1)
-    if len(xs) < 2:
-        raise FitDegenerate("all topologies have the same node count")
-    ys = np.array([(counts == x).sum() for x in xs], dtype=float)
-
-    def gauss(x, a, mu, sigma):
-        return a * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2))
-
-    p0 = (float(ys.max()), float(np.mean(counts)), max(float(np.std(counts)), 0.5))
-    try:
-        popt, _ = curve_fit(gauss, xs, ys, p0=p0, maxfev=10000)
-    except RuntimeError as exc:
-        raise FitDegenerate(f"fit did not converge: {exc}") from exc
-    a, mu, sigma = popt
-    return float(a), float(mu), float(abs(sigma))

@@ -141,12 +141,12 @@ class CollectorConfig:
         return mu
 
     # sample_orders rejection-samples the whole Gaussian, so it needs about
-    # 1 / accepted_mass draws per order
+    # 1 / mass draws per order, where mass is the chance that one draw lies in [2, n_max]
     MIN_ACCEPTED_MASS = 1e-3
 
     def validate(self, n_max: int) -> None:
         check_within(self)
-        # accepted_mass with the standard library's erfc, so that no stage loads scipy
+        # the mass, computed with the standard library's erfc
         mu, scale = self.resolved_mu(n_max), self.sigma * math.sqrt(2)
         mass = 0.5 * math.erfc((mu - n_max) / scale) - 0.5 * math.erfc((mu - 2) / scale)
         if not mass >= self.MIN_ACCEPTED_MASS:
@@ -171,34 +171,6 @@ def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | N
         kept = draws[(draws >= 2) & (draws <= n_max)]
         orders.extend(int(math.floor(x + 0.5)) for x in kept)
     return orders[: cfg.budget]
-
-
-def accepted_mass(cfg: CollectorConfig, n_max: int) -> float:
-    """Probability that one Gaussian draw of ``sample_orders`` lies in [2, n_max]."""
-    from scipy.special import ndtr  # imported here: it is slow to load, and no CLI stage calls this
-
-    mu = cfg.resolved_mu(n_max)
-    return float(ndtr((n_max - mu) / cfg.sigma) - ndtr((2 - mu) / cfg.sigma))
-
-
-def order_distribution(cfg: CollectorConfig, n_max: int) -> np.ndarray:
-    """Exact pmf of sample_orders over the integers 2..n_max."""
-    from scipy.special import ndtr
-
-    mu, sigma = cfg.resolved_mu(n_max), cfg.sigma
-    ks = np.arange(2, n_max + 1)
-    lo = np.maximum(ks - 0.5, 2.0)
-    hi = np.minimum(ks + 0.5, float(n_max))
-    return (ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)) / accepted_mass(cfg, n_max)
-
-
-def order_ks_statistic(orders: Sequence[int], cfg: CollectorConfig, n_max: int) -> float:
-    """KS distance between sampled orders and the truncated-Gaussian pmf."""
-    pmf = order_distribution(cfg, n_max)
-    cdf = np.cumsum(pmf)
-    counts = np.bincount(np.asarray(orders, dtype=int), minlength=n_max + 1)[2 : n_max + 1]
-    ecdf = np.cumsum(counts) / len(orders)
-    return float(np.abs(ecdf - cdf).max())
 
 
 def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> SampledGraph:

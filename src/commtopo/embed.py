@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import EmbeddingUnavailable
+from .errors import EmbeddingUnavailable, check_numbers
 from .pool import AgentPool
 
 DEFAULT_DIM = 384
@@ -87,7 +87,11 @@ class HttpBackend:
                 self.endpoint, json={"input": text}, headers=headers, timeout=60
             )
             resp.raise_for_status()
-            values = np.array(resp.json()["embedding"], dtype=float)
+            embedding = resp.json()["embedding"]
+            check_numbers(embedding, "embedding")
+            values = np.array(embedding, dtype=float)
+            if not np.isfinite(values).all():  # resp.json() decodes NaN and Infinity
+                raise ValueError("embedding holds a non-finite value")
         except Exception as exc:  # network / schema failures are one error to callers
             raise EmbeddingUnavailable(str(exc)) from exc
         if values.shape != (self.dim,):

@@ -126,7 +126,3 @@ def _check_kind(value, kind, name: str) -> None:
             _check_kind(item, kind[0], f"{name}[{i}]")
     elif isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
-
-
-class FitDegenerate(CommTopoError):
-    """Histogram has too little spread for a Gaussian fit."""

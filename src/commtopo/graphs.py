@@ -58,9 +58,6 @@ class Topology:
         adj = np.ones((n, n)) - np.eye(n)
         return cls(n, adj)
 
-    def edge_count(self) -> int:
-        return int(self.adj.sum())
-
 
 @dataclass(frozen=True)
 class WeightMatrix:

@@ -9,7 +9,7 @@ import pytest
 
 from commtopo import prunenet
 from commtopo.cli import main
-from commtopo.collector import CollectorConfig, order_ks_statistic, sample_orders, write_tasks
+from commtopo.collector import CollectorConfig, sample_orders, write_tasks
 from commtopo.embed import HashingBackend
 from commtopo.graphs import (
     NodeMask,
@@ -33,6 +33,7 @@ from commtopo.prunenet import (
     total_loss,
 )
 from commtopo.synth import make_planted_suite
+from analysis import order_ks_statistic
 
 # root seed used for the pipeline criteria; split deterministically by the CLI
 PIPELINE_SEED = "2"
@@ -318,7 +319,7 @@ class TestCriterion8BetaSweep:
 
 class TestCriterion9GaussianFit:
     def test_recovers_planted_parameters(self):
-        from commtopo.bench import fit_node_count_gaussian
+        from analysis import fit_node_count_gaussian
         from commtopo.graphs import CommTopology
 
         rng = np.random.default_rng(2)

@@ -91,9 +91,14 @@ class TestHttpChatBackend:
             FakeResponse(200, {"choices": [{"message": {"content": None}}]}),
             FakeResponse(200, ValueError("not json")),
             requests.exceptions.InvalidURL("bad url"),
+            FakeResponse(200, {**OK_BODY, "usage": {"prompt_tokens": "12", "completion_tokens": 1}}),
+            FakeResponse(200, {**OK_BODY, "usage": {"prompt_tokens": -5, "completion_tokens": -5}}),
+            FakeResponse(200, {**OK_BODY, "usage": {"prompt_tokens": 9, "completion_tokens": 2.5}}),
+            FakeResponse(200, {**OK_BODY, "usage": {"prompt_tokens": True, "completion_tokens": 1}}),
         ],
         ids=["http-400", "http-401", "no-choices", "no-content", "null-content",
-             "not-json", "invalid-url"],
+             "not-json", "invalid-url",
+             "usage-string", "usage-negative", "usage-float", "usage-bool"],
     )
     def test_permanent_failure_fails_on_first_attempt(self, outcome):
         sleeps = []

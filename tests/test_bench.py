@@ -5,14 +5,14 @@ from commtopo.backends import BackendSet, EchoBackend, PlantedDecisionBackend
 from commtopo.bench import (
     BenchReport,
     BenchRow,
-    fit_node_count_gaussian,
     make_static,
     run_bench,
 )
 from commtopo.collector import TaskSpec
-from commtopo.errors import ConfigError, FitDegenerate
+from commtopo.errors import ConfigError
 from commtopo.graphs import CommTopology, NodeMask, WeightMatrix
 from commtopo.pool import load_default_pool
+from analysis import FitDegenerate, fit_node_count_gaussian
 
 N = 15
 

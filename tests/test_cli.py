@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -288,6 +290,23 @@ def test_no_stage_loads_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_runtime_dependencies_are_the_packages_the_source_imports():
+    # reads imports that no stage runs, which the test above cannot see: one such kept scipy a dependency
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    imported = set()
+    for path in (root / "src" / "commtopo").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"commtopo"}
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep)[0] for dep in pyproject["project"]["dependencies"]}
+    assert third_party == declared
 
 
 EMBED_HTTP = "[embedding]\nembed_backend = http\nembed_endpoint = http://localhost:1/v1\n"

@@ -1,3 +1,4 @@
+import json
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -118,6 +119,28 @@ class TestHttpBackend:
         b = HttpBackend("http://x/embed", "key", session=FakeSession(), dim=2)
         v = embed_text(b, "text")
         assert np.allclose(v, [0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "body",
+        ['{"embedding": [NaN, 1.0]}', '{"embedding": [Infinity, 1.0]}',
+         '{"embedding": [true, 1.0]}', '{"embedding": ["3", 4]}'],
+        ids=["nan", "infinity", "bool", "string"],
+    )
+    def test_vector_of_other_than_finite_numbers_is_unavailable(self, body):
+        class FakeResponse:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return json.loads(body)  # like requests, this decodes NaN and Infinity
+
+        class FakeSession:
+            def post(self, *args, **kwargs):
+                return FakeResponse()
+
+        b = HttpBackend("http://x/embed", "key", session=FakeSession(), dim=2)
+        with pytest.raises(EmbeddingUnavailable):
+            b.embed("text")
 
 
 class TestBuildNodeFeatures:
