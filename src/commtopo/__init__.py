@@ -16,6 +16,7 @@ from .graphs import (
     induce,
     lift_subgraph,
     parse_topology,
+    restrict,
     serialize_topology,
 )
 from .pool import AgentPool, AgentProfile, load_default_pool, load_pool
@@ -26,12 +27,15 @@ from .prunenet import (
     PruneNetParams,
     TrainConfig,
     design_topology,
+    edge_loss,
     load_checkpoint,
+    node_loss,
     save_checkpoint,
     train,
 )
 from .orchestrator import RunResult, run_topology
 from .bench import BenchReport, make_static, run_bench
+from .synth import make_planted_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,18 +61,6 @@ class TaskSpec:
         if self.planted_team is not None:
             object.__setattr__(self, "planted_team", tuple(int(v) for v in self.planted_team))
 
-    def to_json_line(self) -> str:
-        obj = {
-            "task_id": self.task_id,
-            "task_text": self.task_text,
-            "category": self.category,
-            "expected_answer": self.expected_answer,
-            "check": self.check,
-        }
-        if self.planted_team is not None:
-            obj["planted_team"] = list(self.planted_team)
-        return json.dumps(obj, sort_keys=True)
-
     @classmethod
     def from_json_line(cls, line: str) -> "TaskSpec":
         try:
@@ -95,10 +83,6 @@ class TaskSpec:
 
 def read_tasks(text: str) -> list[TaskSpec]:
     return [TaskSpec.from_json_line(ln) for ln in text.splitlines() if ln.strip()]
-
-
-def write_tasks(tasks: Iterable[TaskSpec]) -> str:
-    return "".join(t.to_json_line() + "\n" for t in tasks)
 
 
 def answer_matches(task: TaskSpec, answer: str) -> bool:
@@ -127,7 +111,7 @@ def answer_matches(task: TaskSpec, answer: str) -> bool:
 
 @dataclass
 class CollectorConfig:
-    budget: int = within(2000, "[1, inf)")
+    budget: int = within(2000, "[1, 100000]")  # every graph is sampled and held up front
     sigma: float = within(2.0, "(0, inf)")
     mu: float | None = within(None, "[2, inf)")  # None: n_max / 2; resolved_mu caps it at n_max
     top_k: int = within(2, "[1, inf)")

@@ -40,7 +40,7 @@ class AppConfig:
 
     collector: CollectorConfig = field(default_factory=CollectorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    k_rounds: int = within(3, "[1, inf)")
+    k_rounds: int = within(3, "[1, 1000]")  # a run draws its k * m + 1 tags up front
     theta: float = within(0.5, "[0, 1]")
     seed: int = within(0, "[0, inf)")
 

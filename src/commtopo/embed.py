@@ -2,9 +2,9 @@
 
 Every backend returns L2-normalized vectors of a fixed dimension.  The
 feature-hash backend is fully deterministic and needs no network; the
-HTTP backend posts to a generic embedding endpoint.  Node features go
-through one cache per backend object, so each text reaches the backend
-once however often it is trained on or designed for.
+HTTP backend posts to a generic embedding endpoint.  ``node_features``
+keeps one text -> unit-vector memo per backend object, so each text
+reaches the backend once however often it is trained on or designed for.
 """
 from __future__ import annotations
 
@@ -26,13 +26,23 @@ class EmbeddingBackend(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
+# below this norm the squared norm is subnormal, too coarse to divide by
+_MIN_NORM = float(np.sqrt(np.finfo(float).tiny))
+
+
 def _normalize(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        # empty-text vector: a fixed unit basis vector keeps the contract total
-        v = np.zeros_like(v)
-        v[0] = 1.0
-        return v
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not _MIN_NORM <= norm < np.inf:
+        # the norm under- or overflowed, or v is zero: divide by the largest magnitude first
+        top = float(np.abs(v).max())
+        if top == 0.0:
+            # empty-text vector: a fixed unit basis vector keeps the contract total
+            v = np.zeros_like(v)
+            v[0] = 1.0
+            return v
+        v = v / top
+        norm = float(np.linalg.norm(v))
     return v / norm
 
 
@@ -106,44 +116,27 @@ def embed_text(backend: EmbeddingBackend, text: str) -> np.ndarray:
     return _normalize(np.asarray(backend.embed(text), dtype=float))
 
 
-class CachedEmbedding:
-    """An ``EmbeddingBackend`` behind a text -> unit-vector cache; cached vectors are read-only."""
-
-    def __init__(self, inner: EmbeddingBackend, cache: dict[str, np.ndarray]):
-        self.inner = inner
-        self.dim = inner.dim
-        self._cache = cache
-
-    def embed(self, text: str) -> np.ndarray:
-        v = self._cache.get(text)
-        if v is None:
-            v = embed_text(self.inner, text)
-            v.flags.writeable = False
-            self._cache[text] = v
-        return v
-
-
-# One cache per live backend object: training and every later design on
-# the same backend share it, and it goes when the backend does.
+# One text -> unit-vector memo per live backend object: training and every
+# later design on the same backend share it, and it goes when the backend does.
 _CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def cached(backend: EmbeddingBackend) -> CachedEmbedding:
-    """``backend`` behind its cache; a backend that cannot be a weak key gets a fresh one."""
-    if isinstance(backend, CachedEmbedding):
-        return backend
-    try:
-        cache = _CACHES.setdefault(backend, {})
-    except TypeError:
-        cache = {}
-    return CachedEmbedding(backend, cache)
 
 
 def node_features(
     pool: AgentPool, queries: Sequence[str], backend: EmbeddingBackend
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pool rows (n_max x d) and one query row per text (len(queries) x d)."""
-    emb = cached(backend)
-    pool_x = np.vstack([emb.embed(f"{a.role} {a.expertise}") for a in pool.agents])
-    query_x = np.vstack([emb.embed(q) for q in queries])
-    return pool_x, query_x
+    """The pool rows (n_max x d) and one query row per text (len(queries) x d).
+
+    Rows come from the backend's memo, which keeps each text's vector read-only
+    and no failure; a backend that cannot be a weak key gets a fresh memo.
+    """
+    try:
+        memo = _CACHES.setdefault(backend, {})
+    except TypeError:
+        memo = {}
+    texts = [f"{a.role} {a.expertise}" for a in pool.agents]
+    for text in dict.fromkeys([*texts, *queries]):
+        if text not in memo:
+            v = embed_text(backend, text)
+            v.flags.writeable = False
+            memo[text] = v
+    return np.vstack([memo[t] for t in texts]), np.vstack([memo[q] for q in queries])

@@ -9,7 +9,7 @@ import pytest
 
 from commtopo import prunenet
 from commtopo.cli import main
-from commtopo.collector import CollectorConfig, sample_orders, write_tasks
+from commtopo.collector import CollectorConfig, sample_orders
 from commtopo.embed import HashingBackend
 from commtopo.graphs import (
     NodeMask,
@@ -34,6 +34,7 @@ from commtopo.prunenet import (
 )
 from commtopo.synth import make_planted_suite
 from analysis import order_ks_statistic
+from taskfiles import write_tasks
 
 # root seed used for the pipeline criteria; split deterministically by the CLI
 PIPELINE_SEED = "2"

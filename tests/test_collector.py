@@ -24,7 +24,6 @@ from commtopo.collector import (
     sample_subset,
     score_graph,
     read_tasks,
-    write_tasks,
 )
 from commtopo.graphs import write_corpus
 from commtopo.errors import ConfigError, InvalidOrder, MineUnderflow, ScoreUnavailable
@@ -38,6 +37,7 @@ from commtopo.synth import (
     planted_utility,
 )
 from analysis import accepted_mass, order_distribution, order_ks_statistic
+from taskfiles import write_tasks
 
 
 def task(tid="t0", team=None):

@@ -13,7 +13,6 @@ from commtopo.embed import (
     HashingBackend,
     HttpBackend,
     _normalize,
-    cached,
     embed_text,
     node_features,
 )
@@ -77,6 +76,34 @@ class TestWordMemo:
         finally:
             sys.setswitchinterval(interval)
         assert all(v.tobytes() == reference_embed(b, t).tobytes() for v, t in zip(got, texts))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v, want",
+    [([1e308, 1e308], [np.sqrt(0.5), np.sqrt(0.5)]), ([0.0, 1e-320], [0.0, 1.0]),
+     ([-1e308, 1e308], [-np.sqrt(0.5), np.sqrt(0.5)]), ([0.0, 3e-162], [0.0, 1.0]),
+     ([0.0, 0.0], [1.0, 0.0])],
+    ids=["overflow", "underflow", "overflow-signed", "subnormal-square", "zero"],
+)
+def test_normalize_keeps_the_direction_when_the_norm_under_or_overflows(v, want):
+    assert np.allclose(embed_text(FixedBackend(v), "text"), want, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8).filter(lambda v: np.linalg.norm(v) >= 1e-150))
+def test_normalize_divides_by_the_norm_when_it_is_finite_and_not_tiny(v):
+    v = np.array(v)
+    assert _normalize(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+@dataclass
+class FixedBackend:
+    vector: list
+    dim: int = 2
+
+    def embed(self, text):
+        return np.array(self.vector)
 
 
 def reference_embed(backend, text):
@@ -216,10 +243,13 @@ class TestCache:
         assert np.allclose(query_x[0], np.arange(1.0, 5.0) / np.sqrt(30.0))
 
     def test_cached_vectors_are_unit_and_read_only(self):
-        v = cached(CountingBackend()).embed("abc")
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        with pytest.raises(ValueError):
-            v[0] = 0.0
+        pool, backend = load_default_pool(), CountingBackend()
+        first = node_features(pool, ["abc"], backend)
+        want = [rows.copy() for rows in first]
+        assert np.allclose(np.linalg.norm(np.vstack(first), axis=1), 1.0, rtol=0.0, atol=1e-12)
+        for rows in first:
+            rows[:] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(node_features(pool, ["abc"], backend), want))
 
     def test_failures_are_not_cached(self):
         class Flaky(CountingBackend):
@@ -229,7 +259,34 @@ class TestCache:
                     raise EmbeddingUnavailable("down")
                 return super().embed(text)
 
-        backend = Flaky()
+        pool, backend = load_default_pool(), Flaky()
         with pytest.raises(EmbeddingUnavailable):
-            cached(backend).embed("x")
-        assert np.isfinite(cached(backend).embed("x")).all()
+            node_features(pool, ["x"], backend)
+        assert all(np.isfinite(rows).all() for rows in node_features(pool, ["x"], backend))
+        assert len(backend.texts) == 1 + pool.n_max + 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        first=st.lists(st.text(alphabet="ab ", max_size=3), min_size=1, max_size=8),
+        second=st.lists(st.text(alphabet="ab ", max_size=3), min_size=1, max_size=8),
+    )
+    def test_rows_are_the_unit_embeddings_and_each_text_reaches_the_backend_once(self, first, second):
+        pool, backend = load_default_pool(), CountingHashBackend()
+        pool_texts = [f"{a.role} {a.expertise}" for a in pool.agents]
+        for queries in (first, second):
+            rows = np.vstack(node_features(pool, queries, backend))
+            want = [embed_text(HashingBackend(16, 16), text) for text in pool_texts + queries]
+            assert np.array_equal(rows, np.vstack(want))
+        assert sorted(backend.texts) == sorted({*pool_texts, *first, *second})
+
+
+class CountingHashBackend(HashingBackend):
+    """A small hashing backend that records each text it embeds."""
+
+    def __init__(self):
+        super().__init__(dim=16, bins=16)
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)
