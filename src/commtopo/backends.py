@@ -5,8 +5,12 @@ A backend maps (system prompt, user prompt) to (output text,
 prompt_tokens, completion_tokens); token counts may be None, in which
 case the orchestrator falls back to whitespace counting.  One
 orchestrator run calls a backend from up to `MAX_IN_FLIGHT` threads at
-once.  A collect runs up to `MAX_IN_FLIGHT` units, runs of keys, at once,
-and each unit scores its keys one at a time.
+once, and from none but the calling thread when every wave of its
+topology has one agent.  A collect submits all its units, runs of keys,
+up front and runs up to `MAX_IN_FLIGHT` of them at once; each unit scores
+its keys one at a time.  Scored by orchestrator runs on complete graphs,
+whose waves have one agent each, a collect thus keeps at most
+`MAX_IN_FLIGHT` backend calls in flight.
 """
 from __future__ import annotations
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import threading
-from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -93,10 +93,11 @@ def answer_matches(task: TaskSpec, answer: str) -> bool:
         return got == expected
     if task.check == "contains":
         return expected in got
-    # numeric: compare the last number found in the answer at small tolerance
+    # numeric: compare the last number found in the answer at small tolerance; a comma
+    # between a digit and exactly three digits groups thousands, any other separates
     def last_number(s: str) -> float | None:
         num = None
-        for tok in s.replace(",", " ").split():
+        for tok in re.sub(r"(?<=\d),(?=\d{3}(?!\d))", "", s).replace(",", " ").split():
             try:
                 num = float(tok.rstrip(".:;"))
             except ValueError:
@@ -271,17 +272,18 @@ def collect_supervision(
     scoring failed is scored again for its next occurrence.  Tasks that
     share an id would share scores, so they are a ConfigError.
 
-    Every graph is drawn and every key's occurrences are counted up
-    front.  The keys' first occurrences, in sampling order, are cut into
-    units of ``len(keys) // UNITS`` consecutive keys (at least one), each
-    filled as it is submitted; a unit scores each key up to once per
-    occurrence, until a utility comes back.  The units run on a pool of
-    at most `MAX_IN_FLIGHT` threads owned by the call, and their results
-    are merged on the calling thread in sampling order, taking units in
-    order until the next key's outcome is in: each failed scoring skips
-    one occurrence, so the pairs, the stats and the skip warnings equal
-    those of scoring one key at a time.  If the merge raises, queued
-    units are cancelled and running ones stop before their next scoring.
+    Every graph is drawn up front, then the sample is passed over twice.
+    Pass 1 builds one table, in sampling order, of each key's first
+    occurrence and its occurrence count, and cuts it into units of
+    ``len(keys) // UNITS`` consecutive keys (at least one); the table is
+    let go once the units are submitted.  A unit scores each key up to
+    once per occurrence, until a utility comes back.  The units run on a
+    pool of at most `MAX_IN_FLIGHT` threads owned by the call.  Once
+    every unit's outcomes are in, pass 2 merges them on the calling
+    thread in sampling order: each failed scoring skips one occurrence,
+    so the pairs, the stats and the skip warnings equal those of scoring
+    one key at a time.  If a unit raises, queued units are cancelled and
+    running ones stop before their next scoring.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -305,38 +307,35 @@ def collect_supervision(
         window = sorted({(i + s * gap) % n_tasks for s in range(stride)})
         return [((graphs[i].members, tasks[j].task_id), j) for j in window]
 
-    occurrences = Counter(key for i in range(len(graphs)) for key, _ in targets(i))
-    size = max(1, len(occurrences) // UNITS)
-
-    def first_occurrences():
-        for i, graph in enumerate(graphs):
-            for key, j in targets(i):
-                if key in occurrences:
-                    yield key, graph, tasks[j], occurrences.pop(key)
-
-    entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
-    stats = CollectStats(tasks=n_tasks)
+    # pass 1: key -> [key, graph, task, occurrences] of its first occurrence, in sampling order
+    firsts: dict = {}
+    for i, graph in enumerate(graphs):
+        for key, j in targets(i):
+            firsts.setdefault(key, [key, graph, tasks[j], 0])[3] += 1
+    size = max(1, len(firsts) // UNITS)
+    rows = iter(firsts.values())
+    del firsts  # the iterator lets go of the table once the last unit is cut
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
-        items = first_occurrences()
-        futures = deque()
-        while unit := list(islice(items, size)):
+        futures = []
+        while unit := list(islice(rows, size)):
             futures.append(executor.submit(_score_unit, unit, evaluator, stop))
-        outcomes = {}
-        for i, graph in enumerate(graphs):
-            for key, j in targets(i):
-                while key not in outcomes:
-                    outcomes.update(futures.popleft().result())
-                tried = outcomes[key]
-                if isinstance(tried[0], str):
-                    stats.graphs_skipped += 1
-                    log.warning("skipping graph %s on task %s: %s", *key, tried.pop(0))
-                else:
-                    entries[j].append((graph, tried[0]))
+        outcomes = {key: tried for future in futures for key, tried in future.result().items()}
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)
+    # pass 2: merge in sampling order; each failed scoring skips one occurrence
+    entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
+    stats = CollectStats(tasks=n_tasks)
+    for i, graph in enumerate(graphs):
+        for key, j in targets(i):
+            tried = outcomes[key]
+            if isinstance(tried[0], str):
+                stats.graphs_skipped += 1
+                log.warning("skipping graph %s on task %s: %s", *key, tried.pop(0))
+            else:
+                entries[j].append((graph, tried[0]))
     stats.graphs_scored = sum(map(len, entries))
     scored = dict(zip(tasks, entries))
     pairs = mine_supervision(scored, cfg, pool.n_max)

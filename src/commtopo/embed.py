@@ -112,8 +112,12 @@ class HttpBackend:
 
 
 def embed_text(backend: EmbeddingBackend, text: str) -> np.ndarray:
-    """Embed one string; output always has unit L2 norm."""
-    return _normalize(np.asarray(backend.embed(text), dtype=float))
+    """Embed one string; output always has unit L2 norm.  A non-finite
+    element is EmbeddingUnavailable, named after the backend's type."""
+    v = np.asarray(backend.embed(text), dtype=float)
+    if not np.isfinite(v).all():
+        raise EmbeddingUnavailable(f"{type(backend).__name__} returned a non-finite embedding")
+    return _normalize(v)
 
 
 # One text -> unit-vector memo per live backend object: training and every

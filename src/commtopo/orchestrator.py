@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import string
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,6 @@ def run_topology(
     rendered: dict[int, tuple[str, int]] = {}
     abort_at = len(slots)  # slot of the first failure in canonical order
     failure: tuple[int, int, BackendError] | None = None
-    executor: ThreadPoolExecutor | None = None
 
     def call(slot: int, agent_id: int, seen: list[DialogueEntry]) -> tuple:
         """(slot, agent, role, system prompt, user prompt, their `count_tokens`).
@@ -184,12 +184,10 @@ def run_topology(
         return slot, agent_id, profiles[agent_id].role, systems[agent_id], user, tokens
 
     def call_wave(calls: list[tuple], backend, rnd: int) -> None:
-        nonlocal abort_at, failure, executor
+        nonlocal abort_at, failure
         if len(calls) < 2:
             outcomes = [_complete(backend, system, user) for _, _, _, system, user, _ in calls]
         else:
-            if executor is None:
-                executor = ThreadPoolExecutor(max_workers=min(m, MAX_IN_FLIGHT))
             futures = [executor.submit(_complete, backend, system, user) for _, _, _, system, user, _ in calls]
             outcomes = [f.result() for f in futures]
         for (slot, agent_id, role, _, _, prompt_tokens), outcome in zip(calls, outcomes):
@@ -206,7 +204,9 @@ def run_topology(
             text = render_entry(entry.as_history_item())
             rendered[id(entry)] = text, count_tokens(text)
 
-    try:
+    # a pool starts its threads on the first submit and joins them when the `with` ends
+    wide = any(len(wave) >= 2 for wave in waves)
+    with ThreadPoolExecutor(max_workers=min(m, MAX_IN_FLIGHT)) if wide else nullcontext() as executor:
         for rnd in range(1, k + 1):
             for wave in waves:
                 calls = []
@@ -221,9 +221,6 @@ def run_topology(
                 break
         else:
             call_wave([call(k * m, -1, slots[:-1])], backends.decision, k)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     if failure is not None:
         agent_id, rnd, exc = failure
         raise RunAborted(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -618,6 +619,25 @@ class TestCollectUnits:
         assert {len(unit) for unit in units[:-1]} == {len(keys) // (4 * MAX_IN_FLIGHT)}
 
 
+class TestCollectMemory:
+    def test_traced_peak_stays_within_1_8_times_the_sequential_collect(self):
+        # 1,500 tasks, 20 candidates each from 300 graphs: 30,000 keys.  The
+        # sequential loop holds no per-key table; the concurrent one peaks at
+        # about 1.6 times its memory, 2.2 times if it kept its table through the merge
+        tasks = make_planted_suite(500, 0, seed=100).train_tasks
+        pool = load_default_pool()
+        cfg = CollectorConfig(budget=300, mu=5.0, sigma=1.5, candidates_per_task=20, seed=1)
+        peaks = []
+        for collect in (sequential_collect, collect_supervision):
+            tracemalloc.start()
+            try:
+                collect(tasks, pool, cfg, make_planted_evaluator())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.8 * peaks[0]
+
+
 class TestPlantedUtility:
     def test_superset_scores_one_in_overlap_mode(self):
         assert planted_utility((1, 2, 3, 7), (1, 2, 3), "overlap") == 1.0
@@ -671,6 +691,21 @@ class TestTaskIO:
         numeric = TaskSpec("t", "q", "math_reasoning", "6.0", "numeric")
         assert answer_matches(numeric, "after solving we get 6")
         assert not answer_matches(numeric, "after solving we get 7")
+
+    @pytest.mark.parametrize(
+        "expected, answer, matches",
+        [
+            ("1,000", "7,000", False),  # both used to read as 0
+            ("1000", "the total is 1,000", True),
+            ("1,000,000", "so 1000000.", True),
+            ("1234.5", "1,234.5", True),
+            ("3", "x = 1, 2, 3", True),  # a comma before other than three digits separates
+            ("0", "1,0000", True),
+            ("12", "12,34", False),
+        ],
+    )
+    def test_numeric_answers_group_thousands(self, expected, answer, matches):
+        assert answer_matches(TaskSpec("t", "q", "math_reasoning", expected, "numeric"), answer) is matches
 
 
 class TestPlantedSuite:

@@ -18,6 +18,7 @@ from commtopo.embed import (
 )
 from commtopo.errors import EmbeddingUnavailable
 from commtopo.pool import load_default_pool
+from commtopo.prunenet import NetConfig, PruneNetParams, design_topology
 
 
 class TestHashingBackend:
@@ -290,3 +291,35 @@ class CountingHashBackend(HashingBackend):
     def embed(self, text):
         self.texts.append(text)
         return super().embed(text)
+
+
+class InfiniteOnce(CountingBackend):
+    """Returns inf in element 0 for its first text, then finite vectors."""
+
+    def embed(self, text):
+        v = super().embed(text)
+        if len(self.texts) == 1:
+            v[0] = np.inf
+        return v
+
+
+class TestNonFiniteEmbedding:
+    # a non-finite element used to give an all-NaN row without an error
+    def test_embed_text_names_the_backend(self):
+        with pytest.raises(EmbeddingUnavailable, match="InfiniteOnce returned a non-finite embedding"):
+            embed_text(InfiniteOnce(), "q")
+
+    def test_failure_is_not_memoized(self):
+        pool, backend = load_default_pool(), InfiniteOnce()
+        with pytest.raises(EmbeddingUnavailable):
+            node_features(pool, ["q"], backend)
+        rows = np.vstack(node_features(pool, ["q"], backend))
+        assert np.isfinite(rows).all()
+        assert backend.texts.count(backend.texts[0]) == 2
+
+    def test_design_topology_fails_where_the_embedding_does(self):
+        # it used to fail later with "ValidationError: weights must lie in [0, 1]"
+        pool = load_default_pool()
+        params = PruneNetParams.init(NetConfig(d=CountingBackend.dim, n_max=pool.n_max), np.random.default_rng(0))
+        with pytest.raises(EmbeddingUnavailable, match="InfiniteOnce"):
+            design_topology("a question", pool, InfiniteOnce(), params)
