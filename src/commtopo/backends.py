@@ -7,10 +7,10 @@ case the orchestrator falls back to whitespace counting.  One
 orchestrator run calls a backend from up to `MAX_IN_FLIGHT` threads at
 once, and from none but the calling thread when every wave of its
 topology has one agent.  A collect submits all its units, runs of keys,
-up front and runs up to `MAX_IN_FLIGHT` of them at once; each unit scores
-its keys one at a time.  Scored by orchestrator runs on complete graphs,
-whose waves have one agent each, a collect thus keeps at most
-`MAX_IN_FLIGHT` backend calls in flight.
+up front, longest first, and runs up to `MAX_IN_FLIGHT` of them at once;
+each unit scores its keys one at a time.  Scored by orchestrator runs on
+complete graphs, whose waves have one agent each, a collect thus keeps at
+most `MAX_IN_FLIGHT` backend calls in flight.
 """
 from __future__ import annotations
 

@@ -234,9 +234,17 @@ class CollectStats:
 
 UNITS = 4 * MAX_IN_FLIGHT
 """A collect cuts its keys into runs of ``len(keys) // UNITS`` (at least
-1): four units per worker keep the workers evenly busy, and a collect of
-many cheap scorings pays the hand-off to a worker about `UNITS` times,
-not once per key."""
+1) and submits them longest first: four units per worker keep the
+workers evenly busy, and a collect of many cheap scorings pays the
+hand-off to a worker about `UNITS` times, not once per key."""
+
+
+def _longest_first(units: list) -> list:
+    """The units in descending order of their graphs' summed member counts,
+    ties in sampling order.  An orchestrator scoring of an m-member graph
+    is a chain of k·m + 1 backend calls, so the longest chains start first
+    and the pass does not end on one drawn late (Graham's LPT rule)."""
+    return sorted(units, key=lambda unit: sum(len(item[1].members) for item in unit), reverse=True)
 
 
 def _score_unit(unit, evaluator: Evaluator, stop: threading.Event) -> dict:
@@ -275,15 +283,17 @@ def collect_supervision(
     Every graph is drawn up front, then the sample is passed over twice.
     Pass 1 builds one table, in sampling order, of each key's first
     occurrence and its occurrence count, and cuts it into units of
-    ``len(keys) // UNITS`` consecutive keys (at least one); the table is
-    let go once the units are submitted.  A unit scores each key up to
-    once per occurrence, until a utility comes back.  The units run on a
-    pool of at most `MAX_IN_FLIGHT` threads owned by the call.  Once
-    every unit's outcomes are in, pass 2 merges them on the calling
-    thread in sampling order: each failed scoring skips one occurrence,
-    so the pairs, the stats and the skip warnings equal those of scoring
-    one key at a time.  If a unit raises, queued units are cancelled and
-    running ones stop before their next scoring.
+    ``len(keys) // UNITS`` consecutive keys (at least one).  The units
+    are submitted longest first, by their graphs' summed member counts
+    (ties in sampling order), and the table and the sorted list are let
+    go once they are.  A unit scores each key up to once per occurrence,
+    until a utility comes back.  The units run on a pool of at most
+    `MAX_IN_FLIGHT` threads owned by the call.  Once every unit's
+    outcomes are in, pass 2 merges them on the calling thread in sampling
+    order: each failed scoring skips one occurrence, so the pairs, the
+    stats and the skip warnings equal those of scoring one key at a time,
+    whatever order the units ran in.  If a unit raises, queued units are
+    cancelled and running ones stop before their next scoring.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -315,12 +325,12 @@ def collect_supervision(
     size = max(1, len(firsts) // UNITS)
     rows = iter(firsts.values())
     del firsts  # the iterator lets go of the table once the last unit is cut
+    units = _longest_first(list(iter(lambda: list(islice(rows, size)), [])))
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
-        futures = []
-        while unit := list(islice(rows, size)):
-            futures.append(executor.submit(_score_unit, unit, evaluator, stop))
+        futures = [executor.submit(_score_unit, unit, evaluator, stop) for unit in units]
+        del units  # a unit now lives only as long as its scoring
         outcomes = {key: tried for future in futures for key, tried in future.result().items()}
     finally:
         stop.set()

@@ -143,4 +143,5 @@ def node_features(
             v = embed_text(backend, text)
             v.flags.writeable = False
             memo[text] = v
-    return np.vstack([memo[t] for t in texts]), np.vstack([memo[q] for q in queries])
+    rows = np.vstack([memo[t] for t in texts])
+    return rows, np.vstack([memo[q] for q in queries]) if queries else np.empty((0, rows.shape[1]))

@@ -474,6 +474,30 @@ class TestConcurrentCollect:
         assert got == want
         assert max(map(len, want[2].values())) >= 3
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_submission_order_equals_the_sequential_collect(self, data):
+        # the merge, not the order the units run in, fixes the corpus, stats and warnings
+        n_agents = data.draw(st.sampled_from([3, 5, 15]))
+        pool = AgentPool(load_default_pool().agents[:n_agents])
+        n_tasks = data.draw(st.integers(1, 8))
+        tasks = [TaskSpec(f"t{j}", f"question {j}", "math_reasoning", "42") for j in range(n_tasks)]
+        cfg = CollectorConfig(
+            budget=data.draw(st.integers(1, 60)),
+            mu=data.draw(st.sampled_from([mu for mu in (2.0, 3.0, 5.0) if mu <= n_agents])),
+            sigma=data.draw(st.sampled_from([0.5, 1.5])),
+            top_k=data.draw(st.integers(1, 2)),
+            candidates_per_task=data.draw(st.integers(1, 8)),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        make = data.draw(st.sampled_from([FlakyEvaluator, StubbornEvaluator]))
+        modulus = data.draw(st.sampled_from([4, 7, 50]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collector, "_longest_first", lambda units: data.draw(st.permutations(units)))
+            got = collect_outcome(collect_supervision, tasks, pool, cfg, make(modulus))
+        want = collect_outcome(sequential_collect, tasks, pool, cfg, make(modulus))
+        assert got == want
+
     def test_scorings_are_in_flight_at_once(self):
         barrier = threading.Barrier(4, timeout=5)
         lock = threading.Lock()
@@ -499,16 +523,17 @@ class TestConcurrentCollect:
         pool = load_default_pool()
         tasks = [task(f"t{i}") for i in range(40)]
         cfg = CollectorConfig(budget=40, candidates_per_task=20, seed=4)  # 67 units: 66 of 12 keys, 1 of 8
-        rng = np.random.default_rng(cfg.seed)
-        first = sample_subset(sample_orders(cfg, pool.n_max, rng)[0], pool, rng).members
         units, calls = [], []
+        lock = threading.Lock()
 
         score_unit = collector._score_unit
         monkeypatch.setattr(collector, "_score_unit", lambda unit, *rest: units.append(unit) or score_unit(unit, *rest))
 
         def evaluator(g, t):
-            calls.append(g.members)
-            if g.members == first:
+            with lock:
+                calls.append(g.members)
+                first = len(calls) == 1
+            if first:
                 raise Interrupt
             time.sleep(0.02)
             return 0.5
@@ -604,6 +629,22 @@ class TestCollectUnits:
         want, _ = sequential_collect(suite.train_tasks, pool, cfg, evaluator)
         assert write_corpus(got) == write_corpus(want)
         assert len(units) > 100 and all(len(unit) == 1 for unit in units)
+
+    def test_orchestrator_scorings_at_benchmark_sizes_start_longest_first(self, monkeypatch):
+        suite = make_planted_suite(10, 0, seed=3)
+        pool = load_default_pool()
+        cfg = CollectorConfig(budget=60, mu=5.0, sigma=1.5, candidates_per_task=4, seed=8)
+        evaluator = make_orchestrator_evaluator(pool, planted_backends(suite.train_tasks, pool))
+        sampled = []  # each key at its first occurrence, in sampling order
+        sequential_collect(
+            suite.train_tasks, pool, cfg, lambda g, t: sampled.append((g.members, t.task_id)) or evaluator(g, t)
+        )
+        monkeypatch.setattr(collector, "MAX_IN_FLIGHT", 1)  # one worker starts the units as submitted
+        units = recording_units(monkeypatch)
+        collect_supervision(suite.train_tasks, pool, cfg, evaluator)
+        members = [len(unit[0][0]) for unit in units]
+        assert members == sorted(members, reverse=True) and len(set(members)) > 1
+        assert [unit[0] for unit in units] == sorted(sampled, key=lambda key: len(key[0]), reverse=True)
 
     def test_many_keys_go_into_at_most_one_unit_more_than_the_unit_count(self, monkeypatch):
         tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(300)]

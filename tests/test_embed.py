@@ -204,6 +204,14 @@ class TestBuildNodeFeatures:
         _, query_x = node_features(pool, [""], HashingBackend())
         assert np.isfinite(query_x).all()
 
+    def test_no_queries_give_the_pool_rows_and_no_query_rows(self):
+        # np.vstack of no rows used to raise "need at least one array to concatenate"
+        pool = load_default_pool()
+        b = HashingBackend()
+        pool_x, query_x = node_features(pool, [], b)
+        assert np.array_equal(pool_x, node_features(pool, ["q"], b)[0])
+        assert query_x.shape == (0, 384) and query_x.dtype == pool_x.dtype
+
 
 class CountingBackend:
     dim = 4
