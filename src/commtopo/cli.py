@@ -1,12 +1,13 @@
 """Command-line entry point: collect, train, design, run, bench, export.
 
-Exit codes are stable API. Commands raise; ``main`` prints one
-``error: <message>`` line and maps the exception through ``EXIT_CODES``:
+Exit codes are stable API. Commands and the argument parser raise; ``main``
+prints one ``error: <message>`` line and maps the exception through
+``EXIT_CODES``. Only ``--help`` exits through ``SystemExit``:
 
 0 success.
-1 usage: an unknown flag, a bad config value, a missing or malformed
-  input file (``ConfigError``, ``FormatError``, any other
-  ``CommTopoError``), or an ``OSError`` on a path the user named.
+1 usage: an unknown flag or command, a flag or config value that does not
+  parse, a missing or malformed input file (``ConfigError``, ``FormatError``,
+  any other ``CommTopoError``), or an ``OSError`` on a path the user named.
 2 external service: ``BackendError`` (an ``http`` chat backend without
   endpoint or key), ``EmbeddingUnavailable``, ``MineUnderflow``.
 3 training diverged: ``TrainingDiverged`` (non-finite loss or parameter).
@@ -26,7 +27,7 @@ from . import bench as bench_mod
 from . import collector as collector_mod
 from . import prunenet
 from .backends import BackendSet, EchoBackend, HttpChatBackend, MajorityVoteDecision, check_planted_teams
-from .config import AppConfig, load_config, options
+from .config import AppConfig, _coerce, load_config, options
 from .embed import HashingBackend, HttpBackend
 from .errors import (
     BackendError,
@@ -101,8 +102,8 @@ def _chat_backends(cfg: AppConfig, pool, tasks=()) -> BackendSet:
     return BackendSet(default=http, decision=http)
 
 
-def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) -> None:
-    tasks = collector_mod.read_tasks(_read_input(tasks_file, "tasks file"))
+def cmd_collect(cfg: AppConfig, args: argparse.Namespace) -> None:
+    tasks = collector_mod.read_tasks(_read_input(args.tasks, "tasks file"))
     pool = _load_pool(cfg)
     check_planted_teams(tasks, pool)
     if cfg.evaluator == "planted":
@@ -111,7 +112,7 @@ def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) ->
         backends = _chat_backends(cfg, pool, tasks)
         evaluator = make_orchestrator_evaluator(pool, backends, cfg.k_rounds, cfg.theta)
     pairs, stats = collector_mod.collect_supervision(tasks, pool, cfg.collector, evaluator)
-    out = Path(out_path or cfg.corpus_path)
+    out = Path(args.out or cfg.corpus_path)
     out.write_text(write_corpus(pairs))
     print(
         f"tasks={stats.tasks} graphs_scored={stats.graphs_scored} "
@@ -122,7 +123,7 @@ def cmd_collect(cfg: AppConfig, tasks_file: str, out_path: str | None = None) ->
     print(f"corpus written to {out}")
 
 
-def cmd_train(cfg: AppConfig) -> None:
+def cmd_train(cfg: AppConfig, args: argparse.Namespace) -> None:
     corpus = read_corpus(_read_input(cfg.corpus_path, "corpus"))
     pool = _load_pool(cfg)
     backend = _embed_backend(cfg)
@@ -151,27 +152,27 @@ def _designer(cfg: AppConfig, pool):
     return lambda query: prunenet.design_topology(query, pool, embed, params, theta=cfg.theta)
 
 
-def cmd_design(cfg: AppConfig, query: str, fmt: str = "json", out_path: str | None = None) -> None:
+def cmd_design(cfg: AppConfig, args: argparse.Namespace) -> None:
     pool = _load_pool(cfg)
-    topo = _designer(cfg, pool)(query)
-    payload = serialize_topology(topo, fmt).decode()
-    if out_path:
-        Path(out_path).write_text(payload)
+    topo = _designer(cfg, pool)(args.query)
+    payload = serialize_topology(topo, args.format).decode()
+    if args.out:
+        Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     roles = [pool[i].role for i in topo.mask.active_ids()]
     print(f"active agents: {', '.join(roles)}", file=sys.stderr)
 
 
-def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> None:
+def cmd_run(cfg: AppConfig, args: argparse.Namespace) -> None:
     pool = _load_pool(cfg)
     design = _designer(cfg, pool)
-    tasks = collector_mod.read_tasks(_read_input(suite_path, "tasks file")) if suite_path else ()
+    tasks = collector_mod.read_tasks(_read_input(args.suite, "tasks file")) if args.suite else ()
     backends = _chat_backends(cfg, pool, tasks)
-    topo = design(query)
+    topo = design(args.query)
     task = next(
-        (t for t in tasks if t.task_text == query),
-        collector_mod.TaskSpec("query", query, "general_reasoning", "", "contains"),
+        (t for t in tasks if t.task_text == args.query),
+        collector_mod.TaskSpec("query", args.query, "general_reasoning", "", "contains"),
     )
     rng = np.random.default_rng(cfg.split_seeds()["orchestrator"])
     try:
@@ -186,13 +187,12 @@ def cmd_run(cfg: AppConfig, query: str, suite_path: str | None = None) -> None:
     print(f"transcript written to {cfg.transcript_path}")
 
 
-def cmd_bench(
-    cfg: AppConfig, suite_file: str, methods: list[str], repeats: int = 2, out_prefix: str = "bench"
-) -> None:
+def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> None:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     unknown = [m for m in methods if m not in VALID_BENCH_METHODS]
     if unknown or not methods:
         raise ConfigError(f"unknown methods {unknown}; valid: {', '.join(VALID_BENCH_METHODS)}")
-    suite = collector_mod.read_tasks(_read_input(suite_file, "tasks file"))
+    suite = collector_mod.read_tasks(_read_input(args.suite, "tasks file"))
     pool = _load_pool(cfg)
     sources = {}
     for m in methods:
@@ -208,59 +208,69 @@ def cmd_bench(
         [(m, sources[m]) for m in methods],
         pool,
         _chat_backends(cfg, pool, suite),
-        repeats=repeats,
+        repeats=args.repeats,
         k=cfg.k_rounds,
         theta=cfg.theta,
         seed=cfg.seed,
-        suite_id=Path(suite_file).stem,
+        suite_id=Path(args.suite).stem,
     )
-    Path(f"{out_prefix}.csv").write_text(report.to_csv())
-    Path(f"{out_prefix}.md").write_text(report.to_markdown())
+    Path(f"{args.out_prefix}.csv").write_text(report.to_csv())
+    Path(f"{args.out_prefix}.md").write_text(report.to_markdown())
     print(report.to_markdown())
-    print(f"report written to {out_prefix}.csv and {out_prefix}.md")
+    print(f"report written to {args.out_prefix}.csv and {args.out_prefix}.md")
 
 
-def cmd_export(topology_path: str, fmt: str) -> None:
-    topo = parse_topology(_read_input(topology_path, "topology"))
-    sys.stdout.write(serialize_topology(topo, fmt).decode())
+def cmd_export(cfg: AppConfig, args: argparse.Namespace) -> None:
+    topo = parse_topology(_read_input(args.topology, "topology"))
+    sys.stdout.write(serialize_topology(topo, args.format).decode())
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # takes main's one path: exit 1, one line, no usage text
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="commtopo")
+    parser = _Parser(prog="commtopo")
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, help="root seed (split per subsystem)")
+    parser.add_argument("--seed", help="root seed (split per subsystem)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="mine a supervision corpus (Stage I)")
+    p.set_defaults(cmd=cmd_collect)
     p.add_argument("--tasks", required=True)
     p.add_argument("--out")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
+    p.add_argument("--budget")
+    p.add_argument("--sigma")
+    p.add_argument("--mu")
 
     p = sub.add_parser("train", help="train the pruning network (Stage II)")
+    p.set_defaults(cmd=cmd_train)
     p.add_argument("--corpus", dest="corpus_path")
     p.add_argument("--checkpoint", dest="checkpoint_path")
     p.add_argument("--log", dest="train_log_path")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--beta")
+    p.add_argument("--epochs")
 
     p = sub.add_parser("design", help="design a topology for a query")
+    p.set_defaults(cmd=cmd_design)
     p.add_argument("--query", required=True)
     p.add_argument("--checkpoint", dest="checkpoint_path")
-    p.add_argument("--theta", type=float)
+    p.add_argument("--theta")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out")
 
     p = sub.add_parser("run", help="design then execute a query")
+    p.set_defaults(cmd=cmd_run)
     p.add_argument("--query", required=True)
     p.add_argument("--checkpoint", dest="checkpoint_path")
     p.add_argument("--suite")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--k", type=int, dest="k_rounds")
+    p.add_argument("--theta")
+    p.add_argument("--k", dest="k_rounds")
     p.add_argument("--transcript", dest="transcript_path")
 
     p = sub.add_parser("bench", help="compare topology methods on a suite")
+    p.set_defaults(cmd=cmd_bench)
     p.add_argument("--suite", required=True)
     p.add_argument("--methods", default="designed,complete")
     p.add_argument("--checkpoint", dest="checkpoint_path")
@@ -268,42 +278,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", default="bench")
 
     p = sub.add_parser("export", help="convert a topology JSON file")
+    p.set_defaults(cmd=cmd_export)
     p.add_argument("--topology", required=True)
     p.add_argument("--format", choices=["json", "dot"], default="dot")
     return parser
 
 
 def _config(args: argparse.Namespace) -> AppConfig:
-    """Config file, then every flag whose ``dest`` names an option (flags > file > env > defaults)."""
+    """Config file, then every flag whose ``dest`` names an option, its text parsed
+    as the option's INI value is, so flags declare no type (flags > file > env > defaults)."""
     cfg = load_config(args.config)
     for target, names in options(cfg).values():
         for name in names:
             if getattr(args, name, None) is not None:
-                setattr(target, name, getattr(args, name))
+                setattr(target, name, _coerce(getattr(target, name), getattr(args, name), name))
     return cfg.finalize()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        cfg = _config(args)
-        if args.command == "collect":
-            cmd_collect(cfg, args.tasks, args.out)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "design":
-            cmd_design(cfg, args.query, args.format, args.out)
-        elif args.command == "run":
-            cmd_run(cfg, args.query, args.suite)
-        elif args.command == "bench":
-            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            cmd_bench(cfg, args.suite, methods, args.repeats, args.out_prefix)
-        elif args.command == "export":
-            cmd_export(args.topology, args.format)
+        args = _build_parser().parse_args(argv)
+        args.cmd(_config(args), args)
+    except SystemExit:  # --help; every other parser error raises ConfigError
+        return EXIT_OK
     except Exception as exc:
         code = next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), None)
         if code is None:

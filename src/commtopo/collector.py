@@ -17,12 +17,12 @@ import numpy as np
 from .backends import MAX_IN_FLIGHT
 from .errors import (
     ConfigError,
-    FormatError,
     InvalidOrder,
     MineUnderflow,
     ScoreUnavailable,
     check_types,
     check_within,
+    reading,
     within,
 )
 from .graphs import CATEGORIES, SupervisionPair, Topology, lift_subgraph
@@ -63,7 +63,7 @@ class TaskSpec:
 
     @classmethod
     def from_json_line(cls, line: str) -> "TaskSpec":
-        try:
+        with reading("bad task line"):
             obj = json.loads(line)
             check_types(
                 obj, task_id=str, task_text=str, category=str, expected_answer=str, check=str,
@@ -77,8 +77,6 @@ class TaskSpec:
                 check=obj.get("check", "exact"),
                 planted_team=tuple(obj["planted_team"]) if "planted_team" in obj else None,
             )
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise FormatError(f"bad task line: {exc}") from exc
 
 
 def read_tasks(text: str) -> list[TaskSpec]:

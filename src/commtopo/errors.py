@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the check of declared option values."""
+"""Exception hierarchy shared across the package, the malformed-JSON rule and the option checks."""
+from contextlib import contextmanager
 from dataclasses import field, fields
 
 
@@ -72,6 +73,19 @@ class RunAborted(CommTopoError):
 
 class ConfigError(CommTopoError):
     """Invalid configuration value."""
+
+
+MALFORMED_JSON = (KeyError, TypeError, ValueError, RecursionError)
+
+
+@contextmanager
+def reading(what: str, error: type[CommTopoError] = FormatError):
+    """Raise ``error(f"{what}: {exc}")`` for a ``MALFORMED_JSON`` exception in the block:
+    what decoding and checking a malformed JSON document raises."""
+    try:
+        yield
+    except MALFORMED_JSON as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def within(default, allowed):

@@ -13,14 +13,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    MALFORMED_JSON,
     CommTopoError,
     DegenerateTopology,
     DimensionError,
-    FormatError,
     InvalidMembers,
     ValidationError,
     check_numbers,
     check_types,
+    reading,
 )
 
 CATEGORIES = ("general_reasoning", "math_reasoning", "code_generation")
@@ -148,7 +149,7 @@ class SupervisionPair:
         bytes rather than values keep ``0.0`` and ``-0.0`` apart.
         """
         interned = {} if interned is None else interned
-        try:
+        with reading("bad supervision pair line"):
             obj = json.loads(line)
             check_types(obj, task_id=str, task_text=str, category=str, score=float)
             n = len(obj["y"])
@@ -160,8 +161,6 @@ class SupervisionPair:
                 y=_interned(NodeMask, n, obj["y"], interned),
                 score=float(obj["score"]),
             )
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise FormatError(f"bad supervision pair line: {exc}") from exc
 
 
 def _label_json(label: WeightMatrix | NodeMask, rendered: dict) -> str:
@@ -273,18 +272,14 @@ def serialize_topology(t: CommTopology, format: str = "json") -> bytes:
 
 
 def parse_topology(data: bytes | str) -> CommTopology:
-    if isinstance(data, bytes):
-        data = data.decode()
-    try:
-        obj = json.loads(data)
+    with reading("bad topology document"):
+        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
         check_types(obj, n_max=int)
         n = obj["n_max"]
         check_numbers(obj["mask"], "mask")
         check_numbers(obj["weights"], "weights")
         mask = NodeMask(n, np.array(obj["mask"], dtype=float))
         weights = WeightMatrix(n, np.array(obj["weights"], dtype=float))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise FormatError(f"bad topology document: {exc}") from exc
     return CommTopology(mask, weights)
 
 
@@ -333,7 +328,7 @@ def _writer_line(line: str, interned: dict) -> SupervisionPair | None:
         a_gt = _parsed(WeightMatrix, y.n, line[len(_A_GT) : cut], interned)
         # a missing or an unknown field fails here, and from_json_line decides
         return SupervisionPair(**{**obj, "score": float(obj["score"]), "a_gt": a_gt, "y": y})
-    except (KeyError, TypeError, ValueError, RecursionError, CommTopoError):
+    except (*MALFORMED_JSON, CommTopoError):
         return None
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .errors import AnchoringError, FormatError, check_types
+from .errors import AnchoringError, FormatError, check_types, reading
 
 DEFAULT_SYSTEM_TEMPLATE = "<Profile>. And your task is to solve the question: <Task>. "
 USER_PROMPT_PREFIX = (
@@ -62,14 +62,14 @@ class AgentPool:
 
 def load_pool(source: bytes | str) -> AgentPool:
     """Parse a JSONL profile file (one object per line) into a pool."""
-    if isinstance(source, bytes):
-        source = source.decode()
-    lines = [ln for ln in source.splitlines() if ln.strip()]
+    with reading("bad profile file"):
+        text = source.decode() if isinstance(source, bytes) else source
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty profile file")
     profiles = []
     for ln in lines:
-        try:
+        with reading("bad profile line"):
             obj = json.loads(ln)
             check_types(obj, id=int, role=str, expertise=str, system_template=str)
             profiles.append(
@@ -80,12 +80,7 @@ def load_pool(source: bytes | str) -> AgentPool:
                     system_template=obj.get("system_template", DEFAULT_SYSTEM_TEMPLATE),
                 )
             )
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise FormatError(f"bad profile line: {exc}") from exc
     profiles.sort(key=lambda p: p.id)
-    ids = [p.id for p in profiles]
-    if ids != list(range(len(ids))):
-        raise AnchoringError(f"profile ids must be gap-free from 0, got {ids}")
     return AgentPool(tuple(profiles))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
 from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
-from .errors import check_numbers, check_types, check_within, within
+from .errors import check_numbers, check_types, check_within, reading, within
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
 from .pool import AgentPool
 
@@ -633,7 +633,7 @@ def save_checkpoint(params: PruneNetParams, net: NetConfig) -> bytes:
 
 
 def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
-    try:
+    with reading("malformed checkpoint", CheckpointError):
         obj = json.loads(data)
         if not isinstance(obj, dict) or not isinstance(obj.get("tensors", {}), dict):
             raise CheckpointError('malformed checkpoint: expected an object with a "tensors" object')
@@ -644,10 +644,6 @@ def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
         for k, v in obj["tensors"].items():
             check_numbers(v, k)
         t = {k: np.array(v, dtype=float) for k, v in obj["tensors"].items()}
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     shapes = PruneNetParams.shapes(net)
     for name, shape in shapes.items():
         if name not in t or t[name].shape != shape:

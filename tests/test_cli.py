@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import copy
@@ -21,6 +22,7 @@ from commtopo.cli import EXIT_CHECKPOINT, EXIT_CODES, _build_parser, _config, ma
 from commtopo.collector import TaskSpec
 from commtopo.config import AppConfig, options
 from commtopo.embed import HashingBackend
+from commtopo.errors import CheckpointError, FormatError
 from commtopo.graphs import (
     SupervisionPair,
     Topology,
@@ -31,7 +33,8 @@ from commtopo.graphs import (
     serialize_topology,
     write_corpus,
 )
-from commtopo.prunenet import NetConfig, PruneNetParams, save_checkpoint
+from commtopo.pool import load_pool
+from commtopo.prunenet import NetConfig, PruneNetParams, load_checkpoint, save_checkpoint
 from taskfiles import write_tasks
 
 
@@ -266,6 +269,44 @@ class TestParser:
     def test_missing_config_file_is_usage_error(self, workdir, capsys):
         assert main(["--config", "ghost.ini", "design", "--query", "q"]) == 1
         assert "config file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collect", "--tasks", "t", "--budget", "abc"],
+            ["design", "--query", "q", "--format", "xml"],
+            ["design"],
+            ["frob"],
+            [],
+            ["bench", "--suite", "s", "--repeats", "x"],
+        ],
+        ids=["bad-budget", "bad-format", "no-query", "unknown-command", "no-arguments", "bad-repeats"],
+    )
+    def test_usage_error_is_one_line_without_usage_text(self, workdir, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        if "--budget" in argv:
+            assert "budget" in err[0], err
+
+    def test_help_exits_0(self, workdir, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: commtopo")
+
+
+def test_no_flag_that_names_an_option_declares_a_type():
+    """An option's type is declared once, on its dataclass field; ``_config``
+    parses a flag's text the way the INI reader parses the option's value."""
+    names = {name for _, names in options(AppConfig()).values() for name in names}
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [
+        f"{prog} {action.option_strings[0]}"
+        for prog, p in [("commtopo", parser), *commands.choices.items()]
+        for action in p._actions
+        if action.dest in names and action.type is not None
+    ]
+    assert typed == []
 
 
 def test_no_stage_loads_scipy(tmp_path):
@@ -771,6 +812,17 @@ FUZZ_TOPOLOGY = [json.loads(serialize_topology(induce(*lift_subgraph(Topology.co
 FUZZ_NET = NetConfig(d=HashingBackend().dim, h=4, h_m=2, n_max=15)
 FUZZ_CHECKPOINT = [json.loads(save_checkpoint(PruneNetParams.init(FUZZ_NET, np.random.default_rng(0)), FUZZ_NET))]
 NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
+
+
+@pytest.mark.parametrize("bad", NOT_UTF8)
+@pytest.mark.parametrize(
+    "parse, error",
+    [(parse_topology, FormatError), (load_pool, FormatError), (load_checkpoint, CheckpointError)],
+    ids=["topology", "pool", "checkpoint"],
+)
+def test_bytes_that_are_not_utf8_raise_the_parsers_error(parse, error, bad):
+    with pytest.raises(error):
+        parse(bad + b"{")
 
 
 @st.composite
