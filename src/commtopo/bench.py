@@ -34,44 +34,37 @@ def make_static(
     chain: i -> i+1 along member order; star: first member is the hub,
     both directions; tree: binary-heap layout, parent -> child (downward
     flow); complete: all ordered pairs;
-    random: each ordered pair independently with probability p.
+    random: each ordered pair independently with probability p, from one
+    uniform draw per ordered pair, taken in row order.
     """
     members = sorted(int(v) for v in members)
     if len(members) < 2:
         raise ConfigError("need at least 2 members")
     if len(set(members)) != len(members) or members[0] < 0 or members[-1] >= n_max:
         raise ConfigError(f"invalid member ids {members}")
-    w = np.zeros((n_max, n_max))
     m = len(members)
+    k = np.arange(m)  # local indices into the sorted members
     if shape == "chain":
-        for a, b in zip(members, members[1:]):
-            w[a, b] = 1.0
+        src, dst = k[:-1], k[1:]
     elif shape == "star":
-        hub = members[0]
-        for other in members[1:]:
-            w[hub, other] = 1.0
-            w[other, hub] = 1.0
+        hub = np.zeros(m - 1, dtype=int)
+        src, dst = np.concatenate([hub, k[1:]]), np.concatenate([k[1:], hub])
     elif shape == "tree":
-        for k in range(m):
-            for child in (2 * k + 1, 2 * k + 2):
-                if child < m:
-                    w[members[k], members[child]] = 1.0
-    elif shape == "complete":
-        for a in members:
-            for b in members:
-                if a != b:
-                    w[a, b] = 1.0
-    elif shape == "random":
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"random edge probability {p} outside [0, 1]")
-        if rng is None:
-            raise ConfigError("random shape needs an rng")
-        for a in members:
-            for b in members:
-                if a != b and rng.uniform() < p:
-                    w[a, b] = 1.0
+        src, dst = (k[1:] - 1) // 2, k[1:]
+    elif shape in ("complete", "random"):
+        src, dst = np.nonzero(~np.eye(m, dtype=bool))  # off-diagonal pairs, row order
+        if shape == "random":
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"random edge probability {p} outside [0, 1]")
+            if rng is None:
+                raise ConfigError("random shape needs an rng")
+            keep = rng.uniform(size=m * (m - 1)) < p
+            src, dst = src[keep], dst[keep]
     else:
         raise ConfigError(f"unknown shape {shape!r}; valid: {STATIC_SHAPES}")
+    idx = np.array(members)
+    w = np.zeros((n_max, n_max))
+    w[idx[src], idx[dst]] = 1.0
     mask = np.zeros(n_max)
     mask[members] = 1.0
     return CommTopology(NodeMask(n_max, mask), WeightMatrix(n_max, w))

@@ -230,6 +230,12 @@ class CollectStats:
     category_histogram: dict = field(default_factory=dict)
 
 
+MAX_OCCURRENCES = 1_000_000
+"""The most (graph, target task) key occurrences, budget × stride, that a
+collect may hold: ten times the largest budget.  Pass 1 holds about 310
+traced bytes per occurrence at 300,000 of them; a collect at the cap
+peaked at 0.4–0.5 GB of RSS on the planted evaluator."""
+
 UNITS = 4 * MAX_IN_FLIGHT
 """A collect cuts its keys into runs of ``len(keys) // UNITS`` (at least
 1) and submits them longest first: four units per worker keep the
@@ -291,7 +297,9 @@ def collect_supervision(
     order: each failed scoring skips one occurrence, so the pairs, the
     stats and the skip warnings equal those of scoring one key at a time,
     whatever order the units ran in.  If a unit raises, queued units are
-    cancelled and running ones stop before their next scoring.
+    cancelled and running ones stop before their next scoring.  A collect
+    of more than `MAX_OCCURRENCES` occurrences is a ConfigError, raised
+    before any graph is drawn.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -300,13 +308,19 @@ def collect_supervision(
         if task.task_id in seen:
             raise ConfigError(f"duplicate task id {task.task_id!r}")
         seen.add(task.task_id)
-    rng = np.random.default_rng(cfg.seed)
-    graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
+    cfg.validate(pool.n_max)  # the stride divides by the budget
     n_tasks = len(tasks)
     stride = min(
         n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget))
     )
+    if cfg.budget * stride > MAX_OCCURRENCES:
+        raise ConfigError(
+            f"budget {cfg.budget} graphs x {stride} target tasks each = {cfg.budget * stride} "
+            f"(graph, task) pairs, more than {MAX_OCCURRENCES}; lower budget or candidates_per_task"
+        )
     gap = max(1, n_tasks // stride)
+    rng = np.random.default_rng(cfg.seed)
+    graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
 
     def targets(i: int) -> list:
         """(key, task index) of graph i's target tasks, in task order.  Built

@@ -259,13 +259,10 @@ def serialize_topology(t: CommTopology, format: str = "json") -> bytes:
         return json.dumps(obj, sort_keys=True).encode()
     if format == "dot":
         lines = ["digraph comm {"]
-        for i in t.mask.active_ids():
-            lines.append(f'  {i} [label="{i}"];')
-        for i in t.mask.active_ids():
-            for j in t.mask.active_ids():
-                wij = t.weights.w[i, j]
-                if i != j and wij >= 0.5:
-                    lines.append(f'  {i} -> {j} [label="{wij:.3f}"];')
+        lines += [f'  {i} [label="{i}"];' for i in t.mask.active_ids()]
+        # row-major; the types keep the diagonal and masked-out nodes' rows and columns zero
+        w = t.weights.w
+        lines += [f'  {i} -> {j} [label="{w[i, j]:.3f}"];' for i, j in np.argwhere(w >= 0.5)]
         lines.append("}")
         return ("\n".join(lines) + "\n").encode()
     raise ValidationError(f"unknown format {format!r}")

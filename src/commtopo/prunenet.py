@@ -634,7 +634,7 @@ def save_checkpoint(params: PruneNetParams, net: NetConfig) -> bytes:
 
 def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
     with reading("malformed checkpoint", CheckpointError):
-        obj = json.loads(data)
+        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
         if not isinstance(obj, dict) or not isinstance(obj.get("tensors", {}), dict):
             raise CheckpointError('malformed checkpoint: expected an object with a "tensors" object')
         check_types(obj, version=int)

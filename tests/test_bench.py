@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commtopo.backends import BackendSet, EchoBackend, PlantedDecisionBackend
 from commtopo.bench import (
+    STATIC_SHAPES,
     BenchReport,
     BenchRow,
     make_static,
@@ -66,6 +68,40 @@ class TestMakeStatic:
             make_static("chain", [0, N], N)
         with pytest.raises(ConfigError):
             make_static("moebius", [0, 1], N)
+
+
+def static_edges(shape, members, p, rng):
+    """Reference for ``make_static``: its (source, target) member pairs as an explicit list."""
+    ms = sorted(members)
+    if shape == "chain":
+        return list(zip(ms, ms[1:]))
+    if shape == "star":
+        return [(ms[0], b) for b in ms[1:]] + [(b, ms[0]) for b in ms[1:]]
+    if shape == "tree":
+        return [(ms[(k - 1) // 2], ms[k]) for k in range(1, len(ms))]
+    pairs = [(a, b) for a in ms for b in ms if a != b]
+    if shape == "complete":
+        return pairs
+    return [pair for pair in pairs if rng.uniform() < p]  # one draw per ordered pair, row order
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(STATIC_SHAPES),
+    members=st.lists(st.integers(0, N - 1), min_size=2, max_size=N, unique=True),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_make_static_equals_the_edge_list_reference(shape, members, p, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    t = make_static(shape, members, N, p=p, rng=rng)
+    w, mask = np.zeros((N, N)), np.zeros(N)
+    for a, b in static_edges(shape, members, p, ref_rng):
+        w[a, b] = 1.0
+    mask[members] = 1.0
+    assert t.weights.w.tobytes() == w.tobytes()
+    assert t.mask.m.tobytes() == mask.tobytes()
+    assert rng.uniform() == ref_rng.uniform()  # the same number of draws
 
 
 class TestRunBench:

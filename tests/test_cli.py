@@ -825,6 +825,22 @@ def test_bytes_that_are_not_utf8_raise_the_parsers_error(parse, error, bad):
         parse(bad + b"{")
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+def test_a_checkpoint_that_is_not_plain_utf8_fails_design_run_and_bench_in_one_line(workdir, capsys, encoding):
+    # json.loads reads UTF-16 and UTF-32 bytes on its own; every other input file must be UTF-8
+    path = make_checkpoint(workdir)
+    path.write_bytes(path.read_text().encode(encoding))
+    with pytest.raises(CheckpointError, match="^malformed checkpoint: "):
+        load_checkpoint(path.read_bytes())
+    write_suite(workdir / "suite.jsonl", n=1)
+    capsys.readouterr()
+    for argv in (["design", "--query", "q"], ["run", "--query", "q"],
+                 ["bench", "--suite", "suite.jsonl", "--methods", "designed", "--repeats", "1"]):
+        assert main(argv) == EXIT_CHECKPOINT, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed checkpoint: "), err
+
+
 @st.composite
 def mutated_bytes(draw, lines):
     """The JSON lines of ``mutated(lines)``, or of ``lines`` with bytes that

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -315,6 +316,38 @@ class TestCollectSupervision:
         scored = {t: [(g, evaluator(g, t)) for g in graphs]}
         mined = mine(scored, CollectorConfig(top_k=2), pool.n_max)
         assert list(np.flatnonzero(mined[0].y.m)) == list(team)
+
+
+class TestCollectCap:
+    def test_a_collect_at_the_cap_runs_and_one_past_it_stops_before_sampling(self, monkeypatch):
+        # 10 graphs, each scored on all 4 tasks: stride = min(4, round(20 * 4 / 10)) = 4
+        tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(4)]
+        cfg = CollectorConfig(budget=10, top_k=1, candidates_per_task=20, seed=0)
+        calls = []
+        monkeypatch.setattr(collector, "sample_orders", lambda *a: calls.append(a) or sample_orders(*a))
+        monkeypatch.setattr(collector, "MAX_OCCURRENCES", 40)
+        _, stats = collect_supervision(tasks, load_default_pool(), cfg, make_planted_evaluator())
+        assert stats.graphs_scored == 40 and len(calls) == 1
+        monkeypatch.setattr(collector, "MAX_OCCURRENCES", 39)
+        with pytest.raises(ConfigError, match=r"budget 10 graphs x 4 target tasks each = 40 .* more than 39"):
+            collect_supervision(tasks, load_default_pool(), cfg, make_planted_evaluator())
+        assert len(calls) == 1
+
+    def test_a_collect_past_the_cap_exits_1_in_one_line_under_a_memory_limit(self, tmp_path):
+        # candidates_per_task past the budget scores every graph on every task: 20,000 x 200
+        # occurrences, which ran out of a 2 GB address space in the merge after about 14 s
+        (tmp_path / "tasks.jsonl").write_text(write_tasks(make_planted_suite(seed=2).train_tasks[:200]))
+        (tmp_path / "huge.ini").write_text("[collector]\ncandidates_per_task = 1000000000\n")
+        argv = [sys.executable, "-m", "commtopo.cli", "--config", "huge.ini", "collect",
+                "--tasks", "tasks.jsonl", "--budget", "20000", "--out", "corpus.jsonl"]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(collector.__file__))}
+        out = subprocess.run(["sh", "-c", 'ulimit -v 2000000 && exec "$@"', "sh", *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.splitlines() == [
+            "error: budget 20000 graphs x 200 target tasks each = 4000000 (graph, task) pairs, "
+            "more than 1000000; lower budget or candidates_per_task"
+        ]
 
 
 class Warnings(logging.Handler):

@@ -283,6 +283,38 @@ class TestSerialization:
         assert np.allclose(back.weights.w, t.weights.w)
 
 
+def dot_loop(t: CommTopology) -> bytes:
+    """Reference for ``serialize_topology(t, "dot")``: the edges by a loop over active pairs."""
+    lines = ["digraph comm {"]
+    for i in t.mask.active_ids():
+        lines.append(f'  {i} [label="{i}"];')
+    for i in t.mask.active_ids():
+        for j in t.mask.active_ids():
+            wij = t.weights.w[i, j]
+            if i != j and wij >= 0.5:
+                lines.append(f'  {i} -> {j} [label="{wij:.3f}"];')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def comm_topologies(draw):
+    """A topology on up to 15 nodes whose weights sit at, just below and away from the 0.5 cutoff."""
+    n = draw(st.integers(2, 15))
+    m = np.zeros(n)
+    m[draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))] = 1.0
+    weight = st.one_of(st.sampled_from([0.0, 0.5, np.nextafter(0.5, 0.0), 1.0]), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(w, 0.0)
+    return induce(WeightMatrix(n, w), NodeMask(n, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(comm_topologies())
+def test_dot_equals_the_loop_over_active_pairs(t):
+    assert serialize_topology(t, "dot") == dot_loop(t)
+
+
 class TestSupervisionPair:
     def make_pair(self):
         weights, mask = lift_subgraph(Topology.complete(3), [1, 4, 6], 15)
