@@ -105,7 +105,7 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
         # ordinary section, rejected as unknown, and no option is shared.
         parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
-            read = parser.read(path)
+            read = parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
             # configparser messages can span lines; the CLI reports one line
             raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None

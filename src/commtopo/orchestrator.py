@@ -8,15 +8,16 @@ prior rounds and from lower ids in the current round), ordered by
 incoming edge weight, then arrival.  Agents never see their own prior
 outputs.
 
-Calls that do not depend on each other run at the same time.  Within a
-round, an agent's depth is one more than the deepest of its
-in-neighbors with a lower id; the agents of one depth form a wave and
-are called together, after the previous wave and round have finished.
-Prompts are rendered and entries committed on the calling thread in
-canonical order, each system prompt and each entry's history JSON once
-per run, and every tag is drawn up front, so the transcript --
-and, on a backend failure, the error and partial transcript -- equal
-those of running the calls one at a time.
+Calls that do not depend on each other run at the same time.  Each
+round's active ids are cut, in order, into waves: a new wave starts
+before any agent with an in-neighbor in the current one.  A wave's
+agents are called together, after the previous wave has finished, and
+the decision is the last wave.  Prompts are rendered and entries
+committed on the calling thread in canonical order, each system prompt
+and each entry's history JSON once per run, and every tag is drawn up
+front.  The first failure in canonical order aborts the run at once, so
+the transcript -- and, on a backend failure, the error and partial
+transcript -- equal those of running the calls one at a time.
 """
 from __future__ import annotations
 
@@ -25,13 +26,14 @@ import string
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .backends import MAX_IN_FLIGHT, BackendSet
 from .collector import TaskSpec
 from .errors import BackendError, ConfigError, DegenerateTopology, RunAborted
-from .graphs import CommTopology, Topology, binarize, serialize_topology
+from .graphs import CommTopology, Topology, WeightMatrix, binarize, serialize_topology
 from .pool import DECISION_PROFILE, USER_PROMPT_PREFIX, AgentPool, join_user_prompt, render_entry, render_system_prompt
 from .pool import render_user_prompt  # noqa: F401 -- benchmarks/workloads.py traces it by this name
 
@@ -99,10 +101,10 @@ def visible_history(
     history: list[DialogueEntry],
     agent_id: int,
     adj: Topology,
-    weights,
+    weights: WeightMatrix,
 ) -> list[DialogueEntry]:
     """Entries from in-neighbors, ordered by edge weight desc then arrival."""
-    w = np.asarray(getattr(weights, "w", weights), dtype=float)[:, agent_id].tolist()
+    w = weights.w[:, agent_id].tolist()
     linked = adj.adj[:, agent_id].tolist()
     indexed = [
         (idx, e)
@@ -121,22 +123,17 @@ def _new_tags(rng: np.random.Generator, n: int) -> list[str]:
     return ["".join(_TAG_ALPHABET[c] for c in row) for row in draws]
 
 
-def _depths(active: list[int], adj: Topology) -> dict[int, int]:
-    """Wave index of each agent within a round: 1 + the deepest in-neighbor i < j."""
+def _waves(active: list[int], adj: Topology) -> list[list[int]]:
+    """The active ids, in order, cut into waves: a new wave starts before
+    any agent with an in-neighbor in the current one."""
     rows = adj.adj.tolist()
-    depth: dict[int, int] = {}
+    waves: list[list[int]] = []
     for j in active:
-        depth[j] = 1 + max((depth[i] for i in active if i < j and rows[i][j] >= 1.0), default=0)
-    return depth
-
-
-def _complete(backend, system: str, user: str):
-    """One call; a `BackendError` is returned, not raised, so the caller
-    can pick the first failure in canonical order."""
-    try:
-        return backend.complete(system, user)
-    except BackendError as exc:
-        return exc
+        if waves and not any(rows[i][j] >= 1.0 for i in waves[-1]):
+            waves[-1].append(j)
+        else:
+            waves.append([j])
+    return waves
 
 
 def run_topology(
@@ -157,86 +154,63 @@ def run_topology(
     adj = binarize(t.weights, theta)
     m = len(active)
     tags = _new_tags(rng, k * m + 1)
-    # slot of agent active[pos] in round rnd is (rnd - 1) * m + pos; the decision takes the last
-    slots: list[DialogueEntry | None] = [None] * (k * m + 1)
-    depth = _depths(active, adj)
-    waves = [
-        [(pos, j) for pos, j in enumerate(active) if depth[j] == d]
-        for d in range(1, max(depth.values()) + 1)
-    ]
+    waves = _waves(active, adj)
+    schedule = [(rnd, wave, backends.default) for rnd in range(1, k + 1) for wave in waves]
+    schedule.append((k, [-1], backends.decision))
     profiles = {**{j: pool[j] for j in active}, -1: DECISION_PROFILE}
     # each agent's system prompt and its token count, rendered once per run
     systems = {j: render_system_prompt(p, task.task_text) for j, p in profiles.items()}
     system_tokens = {j: count_tokens(system) for j, system in systems.items()}
     # id of each committed entry -> (its history JSON, that text's token count)
     rendered: dict[int, tuple[str, int]] = {}
-    abort_at = len(slots)  # slot of the first failure in canonical order
-    failure: tuple[int, int, BackendError] | None = None
+    transcript: list[DialogueEntry] = []
 
-    def call(slot: int, agent_id: int, seen: list[DialogueEntry]) -> tuple:
-        """(slot, agent, role, system prompt, user prompt, their `count_tokens`).
-        The prefix ends in a space and every entry text starts with '{' and
-        ends with '}', so joining them adds no token and merges none: the
-        user prompt's count is the prefix's plus the entries', or 1 more for "[]"."""
+    def call(agent_id: int) -> tuple[str, str, int]:
+        """(system prompt, user prompt, their `count_tokens`); the decision
+        reads every entry.  The prefix ends in a space and every entry text
+        starts with '{' and ends with '}', so joining them adds no token and
+        merges none: the user prompt's count is the prefix's plus the
+        entries', or 1 more for "[]"."""
+        seen = transcript if agent_id < 0 else visible_history(transcript, agent_id, adj, t.weights)
         entries = [rendered[id(e)] for e in seen]
         user = join_user_prompt([text for text, _ in entries])
         tokens = system_tokens[agent_id] + _PREFIX_TOKENS + (sum(n for _, n in entries) or 1)
-        return slot, agent_id, profiles[agent_id].role, systems[agent_id], user, tokens
-
-    def call_wave(calls: list[tuple], backend, rnd: int) -> None:
-        nonlocal abort_at, failure
-        if len(calls) < 2:
-            outcomes = [_complete(backend, system, user) for _, _, _, system, user, _ in calls]
-        else:
-            futures = [executor.submit(_complete, backend, system, user) for _, _, _, system, user, _ in calls]
-            outcomes = [f.result() for f in futures]
-        for (slot, agent_id, role, _, _, prompt_tokens), outcome in zip(calls, outcomes):
-            if isinstance(outcome, BackendError):
-                if slot < abort_at:
-                    abort_at, failure = slot, (agent_id, rnd, outcome)
-                continue
-            output, p_tok, c_tok = outcome
-            if p_tok is None:
-                p_tok = prompt_tokens
-            if c_tok is None:
-                c_tok = count_tokens(output)
-            entry = slots[slot] = DialogueEntry(tags[slot], rnd, agent_id, role, output, p_tok, c_tok)
-            text = render_entry(entry.as_history_item())
-            rendered[id(entry)] = text, count_tokens(text)
+        return systems[agent_id], user, tokens
 
     # a pool starts its threads on the first submit and joins them when the `with` ends
     wide = any(len(wave) >= 2 for wave in waves)
     with ThreadPoolExecutor(max_workers=min(m, MAX_IN_FLIGHT)) if wide else nullcontext() as executor:
-        for rnd in range(1, k + 1):
-            for wave in waves:
-                calls = []
-                for pos, agent_id in wave:
-                    slot = (rnd - 1) * m + pos
-                    if slot >= abort_at:
-                        break
-                    before = [e for e in slots[:slot] if e is not None]
-                    calls.append(call(slot, agent_id, visible_history(before, agent_id, adj, t.weights)))
-                call_wave(calls, backends.default, rnd)
-            if failure is not None:
-                break
-        else:
-            call_wave([call(k * m, -1, slots[:-1])], backends.decision, k)
-    if failure is not None:
-        agent_id, rnd, exc = failure
-        raise RunAborted(
-            f"run aborted: agent {agent_id} failed in round {rnd}: {exc}", slots[:abort_at]
-        ) from exc
+        for rnd, wave, backend in schedule:
+            calls = [call(agent_id) for agent_id in wave]
+            # each result() returns the call's outcome or raises its error, read in id order
+            if len(calls) < 2:
+                results = [partial(backend.complete, system, user) for system, user, _ in calls]
+            else:
+                results = [executor.submit(backend.complete, system, user).result for system, user, _ in calls]
+            for agent_id, (_, _, prompt_tokens), result in zip(wave, calls, results):
+                try:
+                    output, p_tok, c_tok = result()
+                except BackendError as exc:
+                    message = f"run aborted: agent {agent_id} failed in round {rnd}: {exc}"
+                    raise RunAborted(message, transcript) from exc
+                if p_tok is None:
+                    p_tok = prompt_tokens
+                if c_tok is None:
+                    c_tok = count_tokens(output)
+                entry = DialogueEntry(
+                    tags[len(transcript)], rnd, agent_id, profiles[agent_id].role, output, p_tok, c_tok
+                )
+                transcript.append(entry)
+                text = render_entry(entry.as_history_item())
+                rendered[id(entry)] = text, count_tokens(text)
 
-    transcript = tuple(slots)
-    decision_entry = transcript[-1]
     per_agent: dict[int, int] = {}
     for e in transcript[:-1]:
         per_agent[e.agent_id] = per_agent.get(e.agent_id, 0) + e.tokens()
-    total = sum(per_agent.values()) + decision_entry.tokens()
     return RunResult(
-        answer=decision_entry.output,
-        transcript=transcript,
-        total_tokens=total,
+        answer=transcript[-1].output,
+        transcript=tuple(transcript),
+        total_tokens=sum(e.tokens() for e in transcript),
         per_agent_tokens=per_agent,
         topology_used=t,
     )

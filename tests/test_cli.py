@@ -335,6 +335,22 @@ def test_no_stage_loads_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_the_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # every other input is read as UTF-8; the INI file was read in the locale's encoding
+    (tmp_path / "cfg.ini").write_text("[agents]\nmodel = mod\u00e8le\n", encoding="utf-8")
+    (tmp_path / "t.json").write_bytes(serialize_topology(induce(*lift_subgraph(Topology.complete(3), [0, 1, 2], 3))))
+    code = (
+        "import os, sys\n"
+        "from commtopo.cli import main\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "sys.exit(main(['--config', 'cfg.ini', 'export', '--topology', 't.json']))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COMMTOPO_")}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
 def test_runtime_dependencies_are_the_packages_the_source_imports():
     # reads imports that no stage runs, which the test above cannot see: one such kept scipy a dependency
     tomllib = pytest.importorskip("tomllib")

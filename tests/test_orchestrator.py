@@ -1,7 +1,10 @@
+import importlib
+import itertools
 import json
 import string
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +20,12 @@ from commtopo.orchestrator import (
     DialogueEntry,
     RunResult,
     _new_tags,
+    _waves,
     count_tokens,
     run_topology,
     visible_history,
 )
+from commtopo import orchestrator
 from commtopo.pool import load_default_pool, render_system_prompt, render_user_prompt
 from doubles import ScriptedBackend, StaticBackend
 
@@ -306,6 +311,69 @@ class TestWaveSchedule:
         assert outcome(run_topology, t, task(), pool, backends, rng=np.random.default_rng(1)) == outcome(
             sequential_run, t, task(), pool, backends, rng=np.random.default_rng(1)
         )
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def critical_path_calls(monkeypatch):
+    """The benchmark's longest chain of dependent calls, by the depth rule."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    return importlib.import_module("workloads").critical_path_calls
+
+
+def wave_count(t):
+    return len(_waves(t.mask.active_ids(), binarize(t.weights, 0.5)))
+
+
+class TestWaves:
+    @pytest.mark.parametrize("shape", ["chain", "star", "tree", "complete"])
+    def test_static_shapes_wait_on_the_critical_path(self, monkeypatch, shape):
+        depth_rule = critical_path_calls(monkeypatch)
+        for m in range(2, N + 1):
+            t = make_static(shape, list(range(m)), N)
+            for k in (1, 3):
+                assert k * wave_count(t) + 1 == depth_rule(t, k, 0.5), (m, k)
+
+    def test_every_team_of_at_most_three_waits_on_the_critical_path(self, monkeypatch):
+        # the paper's designed teams have three agents
+        depth_rule = critical_path_calls(monkeypatch)
+        for members in [(0, 1), (4, 11), (0, 1, 2), (2, 7, 13)]:
+            forward = list(itertools.combinations(members, 2))  # every lower -> higher edge
+            for n_edges in range(len(forward) + 1):
+                for edges in itertools.combinations(forward, n_edges):
+                    t = topo(members, dict.fromkeys(edges, 1.0))
+                    for k in (1, 3):
+                        assert k * wave_count(t) + 1 == depth_rule(t, k, 0.5), (members, edges, k)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_waves_cut_the_active_ids_in_order_and_hold_no_forward_edge(self, data):
+        members = sorted(data.draw(st.lists(st.integers(0, N - 1), min_size=2, max_size=N, unique=True)))
+        w = {(a, b): data.draw(st.sampled_from([0.0, 0.0, 0.4, 1.0])) for a in members for b in members if a != b}
+        adj = binarize(topo(members, w).weights, 0.5)
+        waves = _waves(members, adj)
+        assert [j for wave in waves for j in wave] == members
+        # an agent waits on its lower-id in-neighbors only: it sees their entries of the same round
+        assert all(adj.adj[i, j] < 1.0 for wave in waves for i in wave for j in wave if i < j)
+
+
+def test_traced_functions_are_called_through_the_module(monkeypatch):
+    # the benchmark times visibility and prompt rendering by wrapping these module attributes;
+    # a reference taken at import would skip the wrappers and its per-layer metrics would read zero
+    calls = {"visible_history": 0, "render_system_prompt": 0}
+    for name in calls:
+        real = getattr(orchestrator, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, name, counting)
+    members = [0, 3, 5, 8, 12]
+    result = run_topology(make_static("star", members, N), task(), load_default_pool(), echo_backends(), k=2)
+    assert len(result.transcript) == 2 * len(members) + 1
+    assert calls == {"visible_history": 2 * len(members), "render_system_prompt": len(members) + 1}
 
 
 class TestVisibleHistory:
