@@ -123,23 +123,15 @@ class PlantedDecisionBackend:
 class HttpChatBackend:
     """OpenAI-compatible chat-completions client with retry and backoff."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str,
-        model: str,
-        retries: int = 3,
-        backoff: float = 1.0,
-        session=None,
-        sleep=time.sleep,
-    ):
+    retries = 3  # attempts per call
+    backoff = 1.0  # seconds before the second attempt, doubled before each later one
+
+    def __init__(self, endpoint: str, api_key: str, model: str, session=None, sleep=time.sleep):
         import requests
 
         self.endpoint = endpoint
         self.api_key = api_key
         self.model = model
-        self.retries = retries
-        self.backoff = backoff
         if session is None:
             # one pooled connection per call a run keeps in flight
             session = requests.Session()

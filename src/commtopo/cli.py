@@ -129,7 +129,7 @@ def cmd_train(cfg: AppConfig, args: argparse.Namespace) -> None:
     backend = _embed_backend(cfg)
     params, log = prunenet.train(corpus, pool, backend, cfg.train)
     net = prunenet.NetConfig(d=backend.dim, n_max=pool.n_max)
-    Path(cfg.checkpoint_path).write_bytes(prunenet.save_checkpoint(params, net))
+    Path(cfg.checkpoint_path).write_text(prunenet.save_checkpoint(params, net))
     Path(cfg.train_log_path).write_text(prunenet.write_training_log(log))
     print(
         f"trained {len(log)} steps (beta={cfg.train.beta}, epochs={cfg.train.epochs}, "
@@ -141,10 +141,11 @@ def cmd_train(cfg: AppConfig, args: argparse.Namespace) -> None:
 
 def _designer(cfg: AppConfig, pool):
     """Design for a query with the checkpoint, which must fit the pool and the embedder."""
-    path = Path(cfg.checkpoint_path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    params, net = prunenet.load_checkpoint(path.read_bytes())
+    try:
+        text = _read_input(cfg.checkpoint_path, "checkpoint")
+    except (ConfigError, FormatError) as exc:  # exit 4, as for every other checkpoint fault
+        raise CheckpointError(str(exc)) from None
+    params, net = prunenet.load_checkpoint(text)
     embed = _embed_backend(cfg)
     have, need = (net.n_max, net.d), (pool.n_max, embed.dim)
     if have != need:
@@ -155,7 +156,7 @@ def _designer(cfg: AppConfig, pool):
 def cmd_design(cfg: AppConfig, args: argparse.Namespace) -> None:
     pool = _load_pool(cfg)
     topo = _designer(cfg, pool)(args.query)
-    payload = serialize_topology(topo, args.format).decode()
+    payload = serialize_topology(topo, args.format)
     if args.out:
         Path(args.out).write_text(payload)
     else:
@@ -222,7 +223,7 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> None:
 
 def cmd_export(cfg: AppConfig, args: argparse.Namespace) -> None:
     topo = parse_topology(_read_input(args.topology, "topology"))
-    sys.stdout.write(serialize_topology(topo, args.format).decode())
+    sys.stdout.write(serialize_topology(topo, args.format))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -83,6 +83,10 @@ def read_tasks(text: str) -> list[TaskSpec]:
     return [TaskSpec.from_json_line(ln) for ln in text.splitlines() if ln.strip()]
 
 
+# a decimal literal; float() also takes inf, nan and digits joined by underscores
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
 def answer_matches(task: TaskSpec, answer: str) -> bool:
     """Apply the task's answer-match rule."""
     expected = task.expected_answer.strip()
@@ -91,16 +95,12 @@ def answer_matches(task: TaskSpec, answer: str) -> bool:
         return got == expected
     if task.check == "contains":
         return expected in got
-    # numeric: compare the last number found in the answer at small tolerance; a comma
-    # between a digit and exactly three digits groups thousands, any other separates
+    # numeric: compare the last finite decimal number in the answer at small tolerance; a
+    # comma between a digit and exactly three digits groups thousands, any other separates
     def last_number(s: str) -> float | None:
-        num = None
-        for tok in re.sub(r"(?<=\d),(?=\d{3}(?!\d))", "", s).replace(",", " ").split():
-            try:
-                num = float(tok.rstrip(".:;"))
-            except ValueError:
-                continue
-        return num
+        toks = re.sub(r"(?<=\d),(?=\d{3}(?!\d))", "", s).replace(",", " ").split()
+        nums = [float(t) for t in (tok.rstrip(".:;") for tok in toks) if _DECIMAL.fullmatch(t)]
+        return next((v for v in reversed(nums) if math.isfinite(v)), None)
 
     want, have = last_number(expected), last_number(got)
     if want is None or have is None:

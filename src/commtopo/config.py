@@ -87,10 +87,8 @@ def _coerce(current, raw: str, where: str):
     if kind is str:
         return raw
     try:
-        if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return kind(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
 
 

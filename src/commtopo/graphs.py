@@ -249,14 +249,15 @@ def binarize(weights: WeightMatrix, theta: float) -> Topology:
     return Topology(weights.n, adj)
 
 
-def serialize_topology(t: CommTopology, format: str = "json") -> bytes:
+def serialize_topology(t: CommTopology, format: str = "json") -> str:
+    """The topology as JSON text that ``parse_topology`` reads, or as DOT text."""
     if format == "json":
         obj = {
             "n_max": t.n,
             "mask": [int(v) for v in t.mask.m],
             "weights": [[float(v) for v in row] for row in t.weights.w],
         }
-        return json.dumps(obj, sort_keys=True).encode()
+        return json.dumps(obj, sort_keys=True)
     if format == "dot":
         lines = ["digraph comm {"]
         lines += [f'  {i} [label="{i}"];' for i in t.mask.active_ids()]
@@ -264,13 +265,14 @@ def serialize_topology(t: CommTopology, format: str = "json") -> bytes:
         w = t.weights.w
         lines += [f'  {i} -> {j} [label="{w[i, j]:.3f}"];' for i, j in np.argwhere(w >= 0.5)]
         lines.append("}")
-        return ("\n".join(lines) + "\n").encode()
+        return "\n".join(lines) + "\n"
     raise ValidationError(f"unknown format {format!r}")
 
 
-def parse_topology(data: bytes | str) -> CommTopology:
+def parse_topology(text: str) -> CommTopology:
+    """The topology of the JSON text ``serialize_topology`` writes."""
     with reading("bad topology document"):
-        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
+        obj = json.loads(text)
         check_types(obj, n_max=int)
         n = obj["n_max"]
         check_numbers(obj["mask"], "mask")

@@ -83,7 +83,7 @@ class RunResult:
                     }
                     for e in self.transcript
                 ],
-                "topology": json.loads(serialize_topology(self.topology_used).decode()),
+                "topology": json.loads(serialize_topology(self.topology_used)),
             },
             sort_keys=True,
         )

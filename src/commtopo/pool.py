@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -47,23 +47,23 @@ DECISION_PROFILE = AgentProfile(
 @dataclass(frozen=True)
 class AgentPool:
     agents: tuple[AgentProfile, ...]
-    n_max: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "n_max", len(self.agents))
         ids = [a.id for a in self.agents]
         if ids != list(range(len(ids))):
             raise AnchoringError(f"agent ids must be exactly 0..{len(ids) - 1}, got {ids}")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.agents)
 
     def __getitem__(self, agent_id: int) -> AgentProfile:
         return self.agents[agent_id]
 
 
-def load_pool(source: bytes | str) -> AgentPool:
-    """Parse a JSONL profile file (one object per line) into a pool."""
-    with reading("bad profile file"):
-        text = source.decode() if isinstance(source, bytes) else source
+def load_pool(text: str) -> AgentPool:
+    """The pool of a JSONL profile file's text (one object per line)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty profile file")
@@ -85,8 +85,8 @@ def load_pool(source: bytes | str) -> AgentPool:
 
 
 def load_default_pool() -> AgentPool:
-    data = resources.files("commtopo.data").joinpath("default_pool.jsonl").read_bytes()
-    return load_pool(data)
+    path = resources.files("commtopo.data").joinpath("default_pool.jsonl")
+    return load_pool(path.read_text(encoding="utf-8"))
 
 
 def render_system_prompt(p: AgentProfile, task: str) -> str:

@@ -623,18 +623,20 @@ def design_topology(
     return induce(WeightMatrix(pool.n_max, w_pred), NodeMask(pool.n_max, m))
 
 
-def save_checkpoint(params: PruneNetParams, net: NetConfig) -> bytes:
+def save_checkpoint(params: PruneNetParams, net: NetConfig) -> str:
+    """The parameters and the network config as the JSON text ``load_checkpoint`` reads."""
     obj = {
         "version": 1,
         "config": asdict(net),
         "tensors": {k: v.tolist() for k, v in params.tensors().items()},
     }
-    return json.dumps(obj).encode()
+    return json.dumps(obj)
 
 
-def load_checkpoint(data: bytes | str) -> tuple[PruneNetParams, NetConfig]:
+def load_checkpoint(text: str) -> tuple[PruneNetParams, NetConfig]:
+    """The parameters and network config of the JSON text ``save_checkpoint`` writes."""
     with reading("malformed checkpoint", CheckpointError):
-        obj = json.loads(data.decode() if isinstance(data, bytes) else data)
+        obj = json.loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("tensors", {}), dict):
             raise CheckpointError('malformed checkpoint: expected an object with a "tensors" object')
         check_types(obj, version=int)

@@ -186,7 +186,7 @@ def trained_pipeline(tmp_path_factory):
     )
     assert rc == 0, "train failed"
     elapsed = time.time() - start
-    params, _ = load_checkpoint(checkpoint.read_bytes())
+    params, _ = load_checkpoint(checkpoint.read_text())
     return suite, params, elapsed, workdir, corpus, checkpoint
 
 

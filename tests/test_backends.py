@@ -48,10 +48,7 @@ class FakeSession:
 
 def backend(outcomes, sleeps):
     session = FakeSession(outcomes)
-    b = HttpChatBackend(
-        "http://chat.invalid/v1", "key", "m", retries=3, backoff=0.5,
-        session=session, sleep=sleeps.append,
-    )
+    b = HttpChatBackend("http://chat.invalid/v1", "key", "m", session=session, sleep=sleeps.append)
     return b, session
 
 
@@ -71,7 +68,7 @@ class TestHttpChatBackend:
         b, session = backend([transient, transient, FakeResponse(200, OK_BODY)], sleeps)
         assert b.complete("sys", "user") == ("four", 9, 1)
         assert session.attempts == 3
-        assert sleeps == [0.5, 1.0]
+        assert sleeps == [1.0, 2.0]
 
     def test_persistent_transient_failure_gives_up_after_retries(self):
         sleeps = []
@@ -79,7 +76,7 @@ class TestHttpChatBackend:
         with pytest.raises(BackendError, match="after 3 attempts: HTTP 502"):
             b.complete("sys", "user")
         assert session.attempts == 3
-        assert sleeps == [0.5, 1.0]
+        assert sleeps == [1.0, 2.0]
 
     @pytest.mark.parametrize(
         "outcome",

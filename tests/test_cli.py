@@ -22,7 +22,6 @@ from commtopo.cli import EXIT_CHECKPOINT, EXIT_CODES, _build_parser, _config, ma
 from commtopo.collector import TaskSpec
 from commtopo.config import AppConfig, options
 from commtopo.embed import HashingBackend
-from commtopo.errors import CheckpointError, FormatError
 from commtopo.graphs import (
     SupervisionPair,
     Topology,
@@ -33,8 +32,7 @@ from commtopo.graphs import (
     serialize_topology,
     write_corpus,
 )
-from commtopo.pool import load_pool
-from commtopo.prunenet import NetConfig, PruneNetParams, load_checkpoint, save_checkpoint
+from commtopo.prunenet import NetConfig, PruneNetParams, save_checkpoint
 from taskfiles import write_tasks
 
 
@@ -65,7 +63,7 @@ def make_checkpoint(workdir, name="checkpoint.json", d=None):
     net = NetConfig(d=d or HashingBackend().dim, n_max=pool.n_max)
     params = PruneNetParams.init(net, np.random.default_rng(0))
     path = workdir / name
-    path.write_bytes(save_checkpoint(params, net))
+    path.write_text(save_checkpoint(params, net))
     return path
 
 
@@ -174,7 +172,7 @@ class TestDesign:
         make_checkpoint(workdir)
         assert main(["design", "--query", "solve 2+2"]) == 0
         out, err = capsys.readouterr()
-        topo = parse_topology(out.encode())
+        topo = parse_topology(out)
         assert topo.mask.n == 15
         assert "active agents:" in err
 
@@ -187,7 +185,7 @@ class TestDesign:
     def test_theta_zero_keeps_all_agents(self, workdir, capsys):
         make_checkpoint(workdir)
         assert main(["design", "--query", "q", "--theta", "0"]) == 0
-        topo = parse_topology(capsys.readouterr().out.encode())
+        topo = parse_topology(capsys.readouterr().out)
         assert topo.mask.active_count() == 15
 
 
@@ -338,7 +336,7 @@ def test_no_stage_loads_scipy(tmp_path):
 def test_the_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
     # every other input is read as UTF-8; the INI file was read in the locale's encoding
     (tmp_path / "cfg.ini").write_text("[agents]\nmodel = mod\u00e8le\n", encoding="utf-8")
-    (tmp_path / "t.json").write_bytes(serialize_topology(induce(*lift_subgraph(Topology.complete(3), [0, 1, 2], 3))))
+    (tmp_path / "t.json").write_text(serialize_topology(induce(*lift_subgraph(Topology.complete(3), [0, 1, 2], 3))))
     code = (
         "import os, sys\n"
         "from commtopo.cli import main\n"
@@ -689,7 +687,7 @@ def test_every_value_outside_an_options_declaration_exits_1_naming_it(
         assert isinstance(allowed, str), f"[{section}] {name} declares no interval"
     # export reads no option, so only the check of the values can fail it
     topo = induce(*lift_subgraph(Topology.complete(3), [0, 1, 2], 3))
-    (workdir / "t.json").write_bytes(serialize_topology(topo))
+    (workdir / "t.json").write_text(serialize_topology(topo))
     assert main(["export", "--topology", "t.json"]) == 0
     for value in just_outside(current, allowed):
         (workdir / "cfg.ini").write_text(f"[{section}]\n{name} = {value}\n")
@@ -832,29 +830,56 @@ NOT_UTF8 = [b"\xff\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
 
 @pytest.mark.parametrize("bad", NOT_UTF8)
 @pytest.mark.parametrize(
-    "parse, error",
-    [(parse_topology, FormatError), (load_pool, FormatError), (load_checkpoint, CheckpointError)],
+    "name, argv, code",
+    [
+        ("topology.json", ["export", "--topology", "topology.json"], 1),
+        ("pool.jsonl", ["--config", "cfg.ini", "design", "--query", "q"], 1),
+        ("checkpoint.json", ["design", "--query", "q"], EXIT_CHECKPOINT),
+    ],
     ids=["topology", "pool", "checkpoint"],
 )
-def test_bytes_that_are_not_utf8_raise_the_parsers_error(parse, error, bad):
-    with pytest.raises(error):
-        parse(bad + b"{")
+def test_bytes_that_are_not_utf8_raise_the_parsers_error(workdir, capsys, name, argv, code, bad):
+    # the CLI decodes every input file, so the parsers only ever see text
+    for file, lines in [("topology.json", FUZZ_TOPOLOGY), ("pool.jsonl", FUZZ_POOL),
+                        ("checkpoint.json", FUZZ_CHECKPOINT)]:
+        (workdir / file).write_text("".join(json.dumps(line) + "\n" for line in lines))
+    (workdir / "cfg.ini").write_text("[paths]\npool_path = pool.jsonl\n")
+    (workdir / name).write_bytes(bad + (workdir / name).read_bytes())
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{name} is not UTF-8: " in err[0], err
+
+
+def test_no_library_function_takes_or_returns_bytes():
+    # files are read and written as bytes by the CLI alone; every parser takes text
+    package = Path(commtopo.__file__).parent
+    named = sorted(
+        node.name
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for annotation in [node.returns, *(a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg))]
+        if annotation is not None and re.search(r"\bbytes\b", ast.unparse(annotation))
+    )
+    assert named == [], named
 
 
 @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
 def test_a_checkpoint_that_is_not_plain_utf8_fails_design_run_and_bench_in_one_line(workdir, capsys, encoding):
-    # json.loads reads UTF-16 and UTF-32 bytes on its own; every other input file must be UTF-8
+    # UTF-16 and UTF-32 fail decoding as every other input file does; a BOM fails the JSON parse
     path = make_checkpoint(workdir)
     path.write_bytes(path.read_text().encode(encoding))
-    with pytest.raises(CheckpointError, match="^malformed checkpoint: "):
-        load_checkpoint(path.read_bytes())
+    prefix = (
+        "malformed checkpoint: Unexpected UTF-8 BOM" if encoding == "utf-8-sig"
+        else "checkpoint checkpoint.json is not UTF-8: "
+    )
     write_suite(workdir / "suite.jsonl", n=1)
     capsys.readouterr()
     for argv in (["design", "--query", "q"], ["run", "--query", "q"],
                  ["bench", "--suite", "suite.jsonl", "--methods", "designed", "--repeats", "1"]):
         assert main(argv) == EXIT_CHECKPOINT, argv
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: malformed checkpoint: "), err
+        assert len(err) == 1 and err[0].startswith("error: " + prefix), err
 
 
 @st.composite

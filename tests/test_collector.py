@@ -776,6 +776,10 @@ class TestTaskIO:
             ("3", "x = 1, 2, 3", True),  # a comma before other than three digits separates
             ("0", "1,0000", True),
             ("12", "12,34", False),
+            ("12", "The answer is 12, not infinity", True),  # words and Python-only literals are no numbers
+            ("12", "12; inf", True),
+            ("12", "12 or nan", True),
+            ("12", "1_2", False),
         ],
     )
     def test_numeric_answers_group_thousands(self, expected, answer, matches):

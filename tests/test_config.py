@@ -53,15 +53,12 @@ def value_strategy(current):
     kind = float if current is None else type(current)
     return {
         str: INI_TEXT,
-        bool: st.booleans(),
         int: st.integers(-10**12, 10**12),
         float: st.floats(allow_nan=False),
     }[kind]
 
 
 def ini_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 

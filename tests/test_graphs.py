@@ -253,12 +253,12 @@ class TestSerialization:
         return CommTopology(NodeMask(3, m), WeightMatrix(3, w))
 
     def test_dot_contains_edge_and_label(self):
-        out = serialize_topology(self.topo(), "dot").decode()
+        out = serialize_topology(self.topo(), "dot")
         assert "0 -> 1" in out
         assert "1.000" in out
 
     def test_dot_excludes_masked_node(self):
-        out = serialize_topology(self.topo(), "dot").decode()
+        out = serialize_topology(self.topo(), "dot")
         for line in out.splitlines():
             assert not line.strip().startswith("2 ")
 
@@ -283,7 +283,7 @@ class TestSerialization:
         assert np.allclose(back.weights.w, t.weights.w)
 
 
-def dot_loop(t: CommTopology) -> bytes:
+def dot_loop(t: CommTopology) -> str:
     """Reference for ``serialize_topology(t, "dot")``: the edges by a loop over active pairs."""
     lines = ["digraph comm {"]
     for i in t.mask.active_ids():
@@ -294,7 +294,7 @@ def dot_loop(t: CommTopology) -> bytes:
             if i != j and wij >= 0.5:
                 lines.append(f'  {i} -> {j} [label="{wij:.3f}"];')
     lines.append("}")
-    return ("\n".join(lines) + "\n").encode()
+    return "\n".join(lines) + "\n"
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from commtopo.errors import AnchoringError, FormatError
 from commtopo.pool import (
     USER_PROMPT_PREFIX,
+    AgentPool,
     AgentProfile,
     join_user_prompt,
     load_default_pool,
@@ -56,28 +57,34 @@ class TestLoadPool:
     def test_default_roster_id_11_is_math_solver(self):
         assert load_default_pool()[11].role == "Math Solver"
 
+    def test_n_max_is_the_number_of_agents_and_no_argument(self):
+        agents = load_default_pool().agents
+        assert AgentPool(agents[:3]).n_max == 3
+        with pytest.raises(TypeError):
+            AgentPool(agents, n_max=3)
+
     def test_anchoring_position_equals_id(self):
         pool = load_default_pool()
         for k, p in enumerate(pool):
             assert p.id == k
 
     def test_gap_in_ids_rejected(self):
-        data = "\n".join([profile_line(0), profile_line(2)]).encode()
+        data = "\n".join([profile_line(0), profile_line(2)])
         with pytest.raises(AnchoringError):
             load_pool(data)
 
     def test_duplicate_ids_rejected(self):
-        data = "\n".join([profile_line(0), profile_line(0)]).encode()
+        data = "\n".join([profile_line(0), profile_line(0)])
         with pytest.raises(AnchoringError):
             load_pool(data)
 
     def test_empty_file_rejected(self):
         with pytest.raises(FormatError):
-            load_pool(b"")
+            load_pool("")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(FormatError):
-            load_pool(b"not json\n")
+            load_pool("not json\n")
 
 
 class TestSystemPrompt:
