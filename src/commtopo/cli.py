@@ -17,6 +17,7 @@ prints one ``error: <message>`` line and maps the exception through
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -75,6 +76,12 @@ def _read_input(path: str, what: str) -> str:
         raise FormatError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
+def _write(path, text: str) -> None:
+    """Write an output file as UTF-8; text that came from an argument the
+    locale could not decode keeps the bytes it was given."""
+    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+
+
 def _load_pool(cfg: AppConfig):
     if cfg.pool_path:
         return load_pool(_read_input(cfg.pool_path, "pool"))
@@ -113,7 +120,7 @@ def cmd_collect(cfg: AppConfig, args: argparse.Namespace) -> None:
         evaluator = make_orchestrator_evaluator(pool, backends, cfg.k_rounds, cfg.theta)
     pairs, stats = collector_mod.collect_supervision(tasks, pool, cfg.collector, evaluator)
     out = Path(args.out or cfg.corpus_path)
-    out.write_text(write_corpus(pairs))
+    _write(out, write_corpus(pairs))
     print(
         f"tasks={stats.tasks} graphs_scored={stats.graphs_scored} "
         f"graphs_skipped={stats.graphs_skipped} pairs={stats.pairs}"
@@ -129,8 +136,8 @@ def cmd_train(cfg: AppConfig, args: argparse.Namespace) -> None:
     backend = _embed_backend(cfg)
     params, log = prunenet.train(corpus, pool, backend, cfg.train)
     net = prunenet.NetConfig(d=backend.dim, n_max=pool.n_max)
-    Path(cfg.checkpoint_path).write_text(prunenet.save_checkpoint(params, net))
-    Path(cfg.train_log_path).write_text(prunenet.write_training_log(log))
+    _write(cfg.checkpoint_path, prunenet.save_checkpoint(params, net))
+    _write(cfg.train_log_path, prunenet.write_training_log(log))
     print(
         f"trained {len(log)} steps (beta={cfg.train.beta}, epochs={cfg.train.epochs}, "
         f"lr={cfg.train.lr}, seed={cfg.train.seed})"
@@ -158,7 +165,7 @@ def cmd_design(cfg: AppConfig, args: argparse.Namespace) -> None:
     topo = _designer(cfg, pool)(args.query)
     payload = serialize_topology(topo, args.format)
     if args.out:
-        Path(args.out).write_text(payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     roles = [pool[i].role for i in topo.mask.active_ids()]
@@ -180,9 +187,9 @@ def cmd_run(cfg: AppConfig, args: argparse.Namespace) -> None:
         result = run_topology(topo, task, pool, backends, k=cfg.k_rounds, theta=cfg.theta, rng=rng)
     except RunAborted as exc:
         partial = [e.as_history_item() for e in exc.transcript]
-        Path(cfg.transcript_path).write_text(json.dumps(partial, sort_keys=True))
+        _write(cfg.transcript_path, json.dumps(partial, sort_keys=True))
         raise
-    Path(cfg.transcript_path).write_text(result.to_json())
+    _write(cfg.transcript_path, result.to_json())
     print(f"answer: {result.answer}")
     print(f"total tokens: {result.total_tokens}")
     print(f"transcript written to {cfg.transcript_path}")
@@ -215,8 +222,8 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> None:
         seed=cfg.seed,
         suite_id=Path(args.suite).stem,
     )
-    Path(f"{args.out_prefix}.csv").write_text(report.to_csv())
-    Path(f"{args.out_prefix}.md").write_text(report.to_markdown())
+    _write(f"{args.out_prefix}.csv", report.to_csv())
+    _write(f"{args.out_prefix}.md", report.to_markdown())
     print(report.to_markdown())
     print(f"report written to {args.out_prefix}.csv and {args.out_prefix}.md")
 
@@ -297,6 +304,8 @@ def _config(args: argparse.Namespace) -> AppConfig:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # text the locale cannot encode is escaped, as on stderr
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         args = _build_parser().parse_args(argv)
         args.cmd(_config(args), args)

@@ -7,9 +7,9 @@ import logging
 import math
 import re
 import threading
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -232,40 +232,81 @@ class CollectStats:
 
 MAX_OCCURRENCES = 1_000_000
 """The most (graph, target task) key occurrences, budget × stride, that a
-collect may hold: ten times the largest budget.  Pass 1 holds about 310
-traced bytes per occurrence at 300,000 of them; a collect at the cap
-peaked at 0.4–0.5 GB of RSS on the planted evaluator."""
+collect may hold: ten times the largest budget.  A collect of 200,000
+occurrences traces about 165 bytes per occurrence at its peak, most of
+them pass 1's key -> id dict; a collect at the cap peaked at about
+190 MB of RSS on the planted evaluator."""
 
 UNITS = 4 * MAX_IN_FLIGHT
-"""A collect cuts its keys into runs of ``len(keys) // UNITS`` (at least
-1) and submits them longest first: four units per worker keep the
+"""A collect cuts its key ids into ranges of ``len(keys) // UNITS`` (at
+least 1) and submits them longest first: four units per worker keep the
 workers evenly busy, and a collect of many cheap scorings pays the
 hand-off to a worker about `UNITS` times, not once per key."""
 
 
-def _longest_first(units: list) -> list:
+@dataclass(frozen=True)
+class _Keys:
+    """A collect's distinct (member set, task) keys, numbered in order of
+    first occurrence, as flat columns: the index of the key's first graph,
+    of its task and its occurrence count.  The workers write each key's
+    utility into `utility`."""
+
+    graphs: Sequence[SampledGraph]
+    tasks: Sequence[TaskSpec]
+    graph: array
+    task: array
+    count: array
+    utility: array
+
+
+def _number_keys(graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stride: int) -> tuple[_Keys, array]:
+    """Pass 1: the keys of every graph's target tasks, and the key id of
+    each occurrence in sampling order, `stride` per graph: graph i
+    targets tasks ``(i + s * gap) % len(tasks)`` for s < stride, in task
+    order, and the offsets s * gap are below ``len(tasks)``, so they are
+    distinct."""
+    gap = max(1, len(tasks) // stride)
+    graph, task, count, occurrences = array("q"), array("q"), array("q"), array("q")
+    member_sets: dict = {}
+    ids: dict = {}  # member set id * len(tasks) + task index -> key id; ints cost less than tuples
+    for i, g in enumerate(graphs):
+        base = member_sets.setdefault(g.members, len(member_sets)) * len(tasks)
+        for j in sorted({(i + s * gap) % len(tasks) for s in range(stride)}):
+            k = ids.setdefault(base + j, len(ids))
+            if k == len(count):
+                graph.append(i)
+                task.append(j)
+                count.append(0)
+            count[k] += 1
+            occurrences.append(k)
+    return _Keys(graphs, tasks, graph, task, count, array("d", [math.nan]) * len(count)), occurrences
+
+
+def _longest_first(units: list[range], keys: _Keys) -> list[range]:
     """The units in descending order of their graphs' summed member counts,
     ties in sampling order.  An orchestrator scoring of an m-member graph
     is a chain of k·m + 1 backend calls, so the longest chains start first
     and the pass does not end on one drawn late (Graham's LPT rule)."""
-    return sorted(units, key=lambda unit: sum(len(item[1].members) for item in unit), reverse=True)
+    return sorted(units, key=lambda unit: sum(len(keys.graphs[keys.graph[k]].members) for k in unit), reverse=True)
 
 
-def _score_unit(unit, evaluator: Evaluator, stop: threading.Event) -> dict:
-    """Score a unit's (key, graph, task, occurrences) items in order,
-    until `stop` is set.  A key is scored up to once per
-    occurrence, until a utility comes back, and maps to the messages of
-    its ScoreUnavailable failures, then that utility."""
-    outcomes = {}
-    for key, graph, task, occurrences in unit:
-        outcomes[key] = tried = []
-        while len(tried) < occurrences and not stop.is_set():
+def _score_unit(unit: range, keys: _Keys, evaluator: Evaluator, stop: threading.Event) -> dict:
+    """Score the unit's keys in order, until `stop` is set.  A key is
+    scored up to once per occurrence, until a utility comes back, which
+    goes into ``keys.utility``; returns the messages of the
+    ScoreUnavailable failures of each key that failed."""
+    failed: dict[int, list[str]] = {}
+    for k in unit:
+        graph, task = keys.graphs[keys.graph[k]], keys.tasks[keys.task[k]]
+        for _ in range(keys.count[k]):
+            if stop.is_set():
+                break
             try:
-                tried.append(score_graph(graph, task, evaluator))
+                keys.utility[k] = score_graph(graph, task, evaluator)
                 break
             except ScoreUnavailable as exc:
-                tried.append(str(exc))
-    return outcomes
+                failed.setdefault(k, []).append(str(exc))
+    return failed
 
 
 def collect_supervision(
@@ -285,21 +326,23 @@ def collect_supervision(
     share an id would share scores, so they are a ConfigError.
 
     Every graph is drawn up front, then the sample is passed over twice.
-    Pass 1 builds one table, in sampling order, of each key's first
-    occurrence and its occurrence count, and cuts it into units of
-    ``len(keys) // UNITS`` consecutive keys (at least one).  The units
-    are submitted longest first, by their graphs' summed member counts
-    (ties in sampling order), and the table and the sorted list are let
-    go once they are.  A unit scores each key up to once per occurrence,
-    until a utility comes back.  The units run on a pool of at most
-    `MAX_IN_FLIGHT` threads owned by the call.  Once every unit's
-    outcomes are in, pass 2 merges them on the calling thread in sampling
-    order: each failed scoring skips one occurrence, so the pairs, the
-    stats and the skip warnings equal those of scoring one key at a time,
-    whatever order the units ran in.  If a unit raises, queued units are
-    cancelled and running ones stop before their next scoring.  A collect
-    of more than `MAX_OCCURRENCES` occurrences is a ConfigError, raised
-    before any graph is drawn.
+    Pass 1 numbers each key at its first occurrence, in sampling order,
+    and keeps flat integer columns (stdlib ``array``): each occurrence's
+    key id, and each key's first graph, task and occurrence count; the
+    key -> id dict goes before scoring starts.  The key ids are cut
+    into ranges of ``len(keys) // UNITS`` (at least one), submitted
+    longest first, by their graphs' summed member counts (ties in
+    sampling order).  A unit scores each key up to once per occurrence,
+    until a utility comes back, and writes it into one float column; the
+    failure messages of the keys that failed come back in one dict.  The
+    units run on a pool of at most `MAX_IN_FLIGHT` threads owned by the
+    call.  Once every unit is in, pass 2 walks the occurrences' key ids
+    on the calling thread in sampling order: each failed scoring skips
+    one occurrence, so the pairs, the stats and the skip warnings equal
+    those of scoring one key at a time, whatever order the units ran in.
+    If a unit raises, queued units are cancelled and running ones stop
+    before their next scoring.  A collect of more than `MAX_OCCURRENCES`
+    occurrences is a ConfigError, raised before any graph is drawn.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -318,46 +361,30 @@ def collect_supervision(
             f"budget {cfg.budget} graphs x {stride} target tasks each = {cfg.budget * stride} "
             f"(graph, task) pairs, more than {MAX_OCCURRENCES}; lower budget or candidates_per_task"
         )
-    gap = max(1, n_tasks // stride)
     rng = np.random.default_rng(cfg.seed)
     graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
 
-    def targets(i: int) -> list:
-        """(key, task index) of graph i's target tasks, in task order.  Built
-        again on each pass: holding them for every graph raised the peak
-        memory of a collect."""
-        window = sorted({(i + s * gap) % n_tasks for s in range(stride)})
-        return [((graphs[i].members, tasks[j].task_id), j) for j in window]
-
-    # pass 1: key -> [key, graph, task, occurrences] of its first occurrence, in sampling order
-    firsts: dict = {}
-    for i, graph in enumerate(graphs):
-        for key, j in targets(i):
-            firsts.setdefault(key, [key, graph, tasks[j], 0])[3] += 1
-    size = max(1, len(firsts) // UNITS)
-    rows = iter(firsts.values())
-    del firsts  # the iterator lets go of the table once the last unit is cut
-    units = _longest_first(list(iter(lambda: list(islice(rows, size)), [])))
+    keys, occurrences = _number_keys(graphs, tasks, stride)
+    ids, size = range(len(keys.count)), max(1, len(keys.count) // UNITS)
+    units = _longest_first([ids[a : a + size] for a in ids[::size]], keys)
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
-        futures = [executor.submit(_score_unit, unit, evaluator, stop) for unit in units]
-        del units  # a unit now lives only as long as its scoring
-        outcomes = {key: tried for future in futures for key, tried in future.result().items()}
+        futures = [executor.submit(_score_unit, unit, keys, evaluator, stop) for unit in units]
+        failed = {k: tried for future in futures for k, tried in future.result().items()}
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)
     # pass 2: merge in sampling order; each failed scoring skips one occurrence
     entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
     stats = CollectStats(tasks=n_tasks)
-    for i, graph in enumerate(graphs):
-        for key, j in targets(i):
-            tried = outcomes[key]
-            if isinstance(tried[0], str):
-                stats.graphs_skipped += 1
-                log.warning("skipping graph %s on task %s: %s", *key, tried.pop(0))
-            else:
-                entries[j].append((graph, tried[0]))
+    for p, k in enumerate(occurrences):
+        graph, j, tried = graphs[p // stride], keys.task[k], failed.get(k)
+        if tried:
+            stats.graphs_skipped += 1
+            log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, tried.pop(0))
+        else:
+            entries[j].append((graph, keys.utility[k]))
     stats.graphs_scored = sum(map(len, entries))
     scored = dict(zip(tasks, entries))
     pairs = mine_supervision(scored, cfg, pool.n_max)

@@ -3,8 +3,10 @@
 Every backend returns L2-normalized vectors of a fixed dimension.  The
 feature-hash backend is fully deterministic and needs no network; the
 HTTP backend posts to a generic embedding endpoint.  ``node_features``
-keeps one text -> unit-vector memo per backend object, so each text
-reaches the backend once however often it is trained on or designed for.
+keeps one text -> unit-vector memo per backend object, so the pool rows
+and each designed query reach the backend once however often they are
+designed for.  Training keeps no texts there: ``prunenet.train`` embeds
+each distinct corpus text once with ``embed_text``.
 """
 from __future__ import annotations
 
@@ -120,8 +122,8 @@ def embed_text(backend: EmbeddingBackend, text: str) -> np.ndarray:
     return _normalize(v)
 
 
-# One text -> unit-vector memo per live backend object: training and every
-# later design on the same backend share it, and it goes when the backend does.
+# One text -> unit-vector memo per live backend object: training's pool rows and
+# every later design on the same backend share it, and it goes when the backend does.
 _CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -132,6 +134,8 @@ def node_features(
 
     Rows come from the backend's memo, which keeps each text's vector read-only
     and no failure; a backend that cannot be a weak key gets a fresh memo.
+    Training takes only its pool rows from here (``queries`` empty), so the
+    memo holds the pool's texts and the designed queries, no training text.
     """
     try:
         memo = _CACHES.setdefault(backend, {})

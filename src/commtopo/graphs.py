@@ -249,15 +249,19 @@ def binarize(weights: WeightMatrix, theta: float) -> Topology:
     return Topology(weights.n, adj)
 
 
+def topology_dict(t: CommTopology) -> dict:
+    """The topology as the JSON object ``parse_topology`` reads."""
+    return {
+        "n_max": t.n,
+        "mask": [int(v) for v in t.mask.m],
+        "weights": [[float(v) for v in row] for row in t.weights.w],
+    }
+
+
 def serialize_topology(t: CommTopology, format: str = "json") -> str:
     """The topology as JSON text that ``parse_topology`` reads, or as DOT text."""
     if format == "json":
-        obj = {
-            "n_max": t.n,
-            "mask": [int(v) for v in t.mask.m],
-            "weights": [[float(v) for v in row] for row in t.weights.w],
-        }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(topology_dict(t), sort_keys=True)
     if format == "dot":
         lines = ["digraph comm {"]
         lines += [f'  {i} [label="{i}"];' for i in t.mask.active_ids()]

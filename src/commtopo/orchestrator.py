@@ -33,7 +33,7 @@ import numpy as np
 from .backends import MAX_IN_FLIGHT, BackendSet
 from .collector import TaskSpec
 from .errors import BackendError, ConfigError, DegenerateTopology, RunAborted
-from .graphs import CommTopology, Topology, WeightMatrix, binarize, serialize_topology
+from .graphs import CommTopology, Topology, WeightMatrix, binarize, topology_dict
 from .pool import DECISION_PROFILE, USER_PROMPT_PREFIX, AgentPool, join_user_prompt, render_entry, render_system_prompt
 from .pool import render_user_prompt  # noqa: F401 -- benchmarks/workloads.py traces it by this name
 
@@ -83,7 +83,7 @@ class RunResult:
                     }
                     for e in self.transcript
                 ],
-                "topology": json.loads(serialize_topology(self.topology_used)),
+                "topology": topology_dict(self.topology_used),
             },
             sort_keys=True,
         )

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
+from .embed import DEFAULT_DIM, EmbeddingBackend, embed_text, node_features
 from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from .errors import check_numbers, check_types, check_within, reading, within
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
@@ -533,9 +533,16 @@ def train(
     init = PruneNetParams.init(net, rng)
 
     texts = list(dict.fromkeys(pair.task_text for pair in corpus))
-    pool_x, query_x = node_features(pool, texts, backend)
+    pool_x, _ = node_features(pool, [], backend)
     if pool_x.shape[1] != net.d:
         raise DimensionError(f"feature width {pool_x.shape[1]} does not match d={net.d}")
+    # each distinct text is embedded once, into one matrix: the backend's memo keeps none of them
+    query_x = np.empty((len(texts), net.d))
+    for i, text in enumerate(texts):
+        v = embed_text(backend, text)
+        if v.shape != (net.d,):
+            raise DimensionError(f"feature shape {v.shape} of {text!r} does not match d={net.d}")
+        query_x[i] = v
     used = (pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0)
     live_ids, dead_ids = np.flatnonzero(used), np.flatnonzero(~used)
     pool_x, query_x = pool_x[:, live_ids], query_x[:, live_ids]

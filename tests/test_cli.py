@@ -349,6 +349,41 @@ def test_the_config_file_is_read_as_utf8_whatever_the_locale(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def run_under_the_c_locale(tmp_path, *argv):
+    """``commtopo argv`` in a subprocess whose locale encodes ASCII only."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COMMTOPO_")}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = str(Path(commtopo.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "commtopo.cli", *argv], cwd=tmp_path, capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+
+
+def test_a_report_named_after_a_non_ascii_suite_is_written_as_utf8_whatever_the_locale(tmp_path):
+    # the report's first line holds the suite's stem: writing it in the locale's encoding raised
+    write_suite(tmp_path / "t\u00e2ches.jsonl", n=2)
+    out = run_under_the_c_locale(
+        tmp_path, "bench", "--suite", "t\u00e2ches.jsonl", "--methods", "complete", "--repeats", "1",
+        "--out-prefix", "rep",
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "rep.md").read_bytes().decode("utf-8").startswith("Benchmark suite: t\u00e2ches (seed 0)\n")
+
+
+def test_stdout_escapes_what_the_locale_cannot_encode(tmp_path):
+    # printing the answer "caf\u00e9" raised UnicodeEncodeError under an ASCII locale
+    make_checkpoint(tmp_path)
+    tasks = [TaskSpec("t0", "question 0", "math_reasoning", "caf\u00e9", "exact", (1, 2, 3))]
+    (tmp_path / "suite.jsonl").write_text(write_tasks(tasks), encoding="utf-8")
+    (tmp_path / "planted.ini").write_text("[agents]\nagent_backend = planted\n")
+    out = run_under_the_c_locale(
+        tmp_path, "--config", "planted.ini", "run", "--suite", "suite.jsonl", "--query", "question 0", "--theta", "0",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "answer: caf\\xe9"
+
+
 def test_runtime_dependencies_are_the_packages_the_source_imports():
     # reads imports that no stage runs, which the test above cannot see: one such kept scipy a dependency
     tomllib = pytest.importorskip("tomllib")

@@ -638,6 +638,44 @@ class TestLiveRows:
         assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
 
 
+class CountingZeroColumnBackend(ZeroColumnBackend):
+    """Records each text it embeds; ``widths`` maps a text to a width of its own."""
+
+    def __init__(self, live, widths=None):
+        super().__init__(live)
+        self.widths = widths or {}
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)[: self.widths.get(text, self.dim)]
+
+
+class TestTrainingEmbeds:
+    NET = NetConfig(d=12, h=8, h_m=4, n_max=15)
+
+    def test_each_distinct_text_is_embedded_once_and_kept_out_of_the_memo(self):
+        pool = load_default_pool()
+        corpus = pair_corpus(np.random.default_rng(1), pool, 7)  # 7 pairs on 3 texts
+        backend = CountingZeroColumnBackend([True] * 12)
+        params, _ = train(corpus, pool, backend, TrainConfig(seed=1, epochs=1), self.NET)
+        pool_texts = list(dict.fromkeys(f"{a.role} {a.expertise}" for a in pool.agents))
+        assert sorted(backend.texts) == sorted([*pool_texts, "question 0", "question 1", "question 2"])
+        # a design reaches the backend again for a training text, then finds it in the memo
+        for _ in range(2):
+            design_topology("question 1", pool, backend, params)
+        assert backend.texts[len(pool_texts) + 3 :] == ["question 1"]
+
+    def test_a_text_of_another_width_is_a_dimension_error(self):
+        pool = load_default_pool()
+        corpus = pair_corpus(np.random.default_rng(1), pool, 7)
+        backend = CountingZeroColumnBackend([True] * 12, widths={"question 2": 11})
+        with pytest.raises(DimensionError, match=r"feature shape \(11,\) of 'question 2' does not match d=12"):
+            train(corpus, pool, backend, TrainConfig(seed=1, epochs=1), self.NET)
+        with pytest.raises(DimensionError, match="feature width 12 does not match d=13"):
+            train(corpus, pool, backend, TrainConfig(seed=1, epochs=1), NetConfig(d=13, h=8, h_m=4, n_max=15))
+
+
 class TestDesignTopology:
     def test_theta_zero_keeps_all_agents(self):
         pool, backend, pair, _ = memorization_fixture()
