@@ -124,8 +124,9 @@ def run_bench(
     seed: int = 0,
     suite_id: str = "suite",
 ) -> BenchReport:
-    """Each method x task x repeat executes through the orchestrator;
-    aborted runs count as incorrect with their partial token cost."""
+    """Each method's source designs each task's topology once, and that
+    topology executes through the orchestrator once per repeat; aborted
+    runs count as incorrect with their partial token cost."""
     if not suite:
         raise ConfigError("empty task suite")
     if repeats < 1:
@@ -136,13 +137,12 @@ def run_bench(
         tokens: list[int] = []
         runs = 0
         for task_index, task in enumerate(suite):
+            topo = source(task)
             for rep in range(repeats):
                 rng = np.random.default_rng((seed, method_index, task_index, rep))
                 runs += 1
                 try:
-                    result = run_topology(
-                        source(task), task, pool, backends, k=k, theta=theta, rng=rng
-                    )
+                    result = run_topology(topo, task, pool, backends, k=k, theta=theta, rng=rng)
                 except RunAborted as exc:
                     partial = sum(e.tokens() for e in exc.transcript)
                     tokens.append(partial)

@@ -17,6 +17,7 @@ prints one ``error: <message>`` line and maps the exception through
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import json
 import sys
@@ -303,9 +304,21 @@ def _config(args: argparse.Namespace) -> AppConfig:
     return cfg.finalize()
 
 
+def _typed_or_escaped(exc: UnicodeEncodeError):
+    """Stdout's encoding error handler: a surrogate that the locale's decoding
+    of an argument left becomes the byte that was typed, as in the output
+    files; any other character the locale cannot encode is escaped, as on stderr."""
+    one = UnicodeEncodeError(exc.encoding, exc.object, exc.start, exc.start + 1, exc.reason)
+    try:
+        return codecs.lookup_error("surrogateescape")(one)
+    except UnicodeEncodeError:
+        return codecs.backslashreplace_errors(one)
+
+
 def main(argv=None) -> int:
-    if isinstance(sys.stdout, io.TextIOWrapper):  # text the locale cannot encode is escaped, as on stderr
-        sys.stdout.reconfigure(errors="backslashreplace")
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        codecs.register_error("commtopo.typed_or_escaped", _typed_or_escaped)
+        sys.stdout.reconfigure(errors="commtopo.typed_or_escaped")
     try:
         args = _build_parser().parse_args(argv)
         args.cmd(_config(args), args)

@@ -3,10 +3,10 @@
 Every backend returns L2-normalized vectors of a fixed dimension.  The
 feature-hash backend is fully deterministic and needs no network; the
 HTTP backend posts to a generic embedding endpoint.  ``node_features``
-keeps one text -> unit-vector memo per backend object, so the pool rows
-and each designed query reach the backend once however often they are
-designed for.  Training keeps no texts there: ``prunenet.train`` embeds
-each distinct corpus text once with ``embed_text``.
+is the one path from text to feature rows: it keeps one memo per backend
+object that holds the pool's texts only, so the pool rows reach the
+backend once however often a design needs them, and it embeds query
+texts into one matrix that it keeps nowhere.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import EmbeddingUnavailable, check_numbers
+from .errors import DimensionError, EmbeddingUnavailable, check_numbers
 from .pool import AgentPool
 
 DEFAULT_DIM = 384
@@ -114,15 +114,18 @@ class HttpBackend:
 
 
 def embed_text(backend: EmbeddingBackend, text: str) -> np.ndarray:
-    """Embed one string; output always has unit L2 norm.  A non-finite
-    element is EmbeddingUnavailable, named after the backend's type."""
+    """Embed one string; output always has unit L2 norm.  A vector whose
+    shape is not ``(backend.dim,)`` is a DimensionError naming the text; a
+    non-finite element is EmbeddingUnavailable, named after the backend's type."""
     v = np.asarray(backend.embed(text), dtype=float)
+    if v.shape != (backend.dim,):
+        raise DimensionError(f"feature shape {v.shape} of {text!r} does not match d={backend.dim}")
     if not np.isfinite(v).all():
         raise EmbeddingUnavailable(f"{type(backend).__name__} returned a non-finite embedding")
     return _normalize(v)
 
 
-# One text -> unit-vector memo per live backend object: training's pool rows and
+# One pool text -> unit-vector memo per live backend object: training's pool rows and
 # every later design on the same backend share it, and it goes when the backend does.
 _CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -132,20 +135,21 @@ def node_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pool rows (n_max x d) and one query row per text (len(queries) x d).
 
-    Rows come from the backend's memo, which keeps each text's vector read-only
-    and no failure; a backend that cannot be a weak key gets a fresh memo.
-    Training takes only its pool rows from here (``queries`` empty), so the
-    memo holds the pool's texts and the designed queries, no training text.
+    Pool rows come from the backend's memo, which holds the pool's texts
+    only and no failure; a backend that cannot be a weak key gets a fresh
+    memo.  Queries are embedded in order into one matrix and kept nowhere.
+    Every vector goes through ``embed_text``, so one of another width is a
+    DimensionError naming its text.
     """
     try:
         memo = _CACHES.setdefault(backend, {})
     except TypeError:
         memo = {}
     texts = [f"{a.role} {a.expertise}" for a in pool.agents]
-    for text in dict.fromkeys([*texts, *queries]):
+    for text in texts:
         if text not in memo:
-            v = embed_text(backend, text)
-            v.flags.writeable = False
-            memo[text] = v
-    rows = np.vstack([memo[t] for t in texts])
-    return rows, np.vstack([memo[q] for q in queries]) if queries else np.empty((0, rows.shape[1]))
+            memo[text] = embed_text(backend, text)
+    query_x = np.empty((len(queries), backend.dim))
+    for i, text in enumerate(queries):
+        query_x[i] = embed_text(backend, text)
+    return np.vstack([memo[t] for t in texts]), query_x

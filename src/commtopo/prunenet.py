@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embed import DEFAULT_DIM, EmbeddingBackend, embed_text, node_features
+from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
 from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from .errors import check_numbers, check_types, check_within, reading, within
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
@@ -529,25 +529,18 @@ def train(
     if sizes:
         raise DimensionError(f"corpus pairs have {min(sizes)} agents but the pool has {pool.n_max}")
     net = net or NetConfig(d=backend.dim, n_max=pool.n_max)
+    if backend.dim != net.d:
+        raise DimensionError(f"feature width {backend.dim} does not match d={net.d}")
     rng = np.random.default_rng(cfg.seed)
     init = PruneNetParams.init(net, rng)
 
-    texts = list(dict.fromkeys(pair.task_text for pair in corpus))
-    pool_x, _ = node_features(pool, [], backend)
-    if pool_x.shape[1] != net.d:
-        raise DimensionError(f"feature width {pool_x.shape[1]} does not match d={net.d}")
-    # each distinct text is embedded once, into one matrix: the backend's memo keeps none of them
-    query_x = np.empty((len(texts), net.d))
-    for i, text in enumerate(texts):
-        v = embed_text(backend, text)
-        if v.shape != (net.d,):
-            raise DimensionError(f"feature shape {v.shape} of {text!r} does not match d={net.d}")
-        query_x[i] = v
+    # text -> query row, numbered at first occurrence; each distinct text is embedded once
+    text_row: dict[str, int] = {}
+    query_row = np.array([text_row.setdefault(p.task_text, len(text_row)) for p in corpus])
+    pool_x, query_x = node_features(pool, list(text_row), backend)
     used = (pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0)
     live_ids, dead_ids = np.flatnonzero(used), np.flatnonzero(~used)
     pool_x, query_x = pool_x[:, live_ids], query_x[:, live_ids]
-    row = {text: i for i, text in enumerate(texts)}
-    query_row = np.array([row[pair.task_text] for pair in corpus])
     lab_all = labels(np.stack([p.a_gt.w for p in distinct]), np.stack([p.y.m for p in distinct]))
     active = lab_all.y.mean(axis=1)[label_row]
 

@@ -140,6 +140,32 @@ class TestRunBench:
         assert report.row("team").accuracy == 1.0
         assert report.row("off-team").accuracy == 0.0
 
+    def test_each_source_designs_each_task_once_whatever_the_repeats(self):
+        # the source was called once per repeat; the report's bytes are those it gave then
+        pool = load_default_pool()
+        tasks = [
+            TaskSpec(f"t{i}", f"planted question {i}", "math_reasoning", "42", "exact", (2, 5, 9))
+            for i in range(3)
+        ]
+        backends = BackendSet(default=EchoBackend(), decision=PlantedDecisionBackend(tasks, pool))
+        calls = []
+
+        def counted(name, source):
+            return name, lambda t: calls.append((name, t.task_id)) or source(t)
+
+        methods = [
+            counted("random", lambda t: make_static(
+                "random", range(6), N, p=0.5, rng=np.random.default_rng(int(t.task_id[1:])))),
+            counted("star", lambda t: make_static("star", [2, 5, 9, 10 + int(t.task_id[1:])], N)),
+        ]
+        report = run_bench(tasks, methods, pool, backends, repeats=3, k=2, seed=7, suite_id="pin")
+        assert calls == [(name, t.task_id) for name in ("random", "star") for t in tasks]
+        assert report.to_markdown() == (
+            "Benchmark suite: pin (seed 7)\n\n| Method | Accuracy | Mean tokens | Runs |\n"
+            "| --- | --- | --- | --- |\n| random | 0.0000 | 1738.0 | 9 |\n| star | 1.0000 | 973.7 | 9 |\n"
+        )
+        assert report.to_csv() == "method,accuracy,mean_tokens,runs\r\nrandom,0.0000,1738.0,9\r\nstar,1.0000,973.7,9\r\n"
+
     def test_empty_suite_rejected(self):
         pool = load_default_pool()
         backends = BackendSet(default=EchoBackend(), decision=EchoBackend())

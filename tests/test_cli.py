@@ -355,8 +355,8 @@ def run_under_the_c_locale(tmp_path, *argv):
     env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
     env["PYTHONPATH"] = str(Path(commtopo.__file__).parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "commtopo.cli", *argv], cwd=tmp_path, capture_output=True, text=True, env=env,
-        timeout=60,
+        [sys.executable, "-m", "commtopo.cli", *argv], cwd=tmp_path, capture_output=True, env=env,
+        encoding="utf-8", errors="surrogateescape", timeout=60,
     )
 
 
@@ -369,6 +369,17 @@ def test_a_report_named_after_a_non_ascii_suite_is_written_as_utf8_whatever_the_
     )
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "rep.md").read_bytes().decode("utf-8").startswith("Benchmark suite: t\u00e2ches (seed 0)\n")
+
+
+def test_stdout_prints_the_bytes_typed_in_an_argument_the_locale_could_not_decode(tmp_path):
+    # the suite's stem printed as t\udcc3\udca2ches: the surrogates left by decoding argv were escaped
+    write_suite(tmp_path / "t\u00e2ches.jsonl", n=2)
+    out = run_under_the_c_locale(
+        tmp_path, "bench", "--suite", "t\u00e2ches.jsonl", "--methods", "complete", "--repeats", "1",
+        "--out-prefix", "rep",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "Benchmark suite: t\u00e2ches (seed 0)"
 
 
 def test_stdout_escapes_what_the_locale_cannot_encode(tmp_path):

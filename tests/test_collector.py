@@ -714,6 +714,19 @@ class TestCollectMemory:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
 
+    def test_graphs_of_one_order_share_one_complete_topology(self):
+        # each graph held its own complete adjacency: 1,174 traced bytes per graph at the peak
+        tasks = make_planted_suite(2, 0, seed=100).train_tasks[:1]
+        budget = 10_000
+        tracemalloc.start()
+        try:
+            collect_supervision(tasks, load_default_pool(), CollectorConfig(budget=budget, seed=0),
+                                make_planted_evaluator())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / budget <= 700
+
 
 class TestPlantedUtility:
     def test_superset_scores_one_in_overlap_mode(self):

@@ -1,5 +1,7 @@
 import json
+import re
 import sys
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -10,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commtopo.embed import (
+    _CACHES,
     HashingBackend,
     HttpBackend,
     _normalize,
     embed_text,
     node_features,
 )
-from commtopo.errors import EmbeddingUnavailable
+from commtopo.errors import DimensionError, EmbeddingUnavailable
 from commtopo.pool import load_default_pool
 from commtopo.prunenet import NetConfig, PruneNetParams, design_topology
 
@@ -225,13 +228,13 @@ class CountingBackend:
 
 
 class TestCache:
-    def test_each_text_reaches_the_backend_once(self):
+    def test_each_pool_text_reaches_the_backend_once_and_each_query_every_time(self):
         pool = load_default_pool()
         inner = CountingBackend()
         node_features(pool, ["q1", "q2", "q1"], inner)
         node_features(pool, ["q2", "q3"], inner)
-        assert sorted(inner.texts) == sorted(set(inner.texts))
-        assert len(inner.texts) == pool.n_max + 3
+        pool_texts = list(dict.fromkeys(f"{a.role} {a.expertise}" for a in pool.agents))
+        assert inner.texts == [*pool_texts, "q1", "q2", "q1", "q2", "q3"]
 
     def test_cache_is_per_backend_object(self):
         pool = load_default_pool()
@@ -279,14 +282,45 @@ class TestCache:
         first=st.lists(st.text(alphabet="ab ", max_size=3), min_size=1, max_size=8),
         second=st.lists(st.text(alphabet="ab ", max_size=3), min_size=1, max_size=8),
     )
-    def test_rows_are_the_unit_embeddings_and_each_text_reaches_the_backend_once(self, first, second):
+    def test_rows_are_the_unit_embeddings_and_the_memo_holds_the_pool_texts_only(self, first, second):
         pool, backend = load_default_pool(), CountingHashBackend()
         pool_texts = [f"{a.role} {a.expertise}" for a in pool.agents]
         for queries in (first, second):
             rows = np.vstack(node_features(pool, queries, backend))
             want = [embed_text(HashingBackend(16, 16), text) for text in pool_texts + queries]
             assert np.array_equal(rows, np.vstack(want))
-        assert sorted(backend.texts) == sorted({*pool_texts, *first, *second})
+        assert backend.texts == [*dict.fromkeys(pool_texts), *first, *second]
+        assert list(_CACHES[backend]) == list(dict.fromkeys(pool_texts))
+
+    def test_designs_keep_no_query_rows(self):
+        # the memo kept every designed query: 3,442 traced bytes per design
+        pool, backend = load_default_pool(), HashingBackend()
+        params = PruneNetParams.init(NetConfig(d=backend.dim, n_max=pool.n_max), np.random.default_rng(0))
+        design_topology("warm up", pool, backend, params)
+        n = 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                design_topology(f"distinct query {i}", pool, backend, params)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / n <= 500  # what stays is the hashing backend's word bins
+        assert len(_CACHES[backend]) == len({f"{a.role} {a.expertise}" for a in pool.agents})
+
+    def test_a_pool_vector_of_another_width_is_a_dimension_error(self):
+        # it ended in numpy's ValueError from vstack
+        pool = load_default_pool()
+        first = f"{pool.agents[0].role} {pool.agents[0].expertise}"
+
+        class Short(CountingBackend):
+            def embed(self, text):
+                v = super().embed(text)
+                return v[:3] if text == first else v
+
+        with pytest.raises(DimensionError, match=re.escape(f"feature shape (3,) of {first!r} does not match d=4")):
+            node_features(pool, ["q"], Short())
 
 
 class CountingHashBackend(HashingBackend):

@@ -661,10 +661,10 @@ class TestTrainingEmbeds:
         params, _ = train(corpus, pool, backend, TrainConfig(seed=1, epochs=1), self.NET)
         pool_texts = list(dict.fromkeys(f"{a.role} {a.expertise}" for a in pool.agents))
         assert sorted(backend.texts) == sorted([*pool_texts, "question 0", "question 1", "question 2"])
-        # a design reaches the backend again for a training text, then finds it in the memo
+        # each later design of a training text reaches the backend again; the memo keeps the pool's texts
         for _ in range(2):
             design_topology("question 1", pool, backend, params)
-        assert backend.texts[len(pool_texts) + 3 :] == ["question 1"]
+        assert backend.texts[len(pool_texts) + 3 :] == ["question 1", "question 1"]
 
     def test_a_text_of_another_width_is_a_dimension_error(self):
         pool = load_default_pool()
