@@ -2,6 +2,7 @@
 top-k per task, and emit lifted supervision pairs."""
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -156,15 +157,18 @@ def sample_orders(cfg: CollectorConfig, n_max: int, rng: np.random.Generator | N
     return orders[: cfg.budget]
 
 
-def sample_subset(
-    order: int, pool: AgentPool, rng: np.random.Generator, complete: Topology | None = None
-) -> SampledGraph:
-    """Uniform size-``order`` agent subset, ascending ids, complete topology
-    (``complete``, when given, is that topology, shared between graphs)."""
+@functools.cache
+def _complete(order: int) -> Topology:
+    """The complete topology on ``order`` nodes; frozen, so every graph of that order shares it."""
+    return Topology.complete(order)
+
+
+def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> SampledGraph:
+    """Uniform size-``order`` agent subset, ascending ids, complete topology."""
     if not 2 <= order <= pool.n_max:
         raise InvalidOrder(f"order {order} outside [2, {pool.n_max}]")
     members = np.sort(rng.choice(pool.n_max, size=order, replace=False))
-    return SampledGraph(tuple(int(v) for v in members), complete or Topology.complete(order))
+    return SampledGraph(tuple(int(v) for v in members), _complete(order))
 
 
 Evaluator = Callable[[SampledGraph, TaskSpec], float]
@@ -365,9 +369,7 @@ def collect_supervision(
             f"(graph, task) pairs, more than {MAX_OCCURRENCES}; lower budget or candidates_per_task"
         )
     rng = np.random.default_rng(cfg.seed)
-    orders = sample_orders(cfg, pool.n_max, rng)
-    complete = {n: Topology.complete(n) for n in set(orders)}  # read-only, one per order
-    graphs = [sample_subset(n, pool, rng, complete[n]) for n in orders]
+    graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
 
     keys, occurrences = _number_keys(graphs, tasks, stride)
     ids, size = range(len(keys.count)), max(1, len(keys.count) // UNITS)

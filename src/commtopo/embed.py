@@ -136,8 +136,9 @@ def node_features(
     """The pool rows (n_max x d) and one query row per text (len(queries) x d).
 
     Pool rows come from the backend's memo, which holds the pool's texts
-    only and no failure; a backend that cannot be a weak key gets a fresh
-    memo.  Queries are embedded in order into one matrix and kept nowhere.
+    only, each vector read-only, and no failure; a backend that cannot be a
+    weak key gets a fresh memo.  Queries are embedded in order into one
+    matrix and kept nowhere.
     Every vector goes through ``embed_text``, so one of another width is a
     DimensionError naming its text.
     """
@@ -148,7 +149,8 @@ def node_features(
     texts = [f"{a.role} {a.expertise}" for a in pool.agents]
     for text in texts:
         if text not in memo:
-            memo[text] = embed_text(backend, text)
+            memo[text] = v = embed_text(backend, text)
+            v.flags.writeable = False
     query_x = np.empty((len(queries), backend.dim))
     for i, text in enumerate(queries):
         query_x[i] = embed_text(backend, text)

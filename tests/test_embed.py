@@ -259,6 +259,7 @@ class TestCache:
         first = node_features(pool, ["abc"], backend)
         want = [rows.copy() for rows in first]
         assert np.allclose(np.linalg.norm(np.vstack(first), axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert not any(v.flags.writeable for v in _CACHES[backend].values())
         for rows in first:
             rows[:] = 0.0
         assert all(np.array_equal(a, b) for a, b in zip(node_features(pool, ["abc"], backend), want))
