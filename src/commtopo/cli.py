@@ -305,9 +305,10 @@ def _config(args: argparse.Namespace) -> AppConfig:
 
 
 def _typed_or_escaped(exc: UnicodeEncodeError):
-    """Stdout's encoding error handler: a surrogate that the locale's decoding
-    of an argument left becomes the byte that was typed, as in the output
-    files; any other character the locale cannot encode is escaped, as on stderr."""
+    """The encoding error handler of stdout and stderr: a surrogate that the
+    locale's decoding of an argument left becomes the byte that was typed,
+    as in the output files; any other character the locale cannot encode
+    is escaped with a backslash."""
     one = UnicodeEncodeError(exc.encoding, exc.object, exc.start, exc.start + 1, exc.reason)
     try:
         return codecs.lookup_error("surrogateescape")(one)
@@ -316,9 +317,10 @@ def _typed_or_escaped(exc: UnicodeEncodeError):
 
 
 def main(argv=None) -> int:
-    if isinstance(sys.stdout, io.TextIOWrapper):
-        codecs.register_error("commtopo.typed_or_escaped", _typed_or_escaped)
-        sys.stdout.reconfigure(errors="commtopo.typed_or_escaped")
+    codecs.register_error("commtopo.typed_or_escaped", _typed_or_escaped)
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="commtopo.typed_or_escaped")
     try:
         args = _build_parser().parse_args(argv)
         args.cmd(_config(args), args)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .errors import (
 )
 
 CATEGORIES = ("general_reasoning", "math_reasoning", "code_generation")
+
+# a corpus line in ``to_json_line``'s layout starts with _A_GT and has _Y before its last label
+_A_GT, _Y = '{"a_gt": ', ', "y": '
 
 # Threshold comparisons are inclusive (>=) everywhere so the 0.5 node
 # cutoff and the 0.5 edge cutoff behave symmetrically.
@@ -130,7 +133,11 @@ class SupervisionPair:
         ``rendered`` maps the ``id`` of a label object to the object and its
         JSON text, so that lines sharing a label object render it once.
         """
-        rendered = {} if rendered is None else rendered
+        return "".join(self._json_pieces({} if rendered is None else rendered))
+
+    def _json_pieces(self, rendered: dict) -> tuple[str, ...]:
+        """The pieces that ``to_json_line`` joins; the label pieces are the
+        texts held in ``rendered``, so lines that share a label share them."""
         fields = json.dumps(
             {"category": self.category, "score": self.score,
              "task_id": self.task_id, "task_text": self.task_text},
@@ -138,7 +145,7 @@ class SupervisionPair:
         )
         # "a_gt" sorts before the other keys and "y" after them
         a_gt, y = _label_json(self.a_gt, rendered), _label_json(self.y, rendered)
-        return f'{{"a_gt": {a_gt}, {fields[1:-1]}, "y": {y}}}'
+        return _A_GT, a_gt, f", {fields[1:-1]}{_Y}", y, "}"
 
     @classmethod
     def from_json_line(cls, line: str, interned: dict | None = None) -> "SupervisionPair":
@@ -287,28 +294,48 @@ def parse_topology(text: str) -> CommTopology:
 
 
 def write_corpus(pairs: Iterable[SupervisionPair]) -> str:
+    """One ``to_json_line`` line per pair, each ended by ``"\\n"``.
+
+    The text is joined once from the pieces of every line, with no line
+    string built: each label object is rendered once, so the pieces held
+    beside the text are shared label texts and one short text of the
+    other fields per pair.
+    """
     rendered: dict = {}
-    return "".join(p.to_json_line(rendered) + "\n" for p in pairs)
+    return "".join(piece for p in pairs for piece in (*p._json_pieces(rendered), "\n"))
 
 
 def read_corpus(text: str) -> list[SupervisionPair]:
     """The pairs of a corpus; lines with equal labels share one label object.
 
-    A line in ``to_json_line``'s layout (``a_gt`` first, then the other
-    fields, then ``y``) has its two label texts cut out: only the fields
-    between them are parsed per line, and each distinct label text is
-    parsed, checked and interned once.  Any other line, and one that
-    fails there, goes through ``from_json_line``, which words the error.
+    Lines are those of ``text.splitlines()``, taken one at a time, so no
+    list of every line is held.  A blank line is skipped.  A line in
+    ``to_json_line``'s layout (``a_gt`` first, then the other fields, then
+    ``y``) has its two label texts cut out: only the fields between them
+    are parsed per line, and each distinct label text is parsed, checked
+    and interned once.  Any other line, and one that fails there, goes
+    through ``from_json_line``, which words the error.
     """
     interned: dict = {}
     return [
         _writer_line(line, interned) or SupervisionPair.from_json_line(line, interned)
-        for line in text.splitlines()
+        for line in _lines(text)
         if line.strip()
     ]
 
 
-_A_GT, _Y = '{"a_gt": ', ', "y": '
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, one at a time.
+
+    The text is cut after each ``"\\n"`` and each piece is split on its
+    own: a piece keeps its ``"\\n"``, so ``"\\r\\n"`` stays one break, and
+    every other boundary lies inside a piece.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _writer_line(line: str, interned: dict) -> SupervisionPair | None:

@@ -501,6 +501,36 @@ def _decay(w: np.ndarray, cfg: TrainConfig, buf: np.ndarray) -> None:
     w -= buf
 
 
+# training texts embedded per node_features call
+_EMBED_BLOCK = 128
+
+
+def _live_features(
+    pool: AgentPool, texts: list[str], backend: EmbeddingBackend
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``node_features(pool, texts, backend)`` on its live columns, and the live mask.
+
+    A column is live when it is nonzero in a pool row or a query row.  The
+    texts are embedded in order, ``_EMBED_BLOCK`` per call, and each block
+    keeps only its nonzero columns, so no matrix of every text's full
+    feature row is held.
+    """
+    blocks = []
+    for start in range(0, len(texts), _EMBED_BLOCK):
+        pool_x, block = node_features(pool, texts[start : start + _EMBED_BLOCK], backend)
+        cols = np.flatnonzero((block != 0).any(axis=0))
+        blocks.append((start, cols, block[:, cols]))
+        del block  # so that two full blocks are never held at once
+    used = (pool_x != 0).any(axis=0)
+    for _, cols, _ in blocks:
+        used[cols] = True
+    live_ids = np.flatnonzero(used)
+    query_x = np.zeros((len(texts), live_ids.size))
+    for start, cols, block in blocks:
+        query_x[start : start + len(block), np.searchsorted(live_ids, cols)] = block
+    return pool_x[:, live_ids], query_x, used
+
+
 def train(
     corpus: Sequence[SupervisionPair],
     pool: AgentPool,
@@ -510,12 +540,15 @@ def train(
 ) -> tuple[PruneNetParams, list[TrainLogRow]]:
     """Adam training over minibatches with a linear tau anneal.
 
-    A feature column that is zero in the pool rows and in every query row
-    gives its ``w_gcn1`` row exactly zero gradient, so forward, backward
-    and Adam run on the live rows only, held with every other tensor in
-    one flat buffer.  The other rows sit in front of them in that buffer,
-    and each step only decays them, as Adam would; the finiteness check
-    and the tail average cover the whole buffer.
+    Each distinct corpus text is embedded once, in order of first
+    occurrence, through ``_live_features``.  A feature column that is zero
+    in the pool rows and in every query row gives its ``w_gcn1`` row
+    exactly zero gradient, so the feature matrices hold the live columns
+    only, and forward, backward and Adam run on the live rows only, held
+    with every other tensor in one flat buffer.  The other rows sit in
+    front of them in that buffer, and each step only decays them, as Adam
+    would; the finiteness check and the tail average cover the whole
+    buffer.
     """
     if not corpus:
         raise ConfigError("corpus is empty")
@@ -537,10 +570,8 @@ def train(
     # text -> query row, numbered at first occurrence; each distinct text is embedded once
     text_row: dict[str, int] = {}
     query_row = np.array([text_row.setdefault(p.task_text, len(text_row)) for p in corpus])
-    pool_x, query_x = node_features(pool, list(text_row), backend)
-    used = (pool_x != 0).any(axis=0) | (query_x != 0).any(axis=0)
+    pool_x, query_x, used = _live_features(pool, list(text_row), backend)
     live_ids, dead_ids = np.flatnonzero(used), np.flatnonzero(~used)
-    pool_x, query_x = pool_x[:, live_ids], query_x[:, live_ids]
     lab_all = labels(np.stack([p.a_gt.w for p in distinct]), np.stack([p.y.m for p in distinct]))
     active = lab_all.y.mean(axis=1)[label_row]
 
@@ -624,13 +655,21 @@ def design_topology(
 
 
 def save_checkpoint(params: PruneNetParams, net: NetConfig) -> str:
-    """The parameters and the network config as the JSON text ``load_checkpoint`` reads."""
-    obj = {
-        "version": 1,
-        "config": asdict(net),
-        "tensors": {k: v.tolist() for k, v in params.tensors().items()},
-    }
-    return json.dumps(obj)
+    """The parameters and the network config as the JSON text ``load_checkpoint`` reads.
+
+    The text is ``json.dumps`` of ``{"version": 1, "config": ..., "tensors":
+    {name: tensor.tolist()}}``, NaN and infinities included, but each
+    tensor is rendered one row at a time.
+    """
+    tensors = ", ".join(f"{json.dumps(k)}: {_json_rows(v)}" for k, v in params.tensors().items())
+    return f'{{"version": 1, "config": {json.dumps(asdict(net))}, "tensors": {{{tensors}}}}}'
+
+
+def _json_rows(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())``, rendered one row at a time."""
+    if a.ndim < 2:
+        return json.dumps(a.tolist())
+    return f"[{', '.join(map(_json_rows, a))}]"
 
 
 def load_checkpoint(text: str) -> tuple[PruneNetParams, NetConfig]:

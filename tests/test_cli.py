@@ -382,6 +382,13 @@ def test_stdout_prints_the_bytes_typed_in_an_argument_the_locale_could_not_decod
     assert out.stdout.splitlines()[0] == "Benchmark suite: t\u00e2ches (seed 0)"
 
 
+def test_stderr_prints_the_bytes_typed_in_an_argument_the_locale_could_not_decode(tmp_path):
+    # the missing file's name printed as t\udcc3\udca2ches.jsonl: stderr escaped the surrogates
+    out = run_under_the_c_locale(tmp_path, "bench", "--suite", "t\u00e2ches.jsonl")
+    assert out.returncode == 1
+    assert out.stderr == "error: tasks file not found: t\u00e2ches.jsonl\n"
+
+
 def test_stdout_escapes_what_the_locale_cannot_encode(tmp_path):
     # printing the answer "caf\u00e9" raised UnicodeEncodeError under an ASCII locale
     make_checkpoint(tmp_path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commtopo import graphs
 from commtopo.collector import collect_supervision
 from commtopo.errors import (
     CommTopoError,
@@ -31,6 +32,7 @@ from commtopo.graphs import (
     write_corpus,
 )
 from commtopo.synth import make_planted_evaluator
+from memory import traced_peak
 from test_cli import FUZZ_CORPUS, mutated
 
 
@@ -431,15 +433,20 @@ class TestSharedLabels:
         assert back[0].a_gt is not back[1].a_gt and back[0].y is back[1].y
 
     def test_the_train_workload_corpus_reads_one_object_per_distinct_label(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
-        workloads = importlib.import_module("workloads")
-        suite, pool, cfg = workloads.TrainWorkload(100, workloads.FULL["train"], 0.0, 0.0).setup()
-        pairs, _ = collect_supervision(suite.train_tasks, pool, cfg.collector, make_planted_evaluator("jaccard"))
-        back = read_corpus(write_corpus(pairs))
+        back = read_corpus(write_corpus(train_workload_pairs(monkeypatch)))
         for label, values in (("a_gt", "w"), ("y", "m")):
             objects = {id(getattr(p, label)) for p in back}
             contents = {getattr(getattr(p, label), values).tobytes() for p in back}
             assert len(objects) == len(contents) < len(back), label
+
+
+def train_workload_pairs(monkeypatch):
+    """The pairs that a pass of the ``train`` benchmark workload collects at seed 100."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    suite, pool, cfg = workloads.TrainWorkload(100, workloads.FULL["train"], 0.0, 0.0).setup()
+    pairs, _ = collect_supervision(suite.train_tasks, pool, cfg.collector, make_planted_evaluator("jaccard"))
+    return pairs
 
 
 def label_sharing(pairs):
@@ -533,6 +540,65 @@ class TestCorpusReader:
         assert write_corpus(read_corpus(text)) == text
         assert len(parsed) <= len(pairs) + len(labels) == 36
         assert sorted(s for s in parsed if s.startswith("[")) == sorted(labels)
+
+
+def splitlines_read_corpus(text):
+    """``read_corpus`` as it was over a list of every line, ``text.splitlines()``, kept as the reference."""
+    interned = {}
+    return [
+        graphs._writer_line(line, interned) or SupervisionPair.from_json_line(line, interned)
+        for line in text.splitlines()
+        if line.strip()
+    ]
+
+
+# every boundary of str.splitlines, and blank lines that line.strip() empties
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BLANKS = ["", " ", "\t", " \t ", "\xa0", "\x1f"]
+
+
+@st.composite
+def broken_corpora(draw):
+    """The lines of ``corpora()`` among blank lines, each ended by a drawn line
+    break, the last one maybe by none; at times one more break cuts a line."""
+    lines = draw(st.permutations(draw(corpora()).splitlines() + draw(st.lists(st.sampled_from(BLANKS), max_size=4))))
+    ends = [draw(st.sampled_from(BREAKS)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(BREAKS)) + text[at:]
+    return text
+
+
+class TestCorpusTextWithoutCopies:
+    """``write_corpus`` joins the text from line pieces and ``read_corpus`` walks
+    it a line at a time; both keep the bytes and errors of whole-text versions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(supervision_pairs(), min_size=1, max_size=3), st.data())
+    def test_write_corpus_equals_the_joined_lines_of_to_json_line(self, pairs, data):
+        # repeats share label objects, whose texts the writer renders once
+        pairs = [pairs[i] for i in data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=6))]
+        assert write_corpus(pairs) == "".join(p.to_json_line() + "\n" for p in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(broken_corpora())
+    def test_read_corpus_equals_the_splitlines_reader(self, text):
+        assert outcome(lambda: read_corpus(text)) == outcome(lambda: splitlines_read_corpus(text))
+
+    def test_write_corpus_on_the_train_workload_peaks_under_1_3_times_its_text(self, monkeypatch):
+        # every line string was built before the join: 2.07 times the text
+        pairs = train_workload_pairs(monkeypatch)
+        text, peak = traced_peak(write_corpus, pairs)
+        assert peak < 1.3 * len(text)
+
+    def test_read_corpus_on_the_train_workload_peaks_under_1_3_times_its_text(self, monkeypatch):
+        # text.splitlines() copied every line into one list: 1.48 times the text
+        text = write_corpus(train_workload_pairs(monkeypatch))
+        _, peak = traced_peak(read_corpus, text)
+        assert peak < 1.3 * len(text)
 
 
 class TestNanWeights:

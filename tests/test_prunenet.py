@@ -1,12 +1,16 @@
+import json
 import math
 import time
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from commtopo import prunenet
 from commtopo.embed import HashingBackend, node_features
 from commtopo.errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from commtopo.graphs import NodeMask, Topology, WeightMatrix, lift_subgraph
@@ -36,6 +40,7 @@ from commtopo.prunenet import (
     train,
     write_training_log,
 )
+from memory import traced_peak
 
 SMALL = NetConfig(d=8, h=6, h_m=4, n_max=5)
 
@@ -676,6 +681,59 @@ class TestTrainingEmbeds:
             train(corpus, pool, backend, TrainConfig(seed=1, epochs=1), NetConfig(d=13, h=8, h_m=4, n_max=15))
 
 
+class SparseColumnBackend:
+    """A random vector per text (seeded by its crc32) on a drawn third of the
+    columns, so blocks of texts have columns of their own; the last column
+    is zero for every text."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        rng = np.random.default_rng(zlib.crc32(text.encode()))
+        v = rng.normal(size=self.dim) * (rng.random(self.dim) < 1 / 3)
+        v[-1] = 0.0
+        return v
+
+
+class TestTrainingFeatureBlocks:
+    NET = NetConfig(d=12, h=8, h_m=4, n_max=15)
+
+    def test_any_block_size_trains_bitwise_as_one_block(self, monkeypatch):
+        pool = load_default_pool()
+        rng = np.random.default_rng(5)
+        corpus = [
+            SupervisionPair(p.task_id, f"question {rng.integers(40)}", p.category, p.a_gt, p.y, p.score)
+            for p in pair_corpus(rng, pool, 60)
+        ]
+        runs = []
+        for block in (10**9, 7, 1):
+            monkeypatch.setattr(prunenet, "_EMBED_BLOCK", block)
+            backend = SparseColumnBackend(12)
+            params, log = train(corpus, pool, backend, TrainConfig(seed=2, epochs=2), self.NET)
+            runs.append((backend.texts, params.tensors(), log))
+        for texts, tensors, log in runs[1:]:
+            assert texts == runs[0][0]  # the same embedding calls in the same order
+            assert log == runs[0][2]
+            for name, t in tensors.items():
+                assert np.array_equal(t, runs[0][1][name]), name
+
+    def test_no_matrix_holds_every_texts_full_feature_row(self):
+        # 1,024 texts on 2,048 features, 64 of them live: node_features of every
+        # text built a 16.8 MB matrix whose other 1,984 columns were zero
+        pool, dim = load_default_pool(), 2048
+        labelled = pair_corpus(np.random.default_rng(6), pool, 8)  # few label objects: small labels
+        corpus = [
+            SupervisionPair(f"t{i}", f"question number {i}", "math_reasoning", p.a_gt, p.y, 1.0)
+            for i, p in enumerate(labelled * 128)
+        ]
+        net = NetConfig(d=dim, h=4, h_m=2, n_max=pool.n_max)
+        _, peak = traced_peak(train, corpus, pool, HashingBackend(dim), TrainConfig(seed=0, epochs=1), net)
+        assert peak < len(corpus) * dim * 8 / 2
+
+
 class TestDesignTopology:
     def test_theta_zero_keeps_all_agents(self):
         pool, backend, pair, _ = memorization_fixture()
@@ -731,6 +789,22 @@ class TestCheckpoint:
         params.b_edge[1, 2] = bad
         with pytest.raises(CheckpointError, match="b_edge"):
             load_checkpoint(save_checkpoint(params, SMALL))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_json_dumps_of_the_whole_checkpoint(self, data):
+        net = NetConfig(*(data.draw(st.integers(0, 4)) for _ in range(4)))
+        values = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+        tensors = {k: data.draw(arrays(float, shape, elements=values)) for k, shape in PruneNetParams.shapes(net).items()}
+        params = PruneNetParams(**tensors)
+        whole = {"version": 1, "config": asdict(net), "tensors": {k: v.tolist() for k, v in tensors.items()}}
+        assert save_checkpoint(params, net) == json.dumps(whole)
+
+    def test_peaks_under_2_5_times_its_text(self):
+        # json.dumps held one string per float of every tensor's tolist(): 6.6 times the text
+        net = NetConfig()
+        text, peak = traced_peak(save_checkpoint, PruneNetParams.init(net, np.random.default_rng(0)), net)
+        assert peak < 2.5 * len(text)
 
     def test_rejects_garbage(self):
         with pytest.raises(CheckpointError):
