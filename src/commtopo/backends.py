@@ -4,13 +4,14 @@ and an OpenAI-compatible HTTP client with retries.
 A backend maps (system prompt, user prompt) to (output text,
 prompt_tokens, completion_tokens); token counts may be None, in which
 case the orchestrator falls back to whitespace counting.  One
-orchestrator run calls a backend from up to `MAX_IN_FLIGHT` threads at
-once, and from none but the calling thread when every wave of its
-topology has one agent.  A collect submits all its units, runs of keys,
-up front, longest first, and runs up to `MAX_IN_FLIGHT` of them at once;
-each unit scores its keys one at a time.  Scored by orchestrator runs on
-complete graphs, whose waves have one agent each, a collect thus keeps at
-most `MAX_IN_FLIGHT` backend calls in flight.
+orchestrator run calls a backend from its calling thread and up to
+`MAX_IN_FLIGHT - 1` threads of its pool at once: the calling thread
+makes each wave's first call, so a wave of one agent is called from no
+other thread.  A collect submits all its units, runs of keys, up front,
+longest first, and runs up to `MAX_IN_FLIGHT` of them at once; each unit
+scores its keys one at a time.  Scored by orchestrator runs on complete
+graphs, whose waves have one agent each, a collect thus keeps at most
+`MAX_IN_FLIGHT` backend calls in flight.
 """
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ Completion = tuple[str, int | None, int | None]
 
 MAX_IN_FLIGHT = 16
 """Most backend calls one orchestrator run, and most graph scorings one
-collect, keeps in flight at once."""
+collect, keeps in flight at once.  A run makes its calls on the calling
+thread plus up to `MAX_IN_FLIGHT - 1` pool threads."""
 
 
 class ChatBackend(Protocol):

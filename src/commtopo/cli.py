@@ -143,7 +143,9 @@ def cmd_train(cfg: AppConfig, args: argparse.Namespace) -> None:
         f"trained {len(log)} steps (beta={cfg.train.beta}, epochs={cfg.train.epochs}, "
         f"lr={cfg.train.lr}, seed={cfg.train.seed})"
     )
-    print(f"initial loss {log[0].total:.4f}, final loss {log[-1].total:.4f}")
+    # the anneal lowers tau as training goes, so each loss is shown with its step's tau
+    shown = [f"{row.total:.4f} at step {row.step} (tau {row.tau:.4f})" for row in (log[0], log[-1])]
+    print(f"loss {', '.join(shown)}")
     print(f"checkpoint written to {cfg.checkpoint_path}; log to {cfg.train_log_path}")
 
 
@@ -201,6 +203,9 @@ def cmd_bench(cfg: AppConfig, args: argparse.Namespace) -> None:
     unknown = [m for m in methods if m not in VALID_BENCH_METHODS]
     if unknown or not methods:
         raise ConfigError(f"unknown methods {unknown}; valid: {', '.join(VALID_BENCH_METHODS)}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:  # each would run, and call the backends, once more
+        raise ConfigError(f"methods named more than once: {', '.join(dict.fromkeys(repeated))}")
     suite = collector_mod.read_tasks(_read_input(args.suite, "tasks file"))
     pool = _load_pool(cfg)
     sources = {}

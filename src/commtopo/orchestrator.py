@@ -12,19 +12,22 @@ Calls that do not depend on each other run at the same time.  Each
 round's active ids are cut, in order, into waves: a new wave starts
 before any agent with an in-neighbor in the current one.  A wave's
 agents are called together, after the previous wave has finished, and
-the decision is the last wave.  Prompts are rendered and entries
-committed on the calling thread in canonical order, each system prompt
-and each entry's history JSON once per run, and every tag is drawn up
-front.  The first failure in canonical order aborts the run at once, so
-the transcript -- and, on a backend failure, the error and partial
-transcript -- equal those of running the calls one at a time.
+the decision is the last wave.  Each run opens one thread pool of
+`MAX_IN_FLIGHT - 1` workers: a wave's first call runs on the calling
+thread and the others on the pool, so a run keeps at most
+`MAX_IN_FLIGHT` calls in flight, and a wave of one agent starts no
+thread.  Prompts are rendered and entries committed on the calling
+thread in canonical order, each system prompt and each entry's history
+JSON once per run, and every tag is drawn up front.  The first failure
+in canonical order aborts the run at once, so the transcript -- and, on
+a backend failure, the error and partial transcript -- equal those of
+running the calls one at a time.
 """
 from __future__ import annotations
 
 import json
 import string
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -152,8 +155,7 @@ def run_topology(
         raise DegenerateTopology("run needs at least 2 active agents")
     rng = rng if rng is not None else np.random.default_rng(0)
     adj = binarize(t.weights, theta)
-    m = len(active)
-    tags = _new_tags(rng, k * m + 1)
+    tags = _new_tags(rng, k * len(active) + 1)
     waves = _waves(active, adj)
     schedule = [(rnd, wave, backends.default) for rnd in range(1, k + 1) for wave in waves]
     schedule.append((k, [-1], backends.decision))
@@ -177,16 +179,14 @@ def run_topology(
         tokens = system_tokens[agent_id] + _PREFIX_TOKENS + (sum(n for _, n in entries) or 1)
         return systems[agent_id], user, tokens
 
-    # a pool starts its threads on the first submit and joins them when the `with` ends
-    wide = any(len(wave) >= 2 for wave in waves)
-    with ThreadPoolExecutor(max_workers=min(m, MAX_IN_FLIGHT)) if wide else nullcontext() as executor:
+    # a pool starts its threads on submit, so one-agent waves start none; the `with` joins them
+    with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT - 1) as executor:
         for rnd, wave, backend in schedule:
             calls = [call(agent_id) for agent_id in wave]
-            # each result() returns the call's outcome or raises its error, read in id order
-            if len(calls) < 2:
-                results = [partial(backend.complete, system, user) for system, user, _ in calls]
-            else:
-                results = [executor.submit(backend.complete, system, user).result for system, user, _ in calls]
+            # the first call runs here once the rest are in the pool; results are read in id
+            # order, each result() returning the call's outcome or raising its error
+            results = [partial(backend.complete, *calls[0][:2])]
+            results += [executor.submit(backend.complete, system, user).result for system, user, _ in calls[1:]]
             for agent_id, (_, _, prompt_tokens), result in zip(wave, calls, results):
                 try:
                     output, p_tok, c_tok = result()

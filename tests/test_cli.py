@@ -128,9 +128,15 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "beta=1.333" in out and "epochs=2" in out
         assert (workdir / "checkpoint.json").exists()
-        assert (workdir / "train_log.csv").read_text().startswith(
-            "step,edge_loss,node_loss,total,tau"
-        )
+        log = (workdir / "train_log.csv").read_text().splitlines()
+        assert log[0] == "step,edge_loss,node_loss,total,tau"
+        # each loss is shown with its step and its tau, which the anneal takes from 1.0 to 0.1
+        shown = re.search(r"loss (\S+) at step (\d+) \(tau (\S+)\), (\S+) at step (\d+) \(tau (\S+)\)", out)
+        assert shown is not None, out
+        first, last = log[1].split(","), log[-1].split(",")
+        assert shown.group(2, 3, 5, 6) == (first[0], first[4], last[0], last[4])
+        assert (first[4], last[4]) == ("1.0000", "0.1000")
+        assert abs(float(shown[1]) - float(first[3])) <= 1e-4 and abs(float(shown[4]) - float(last[3])) <= 1e-4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_training_error(self, workdir, capsys):
@@ -578,6 +584,8 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
          "malformed checkpoint: maximum recursion depth exceeded"),
         ("", ["design", "--query", "q", "--checkpoint", "config_key_newline.json"], 4,
          "malformed checkpoint: NetConfig.__init__() got an unexpected keyword argument 'a b'"),
+        ("", ["bench", "--suite", "suite.jsonl", "--methods", "complete,complete,star"], 1,
+         "methods named more than once: complete"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -609,6 +617,7 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "train-a-gt-bool", "train-y-bool-in-another-layout", "collect-tasks-nested-too-deep",
         "train-corpus-nested-too-deep", "design-pool-nested-too-deep", "export-topology-nested-too-deep",
         "design-checkpoint-nested-too-deep", "design-checkpoint-config-key-with-a-line-break",
+        "bench-method-named-twice",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(

@@ -582,13 +582,18 @@ class TestConcurrentCollect:
         assert made < 100  # running units stop before their next key (300 if they ran out)
 
     def test_orchestrator_scorings_share_one_bounded_pool(self, monkeypatch):
-        pools = {"collector": [], "orchestrator": []}
+        pools = {"collector": [], "orchestrator": []}  # max_workers of each pool made
+        submits = {"collector": [], "orchestrator": []}  # one item per submit
         for name, module in (("collector", collector), ("orchestrator", orchestrator)):
 
             class Recording(module.ThreadPoolExecutor):
                 def __init__(self, *args, _made=pools[name], **kwargs):
                     _made.append(kwargs.get("max_workers", args[0] if args else None))
                     super().__init__(*args, **kwargs)
+
+                def submit(self, *args, _submitted=submits[name], **kwargs):
+                    _submitted.append(None)
+                    return super().submit(*args, **kwargs)
 
             monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
         suite = make_planted_suite(4, 0, seed=5)
@@ -618,7 +623,8 @@ class TestConcurrentCollect:
         got, _ = collect_supervision(suite.train_tasks, pool, cfg, make_orchestrator_evaluator(pool, counted))
         want, _ = sequential_collect(suite.train_tasks, pool, cfg, make_orchestrator_evaluator(pool, backends))
         assert write_corpus(got) == write_corpus(want)
-        assert pools == {"collector": [MAX_IN_FLIGHT], "orchestrator": []}
+        # a scoring runs a complete graph, whose one-agent waves start no thread of their run's pool
+        assert pools["collector"] == [MAX_IN_FLIGHT] and submits["orchestrator"] == []
         assert 1 < len(threads) <= MAX_IN_FLIGHT
         assert 1 < in_flight[1] <= MAX_IN_FLIGHT
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import string
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commtopo.backends import BackendSet, EchoBackend
+from commtopo.backends import MAX_IN_FLIGHT, BackendSet, EchoBackend
 from commtopo.collector import TaskSpec
 from commtopo.bench import make_static
 from commtopo.errors import BackendError, DegenerateTopology, RunAborted
@@ -26,7 +27,7 @@ from commtopo.orchestrator import (
     visible_history,
 )
 from commtopo import orchestrator
-from commtopo.pool import load_default_pool, render_system_prompt, render_user_prompt
+from commtopo.pool import load_default_pool, load_pool, render_system_prompt, render_user_prompt
 from doubles import ScriptedBackend, StaticBackend
 
 N = 15
@@ -281,6 +282,52 @@ class TestWaveSchedule:
         result = run_topology(t, task(), pool, backends, k=2)
         assert in_flight == [0, N - 1]
         assert len(result.transcript) == 2 * N + 1
+        assert threading.active_count() == threads
+
+    def test_a_wave_wider_than_the_bound_keeps_it(self):
+        # a star over 20 agents has a wave of 19 leaves; each leaf call holds until
+        # MAX_IN_FLIGHT calls are in flight, and a while longer, so a call past the bound is counted
+        n = 20
+        pool = load_pool("".join(json.dumps({"id": i, "role": f"agent-{i:02d}"}) + "\n" for i in range(n)))
+        hub_role = pool[0].role
+        lock = threading.Lock()
+        full = threading.Event()
+        in_flight = [0, 0]  # now, peak
+
+        class Counting(EchoBackend):
+            def complete(self, system, user):
+                with lock:
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight)
+                    if in_flight[0] >= MAX_IN_FLIGHT:
+                        full.set()
+                if hub_role not in system:
+                    full.wait(timeout=5)
+                    time.sleep(0.05)
+                with lock:
+                    in_flight[0] -= 1
+                return super().complete(system, user)
+
+        t = make_static("star", list(range(n)), n)
+        got = run_topology(t, task(), pool, BackendSet(Counting(), Counting()), k=1, rng=np.random.default_rng(4))
+        want = sequential_run(t, task(), pool, echo_backends(), k=1, rng=np.random.default_rng(4))
+        assert got.to_json() == want.to_json()
+        assert in_flight == [0, MAX_IN_FLIGHT]
+
+    @pytest.mark.parametrize("shape", ["complete", "chain"])
+    def test_one_agent_waves_stay_on_the_calling_thread(self, shape):
+        callers = set()
+
+        class Recording(EchoBackend):
+            def complete(self, system, user):
+                callers.add(threading.get_ident())
+                return super().complete(system, user)
+
+        t = make_static(shape, list(range(N)), N)
+        assert wave_count(t) == N
+        threads = threading.active_count()
+        run_topology(t, task(), load_default_pool(), BackendSet(Recording(), Recording()))
+        assert callers == {threading.get_ident()}
         assert threading.active_count() == threads
 
     def test_lowest_failing_leaf_is_reported_with_sequential_transcript(self):
