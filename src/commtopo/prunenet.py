@@ -190,7 +190,9 @@ def heads(
 def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """g1 - g2 for iid standard Gumbel draws along the last axis; g1 is drawn first.
 
-    The draw for shape (B, n) equals B successive draws of shape (n,).
+    The draw for shape (B, n) equals B successive draws of shape (n,), so
+    ``train``, which draws each minibatch's (B, n) noise at its step, reads
+    the same stream as one draw for the whole epoch would give.
     """
     *lead, n = shape
     g = -np.log(-np.log(rng.uniform(size=(*lead, 2, n))))
@@ -540,6 +542,9 @@ def train(
 ) -> tuple[PruneNetParams, list[TrainLogRow]]:
     """Adam training over minibatches with a linear tau anneal.
 
+    Each step draws its minibatch's node noise right after the batch is
+    taken, so no noise for rows that later steps read is held.
+
     Each distinct corpus text is embedded once, in order of first
     occurrence, through ``_live_features``.  A feature column that is zero
     in the pool rows and in every query row gives its ``w_gcn1`` row
@@ -594,17 +599,16 @@ def train(
         b = step % n_batches
         if b == 0:
             order = rng.permutation(len(corpus))
-            # node logits only: edge noise destabilizes borderline members
-            noise = gumbel_noise(rng, (len(corpus), pool.n_max))
-        rows = slice(b * cfg.batch, (b + 1) * cfg.batch)
-        batch = order[rows]
+        batch = order[b * cfg.batch : (b + 1) * cfg.batch]
+        # node logits only: edge noise destabilizes borderline members
+        noise = gumbel_noise(rng, (batch.size, pool.n_max))
         tau = cfg.tau_start + (cfg.tau_end - cfg.tau_start) * step / max(1, total_steps - 1)
         focal = active[batch].sum() / batch.size < cfg.focal_threshold
         f = forward(params, pool_x, query_x[query_row[batch]], pool_part)
         picked = label_row[batch]
         lab = Labels(*(v[picked] for v in lab_all))
         noisy, _, terms = loss_and_grads(
-            params, f, lab, cfg, tau=tau, node_noise=noise[rows], focal=focal, out=grads
+            params, f, lab, cfg, tau=tau, node_noise=noise, focal=focal, out=grads
         )
         if not np.isfinite(noisy[2]):
             raise TrainingDiverged(step)

@@ -1,13 +1,10 @@
-import importlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commtopo import graphs
-from commtopo.collector import collect_supervision
 from commtopo.errors import (
     CommTopoError,
     DegenerateTopology,
@@ -31,8 +28,7 @@ from commtopo.graphs import (
     serialize_topology,
     write_corpus,
 )
-from commtopo.synth import make_planted_evaluator
-from memory import traced_peak
+from memory import traced_peak, train_workload_pairs
 from test_cli import FUZZ_CORPUS, mutated
 
 
@@ -433,20 +429,11 @@ class TestSharedLabels:
         assert back[0].a_gt is not back[1].a_gt and back[0].y is back[1].y
 
     def test_the_train_workload_corpus_reads_one_object_per_distinct_label(self, monkeypatch):
-        back = read_corpus(write_corpus(train_workload_pairs(monkeypatch)))
+        back = read_corpus(write_corpus(train_workload_pairs(monkeypatch)[0]))
         for label, values in (("a_gt", "w"), ("y", "m")):
             objects = {id(getattr(p, label)) for p in back}
             contents = {getattr(getattr(p, label), values).tobytes() for p in back}
             assert len(objects) == len(contents) < len(back), label
-
-
-def train_workload_pairs(monkeypatch):
-    """The pairs that a pass of the ``train`` benchmark workload collects at seed 100."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
-    workloads = importlib.import_module("workloads")
-    suite, pool, cfg = workloads.TrainWorkload(100, workloads.FULL["train"], 0.0, 0.0).setup()
-    pairs, _ = collect_supervision(suite.train_tasks, pool, cfg.collector, make_planted_evaluator("jaccard"))
-    return pairs
 
 
 def label_sharing(pairs):
@@ -590,13 +577,13 @@ class TestCorpusTextWithoutCopies:
 
     def test_write_corpus_on_the_train_workload_peaks_under_1_3_times_its_text(self, monkeypatch):
         # every line string was built before the join: 2.07 times the text
-        pairs = train_workload_pairs(monkeypatch)
+        pairs = train_workload_pairs(monkeypatch)[0]
         text, peak = traced_peak(write_corpus, pairs)
         assert peak < 1.3 * len(text)
 
     def test_read_corpus_on_the_train_workload_peaks_under_1_3_times_its_text(self, monkeypatch):
         # text.splitlines() copied every line into one list: 1.48 times the text
-        text = write_corpus(train_workload_pairs(monkeypatch))
+        text = write_corpus(train_workload_pairs(monkeypatch)[0])
         _, peak = traced_peak(read_corpus, text)
         assert peak < 1.3 * len(text)
 

@@ -40,7 +40,7 @@ from commtopo.prunenet import (
     train,
     write_training_log,
 )
-from memory import traced_peak
+from memory import traced_peak, train_workload_pairs
 
 SMALL = NetConfig(d=8, h=6, h_m=4, n_max=5)
 
@@ -178,6 +178,16 @@ class TestGumbelSigmoid:
         g = -np.log(-np.log(np.random.default_rng(9).uniform(size=(4, 2, 5))))
         assert np.array_equal(g[:, 0] - g[:, 1], np.stack(singles))
         assert np.array_equal(gumbel_noise(np.random.default_rng(9), (4, 5)), np.stack(singles))
+
+    @given(st.data(), st.integers(1, 50), st.integers(1, 15), st.integers(0, 2**32 - 1))
+    def test_batch_draws_stack_to_one_whole_draw(self, data, rows, n, seed):
+        # train draws each minibatch's noise at its step, the last one short
+        batch = data.draw(st.integers(1, rows))
+        rng = np.random.default_rng(seed)
+        chunks = [range(rows)[start : start + batch] for start in range(0, rows, batch)]
+        stacked = np.concatenate([gumbel_noise(rng, (len(chunk), n)) for chunk in chunks])
+        whole = gumbel_noise(np.random.default_rng(seed), (rows, n))
+        assert stacked.tobytes() == whole.tobytes()
 
     def test_noise_is_a_gumbel_difference(self):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
@@ -436,6 +446,12 @@ class TestTrain:
         expected = [2.8080350801274125, 0.03761111630935393, 0.020170466962619184]
         assert [log[i].total for i in (0, 99, 199)] == pytest.approx(expected, rel=1e-9, abs=0)
 
+    def test_train_on_the_train_workload_peaks_under_5_mb(self, monkeypatch):
+        # one epoch-wide Gumbel draw, read a batch at a time, peaked at 6.06 MB
+        pairs, pool, cfg = train_workload_pairs(monkeypatch)
+        _, peak = traced_peak(train, pairs, pool, HashingBackend(), cfg.train)
+        assert peak < 5.0e6
+
     def test_training_log_csv(self):
         pool, backend, pair, _ = memorization_fixture()
         _, log = train([pair], pool, backend, TrainConfig(seed=1, epochs=3))
@@ -483,8 +499,7 @@ class TestAdam:
 
 def reference_train(corpus, pool, backend, cfg, net):
     """The full-width training loop that ``train`` replaced: every row of
-    w_gcn1 goes through forward, backward and Adam, and each step's
-    noise is drawn on its own.  Kept as the reference."""
+    w_gcn1 goes through forward, backward and Adam.  Kept as the reference."""
     rng = np.random.default_rng(cfg.seed)
     params = PruneNetParams.init(net, rng)
     texts = list(dict.fromkeys(pair.task_text for pair in corpus))
