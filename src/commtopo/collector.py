@@ -9,6 +9,7 @@ import math
 import re
 import threading
 from array import array
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -191,16 +192,20 @@ def score_graph(g: SampledGraph, task: TaskSpec, evaluator: Evaluator) -> float:
     return min(max(score, 0.0), 1.0)
 
 
+def _rank(entry: tuple[SampledGraph, float]) -> tuple:
+    """Mining's sort key: higher utility first; ties prefer fewer members
+    (cheaper teams), then lexicographic member lists, and a stable sort
+    keeps the rest in sampling order, so mining is deterministic."""
+    return -entry[1], len(entry[0].members), entry[0].members
+
+
 def mine_supervision(
     scored: Mapping[TaskSpec, Sequence[tuple[SampledGraph, float]]],
     cfg: CollectorConfig,
     n_max: int,
 ) -> list[SupervisionPair]:
-    """Keep the top-k graphs per task and lift them to the n_max frame.
-
-    Ties prefer fewer members (cheaper teams), then lexicographic member
-    lists, so mining is deterministic.
-    """
+    """Keep the top-k graphs per task, by `_rank`, and lift them to the
+    n_max frame."""
     pairs: list[SupervisionPair] = []
     # id(graph) -> (a_gt, y): a graph is top-k for several tasks, and the
     # value types are immutable, so its pairs share one lift
@@ -210,7 +215,7 @@ def mine_supervision(
             raise MineUnderflow(
                 f"task {task.task_id}: {len(entries)} scored graphs < top_k={cfg.top_k}"
             )
-        ranked = sorted(entries, key=lambda e: (-e[1], len(e[0].members), e[0].members))
+        ranked = sorted(entries, key=_rank)
         for graph, utility in ranked[: cfg.top_k]:
             labels = lifted.get(id(graph))
             if labels is None:
@@ -240,9 +245,11 @@ class CollectStats:
 MAX_OCCURRENCES = 1_000_000
 """The most (graph, target task) key occurrences, budget × stride, that a
 collect may hold: ten times the largest budget.  A collect of 200,000
-occurrences traces about 165 bytes per occurrence at its peak, most of
-them pass 1's key -> id dict; a collect at the cap peaked at about
-190 MB of RSS on the planted evaluator."""
+occurrences traces about 33 bytes per occurrence at its peak, most of
+them pass 1's 4-byte columns and the utility of each key; at the cap,
+budget 5,000 on 600 planted tasks peaked at about 75 MB of RSS, and
+budget 100,000 at stride 10, whose member sets nearly all repeat and so
+go through the key -> id dict, at about 190 MB."""
 
 UNITS = 4 * MAX_IN_FLIGHT
 """A collect cuts its key ids into ranges of ``len(keys) // UNITS`` (at
@@ -271,15 +278,20 @@ def _number_keys(graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stri
     each occurrence in sampling order, `stride` per graph: graph i
     targets tasks ``(i + s * gap) % len(tasks)`` for s < stride, in task
     order, and the offsets s * gap are below ``len(tasks)``, so they are
-    distinct."""
+    distinct.  Keys are numbered at their first occurrence.  Only the
+    keys of a member set drawn more than once can occur again, so only
+    they go through a key -> id dict; every other target takes the next
+    id.  Every column holds 4-byte ints: ids stay below
+    `MAX_OCCURRENCES` and graph indices below the largest budget."""
     gap = max(1, len(tasks) // stride)
-    graph, task, count, occurrences = array("q"), array("q"), array("q"), array("q")
-    member_sets: dict = {}
-    ids: dict = {}  # member set id * len(tasks) + task index -> key id; ints cost less than tuples
+    graph, task, count, occurrences = array("i"), array("i"), array("i"), array("i")
+    # each repeated member set's number * len(tasks); ints cost less than tuples
+    repeated = {m: r * len(tasks) for r, m in enumerate(m for m, n in Counter(g.members for g in graphs).items() if n > 1)}
+    ids: dict = {}  # repeated member set's base + task index -> key id
     for i, g in enumerate(graphs):
-        base = member_sets.setdefault(g.members, len(member_sets)) * len(tasks)
+        base = repeated.get(g.members)
         for j in sorted({(i + s * gap) % len(tasks) for s in range(stride)}):
-            k = ids.setdefault(base + j, len(ids))
+            k = len(count) if base is None else ids.setdefault(base + j, len(count))
             if k == len(count):
                 graph.append(i)
                 task.append(j)
@@ -334,21 +346,28 @@ def collect_supervision(
 
     Every graph is drawn up front, then the sample is passed over twice.
     Pass 1 numbers each key at its first occurrence, in sampling order,
-    and keeps flat integer columns (stdlib ``array``): each occurrence's
-    key id, and each key's first graph, task and occurrence count; the
-    key -> id dict goes before scoring starts.  The key ids are cut
-    into ranges of ``len(keys) // UNITS`` (at least one), submitted
-    longest first, by their graphs' summed member counts (ties in
-    sampling order).  A unit scores each key up to once per occurrence,
-    until a utility comes back, and writes it into one float column; the
-    failure messages of the keys that failed come back in one dict.  The
-    units run on a pool of at most `MAX_IN_FLIGHT` threads owned by the
-    call.  Once every unit is in, pass 2 walks the occurrences' key ids
-    on the calling thread in sampling order: each failed scoring skips
-    one occurrence, so the pairs, the stats and the skip warnings equal
-    those of scoring one key at a time, whatever order the units ran in.
-    If a unit raises, queued units are cancelled and running ones stop
-    before their next scoring.  A collect of more than `MAX_OCCURRENCES`
+    and keeps flat 4-byte integer columns (stdlib ``array``): each
+    occurrence's key id, and each key's first graph, task and occurrence
+    count.  Only a member set drawn more than once can repeat a key, so
+    only its keys go through a key -> id dict, which goes before scoring
+    starts.  The key ids are cut into ranges of ``len(keys) // UNITS``
+    (at least one), submitted longest first, by their graphs' summed
+    member counts (ties in sampling order).  A unit scores each key up
+    to once per occurrence, until a utility comes back, and writes it
+    into one float column; the failure messages of the keys that failed
+    come back in one dict.  The units run on a pool of at most
+    `MAX_IN_FLIGHT` threads owned by the call.  Once every unit is in,
+    pass 2 walks the occurrences' key ids on the calling thread in
+    sampling order: each failed scoring skips one occurrence, so the
+    pairs, the stats and the skip warnings equal those of scoring one
+    key at a time, whatever order the units ran in.  Pass 2 keeps a
+    running top-k per task: once a task holds more than 2 · ``top_k``
+    scored graphs, a stable sort by `_rank` cuts them to ``top_k``,
+    which keeps every graph mining would pick, and a task with fewer
+    than ``top_k`` keeps them all, so `MineUnderflow` counts them.  The
+    key and occurrence columns are released before mining.  If a unit
+    raises, queued units are cancelled and running ones stop before
+    their next scoring.  A collect of more than `MAX_OCCURRENCES`
     occurrences is a ConfigError, raised before any graph is drawn.
     """
     if not tasks:
@@ -383,18 +402,22 @@ def collect_supervision(
         stop.set()
         executor.shutdown(cancel_futures=True)
     # pass 2: merge in sampling order; each failed scoring skips one occurrence
-    entries: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
+    kept: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
     stats = CollectStats(tasks=n_tasks)
     for p, k in enumerate(occurrences):
         graph, j, tried = graphs[p // stride], keys.task[k], failed.get(k)
         if tried:
             stats.graphs_skipped += 1
             log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, tried.pop(0))
-        else:
-            entries[j].append((graph, keys.utility[k]))
-    stats.graphs_scored = sum(map(len, entries))
-    scored = dict(zip(tasks, entries))
-    pairs = mine_supervision(scored, cfg, pool.n_max)
+            continue
+        stats.graphs_scored += 1
+        kept[j].append((graph, keys.utility[k]))
+        if len(kept[j]) > 2 * cfg.top_k:
+            # a stable sort keeps equal ranks in sampling order, as mining's does
+            kept[j].sort(key=_rank)
+            del kept[j][cfg.top_k :]
+    del keys, occurrences
+    pairs = mine_supervision(dict(zip(tasks, kept)), cfg, pool.n_max)
     stats.pairs = len(pairs)
     for p in pairs:
         stats.category_histogram[p.category] = stats.category_histogram.get(p.category, 0) + 1

@@ -39,6 +39,7 @@ from commtopo.synth import (
     planted_utility,
 )
 from analysis import accepted_mass, order_distribution, order_ks_statistic
+from memory import traced_peak
 from taskfiles import write_tasks
 
 
@@ -443,6 +444,16 @@ class StubbornEvaluator(FlakyEvaluator):
         return r / self.modulus
 
 
+class ConstantEvaluator(FlakyEvaluator):
+    """One utility for every key, so mining ranks by its tie-breaks alone.
+    Records the calls made for each key."""
+
+    def __call__(self, g, t):
+        with self._lock:
+            self.calls.setdefault((g.members, t.task_id), []).append(t.task_text)
+        return 0.5
+
+
 def collect_outcome(run, tasks, pool, cfg, evaluator):
     with Warnings() as warnings:
         try:
@@ -466,18 +477,22 @@ class TestConcurrentCollect:
             budget=data.draw(st.integers(1, 40)),
             mu=data.draw(st.sampled_from([2.0, 3.0, 5.0])),
             sigma=data.draw(st.sampled_from([0.5, 1.5])),
-            top_k=data.draw(st.integers(1, 2)),
+            top_k=data.draw(st.integers(1, 3)),
             candidates_per_task=data.draw(st.integers(1, 8)),
             seed=data.draw(st.integers(0, 2**16)),
         )
-        modulus = data.draw(st.sampled_from([4, 7, 50]))
+        # a constant utility leaves every rank to the tie-breaks: member
+        # count, then members, then first occurrence
+        make, modulus = data.draw(st.sampled_from(
+            [(FlakyEvaluator, 4), (FlakyEvaluator, 7), (FlakyEvaluator, 50), (ConstantEvaluator, None)]
+        ))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so a lost update would show
         try:
-            got = collect_outcome(collect_supervision, tasks, pool, cfg, FlakyEvaluator(modulus))
+            got = collect_outcome(collect_supervision, tasks, pool, cfg, make(modulus))
         finally:
             sys.setswitchinterval(interval)
-        want = collect_outcome(sequential_collect, tasks, pool, cfg, FlakyEvaluator(modulus))
+        want = collect_outcome(sequential_collect, tasks, pool, cfg, make(modulus))
         assert got == want
 
     @given(st.data())
@@ -707,8 +722,9 @@ class TestCollectUnits:
 class TestCollectMemory:
     def test_traced_peak_stays_within_the_sequential_collect(self):
         # 1,500 tasks, 20 candidates each from 300 graphs: 30,000 keys.  The
-        # sequential loop keeps a dict of every key's utility; the concurrent
-        # one keeps flat columns and peaks at about 0.76 times its memory
+        # sequential loop keeps a dict of every key's utility and every
+        # scored graph; the concurrent one keeps flat columns and a running
+        # top-k per task, and peaks at about 0.26 times its memory
         tasks = make_planted_suite(500, 0, seed=100).train_tasks
         pool = load_default_pool()
         cfg = CollectorConfig(budget=300, mu=5.0, sigma=1.5, candidates_per_task=20, seed=1)
@@ -721,6 +737,17 @@ class TestCollectMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+    def test_a_collect_of_200000_occurrences_traces_at_most_60_bytes_each(self):
+        # 600 tasks at stride 100 from 2,000 graphs.  A key -> id dict over
+        # every key in pass 1 and every scored (graph, utility) in pass 2
+        # traced 163 bytes per occurrence; the 4-byte columns and a running
+        # top-k per task trace about 33
+        tasks = make_planted_suite(200, 0, seed=2).train_tasks
+        cfg = CollectorConfig(budget=2_000, candidates_per_task=333, seed=0)
+        (_, stats), peak = traced_peak(collect_supervision, tasks, load_default_pool(), cfg, make_planted_evaluator())
+        assert stats.graphs_scored == 200_000
+        assert peak / stats.graphs_scored <= 60
 
     def test_graphs_of_one_order_share_one_complete_topology(self):
         # each graph held its own complete adjacency: 1,174 traced bytes per graph at the peak
