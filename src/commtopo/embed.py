@@ -16,6 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .backends import JsonTransport
 from .errors import DimensionError, EmbeddingUnavailable, check_numbers
 from .pool import AgentPool
 
@@ -82,27 +83,19 @@ class HashingBackend:
 class HttpBackend:
     """POST {"input": text} to an embedding endpoint, expect {"embedding": [...]}."""
 
-    def __init__(self, endpoint: str, api_key: str = "", dim: int = DEFAULT_DIM, session=None):
-        import requests
-
-        self.endpoint = endpoint
-        self.api_key = api_key
+    def __init__(self, endpoint: str, api_key: str = "", dim: int = DEFAULT_DIM):
         self.dim = dim
-        self._session = session or requests.Session()
+        self._transport = JsonTransport(endpoint, api_key, timeout=60)
 
     def embed(self, text: str) -> np.ndarray:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = self._session.post(
-                self.endpoint, json={"input": text}, headers=headers, timeout=60
-            )
-            resp.raise_for_status()
-            embedding = resp.json()["embedding"]
+            status, obj = self._transport.post({"input": text})
+            if not 200 <= status < 300:
+                raise ValueError(f"embedding endpoint answered HTTP {status}")
+            embedding = obj["embedding"]
             check_numbers(embedding, "embedding")
             values = np.array(embedding, dtype=float)
-            if not np.isfinite(values).all():  # resp.json() decodes NaN and Infinity
+            if not np.isfinite(values).all():  # the JSON decoder takes NaN and Infinity
                 raise ValueError("embedding holds a non-finite value")
         except Exception as exc:  # network / schema failures are one error to callers
             raise EmbeddingUnavailable(str(exc)) from exc

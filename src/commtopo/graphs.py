@@ -127,13 +127,9 @@ class SupervisionPair:
         if (self.a_gt.w * (1 - m[:, None] * m)).any():
             raise ValidationError("a_gt has weight on edges outside the mask")
 
-    def to_json_line(self, rendered: dict | None = None) -> str:
-        """The pair as ``json.dumps(..., sort_keys=True)`` writes it.
-
-        ``rendered`` maps the ``id`` of a label object to the object and its
-        JSON text, so that lines sharing a label object render it once.
-        """
-        return "".join(self._json_pieces({} if rendered is None else rendered))
+    def to_json_line(self) -> str:
+        """The pair as ``json.dumps(..., sort_keys=True)`` writes it."""
+        return "".join(self._json_pieces({}))
 
     def _json_pieces(self, rendered: dict) -> tuple[str, ...]:
         """The pieces that ``to_json_line`` joins; the label pieces are the

@@ -1,7 +1,9 @@
+import gc
 import json
 import re
 import sys
 import tracemalloc
+import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from commtopo.embed import (
 from commtopo.errors import DimensionError, EmbeddingUnavailable
 from commtopo.pool import load_default_pool
 from commtopo.prunenet import NetConfig, PruneNetParams, design_topology
+from httpstub import HANG_UP, refused_url
 
 
 class TestHashingBackend:
@@ -123,33 +126,24 @@ def reference_embed(backend, text):
 
 
 class TestHttpBackend:
-    def test_wraps_network_failure(self):
-        class FailingSession:
-            def post(self, *a, **k):
-                raise OSError("connection refused")
+    def test_wraps_network_failure(self, no_proxy_env):
+        with refused_url("/embed") as url:
+            with pytest.raises(EmbeddingUnavailable, match="ConnectionRefusedError"):
+                embed_text(HttpBackend(url, "key"), "text")
 
-        b = HttpBackend("http://localhost:1/embed", "key", session=FailingSession())
-        with pytest.raises(EmbeddingUnavailable):
-            embed_text(b, "text")
-
-    def test_parses_embedding_payload(self):
-        class FakeResponse:
-            status_code = 200
-
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"embedding": [3.0, 4.0]}
-
-        class FakeSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                assert json == {"input": "text"}
-                return FakeResponse()
-
-        b = HttpBackend("http://x/embed", "key", session=FakeSession(), dim=2)
+    def test_parses_embedding_payload(self, http_stub):
+        http_stub.script((200, {"embedding": [3.0, 4.0]}))
+        b = HttpBackend(f"{http_stub.url}/embed", "key", dim=2)
         v = embed_text(b, "text")
         assert np.allclose(v, [0.6, 0.8])
+        (request,) = http_stub.requests
+        assert json.loads(request.body) == {"input": "text"}
+        assert (request.target, request.headers["Authorization"]) == ("/embed", "Bearer key")
+
+    def test_no_key_sends_no_authorization(self, http_stub):
+        http_stub.script((200, {"embedding": [3.0, 4.0]}))
+        HttpBackend(f"{http_stub.url}/embed", dim=2).embed("text")
+        assert "Authorization" not in http_stub.requests[0].headers
 
     @pytest.mark.parametrize(
         "body",
@@ -157,21 +151,48 @@ class TestHttpBackend:
          '{"embedding": [true, 1.0]}', '{"embedding": ["3", 4]}'],
         ids=["nan", "infinity", "bool", "string"],
     )
-    def test_vector_of_other_than_finite_numbers_is_unavailable(self, body):
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return json.loads(body)  # like requests, this decodes NaN and Infinity
-
-        class FakeSession:
-            def post(self, *args, **kwargs):
-                return FakeResponse()
-
-        b = HttpBackend("http://x/embed", "key", session=FakeSession(), dim=2)
+    def test_vector_of_other_than_finite_numbers_is_unavailable(self, http_stub, body):
+        http_stub.script((200, body))  # the JSON decoder takes NaN and Infinity
+        b = HttpBackend(f"{http_stub.url}/embed", "key", dim=2)
         with pytest.raises(EmbeddingUnavailable):
             b.embed("text")
+
+    @pytest.mark.parametrize(
+        "outcome, needle",
+        [((404, {}), "HTTP 404"), ((503, {}), "HTTP 503"), ((302, {"embedding": [3.0, 4.0]}), "HTTP 302"),
+         ((200, b'{"embedding": [3.0, 4.0], "x": "\xff"}'), "utf-8"), (HANG_UP, "RemoteDisconnected")],
+        ids=["http-404", "http-503", "redirect-not-followed", "body-not-utf8", "connection-error"],
+    )
+    def test_a_failed_answer_is_unavailable_at_once(self, http_stub, outcome, needle):
+        http_stub.script(outcome, (200, {"embedding": [3.0, 4.0]}))
+        b = HttpBackend(f"{http_stub.url}/embed", "key", dim=2)
+        with pytest.raises(EmbeddingUnavailable, match=needle):
+            b.embed("text")
+        assert len(http_stub.requests) == 1
+
+    def test_a_url_that_is_not_http_is_unavailable(self):
+        with pytest.raises(EmbeddingUnavailable, match="not an http"):
+            HttpBackend("file:///etc/embed", dim=2).embed("text")
+
+    def test_a_connection_the_server_closed_while_idle_is_replaced(self, http_stub):
+        # reusing it failed each second embedding with "[Errno 32] Broken pipe"
+        http_stub.script((200, {"embedding": [3.0, 4.0]}))
+        http_stub.close_idle = True
+        b = HttpBackend(f"{http_stub.url}/embed", "key", dim=2)
+        for i in range(6):
+            assert np.allclose(b.embed(f"text {i}"), [0.6, 0.8])
+            assert http_stub.closed.acquire(timeout=10)
+        assert len(http_stub.requests) == 6
+
+    def test_dropping_a_used_backend_leaves_no_socket_open(self, http_stub):
+        http_stub.script((200, {"embedding": [3.0, 4.0]}))
+        b = HttpBackend(f"{http_stub.url}/embed", "key", dim=2)
+        node_features(load_default_pool(), ["q"], b)  # the feature memo holds the backend weakly
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del b
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestBuildNodeFeatures:
