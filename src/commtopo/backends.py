@@ -1,6 +1,11 @@
 """Chat backends: deterministic mocks for the CLI, tests and benchmarks,
-and an OpenAI-compatible HTTP client with retries, which posts, as the
-HTTP embedding client does, through one keep-alive JSON transport.
+and an OpenAI-compatible HTTP client, which posts, as the HTTP embedding
+client does, through one keep-alive JSON transport.  The transport holds
+the one retry rule of both: 3 attempts, 1 s and then 2 s apart, on what
+can heal (a timeout, a failed connection, a cut answer, HTTP 429 and
+5xx), and failure at once on what cannot (a URL that is not http(s), a
+TLS failure, a refused proxy tunnel, any other 3xx or 4xx, a 2xx body
+that is not UTF-8 JSON).
 
 A backend maps (system prompt, user prompt) to (output text,
 prompt_tokens, completion_tokens); token counts may be None, in which
@@ -125,16 +130,21 @@ class PlantedDecisionBackend:
 
 
 class JsonTransport:
-    """POSTs JSON to one URL over reused ``http.client`` keep-alive connections.
+    """POSTs JSON to one URL over reused ``http.client`` keep-alive connections,
+    and decides, for every outcome, whether to try again.
 
-    Safe to call from several threads: each post takes an idle connection,
+    Safe to call from several threads: each attempt takes an idle connection,
     or opens one, and puts it back once the answer is read; at most
     `MAX_IN_FLIGHT` stay idle, and they close when the transport goes.
     Proxies come from ``HTTP(S)_PROXY`` and ``NO_PROXY``; https is verified
-    against ``ssl.create_default_context()``; a 3xx answer is returned, not
-    followed.  The standard-library modules are imported on first use, so
-    importing this module loads none of them.
+    against ``ssl.create_default_context()``; a 3xx answer is not followed.
+    The standard-library modules are imported on first use, so importing
+    this module loads none of them.
     """
+
+    attempts = 3  # per post
+    backoff = 1.0  # seconds before the second attempt, doubled before each later one
+    sleep = staticmethod(time.sleep)  # tests replace it to record the backoff instead
 
     def __init__(self, url: str, api_key: str, timeout: float):
         self.url = url
@@ -145,31 +155,50 @@ class JsonTransport:
         self._idle: list = []  # (connection, request target, headers); list.pop and append are atomic
         weakref.finalize(self, _close_idle, self._idle)
 
-    def post(self, payload: dict) -> tuple[int, object]:
-        """The answer's status and, for a 2xx answer, its JSON body (else
-        None).  Raises OSError on a network failure or timeout, and
-        ValueError on a URL that is not http(s) or a 2xx body that is not
-        UTF-8 JSON."""
-        import http.client
+    def post(self, payload: dict) -> object:
+        """The JSON body of a 2xx answer.
 
-        try:
-            conn, target, headers = self._idle.pop()
-        except IndexError:
-            conn, target, headers = self._open()
-        if conn.sock is not None and _readable(conn.sock):
-            conn.close()  # the server closed it while idle: the request reconnects
-        try:
-            conn.request("POST", target, json.dumps(payload).encode(), headers)
-            resp = conn.getresponse()
-            status, body = resp.status, resp.read()
-        except (OSError, http.client.HTTPException) as exc:  # a cut or garbled answer among them
-            conn.close()
-            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
-        if len(self._idle) < MAX_IN_FLIGHT:
-            self._idle.append((conn, target, headers))
-        else:
-            conn.close()
-        return status, (json.loads(body.decode()) if 200 <= status < 300 else None)
+        A timeout, a refused, reset or dropped connection, a cut answer,
+        HTTP 429 and 5xx are tried again, `attempts` times in all; after the
+        last, ``ConnectionError("failed after 3 attempts: <last error>")``.
+        A failure that cannot heal raises ``ValueError`` at once: a URL
+        that is not http(s), a TLS failure (a certificate that does not
+        verify among them), a proxy that refuses the tunnel, a 3xx or any
+        other 4xx, and a 2xx body that is not UTF-8 JSON.
+        """
+        import http.client
+        import ssl
+
+        body = json.dumps(payload).encode()
+        for attempt in range(self.attempts):
+            if attempt:
+                self.sleep(self.backoff * 2 ** (attempt - 1))
+            try:
+                conn, target, headers = self._idle.pop()
+            except IndexError:
+                conn, target, headers = self._open()
+            if conn.sock is not None and _readable(conn.sock):
+                conn.close()  # the server closed it while idle: the request reconnects
+            try:
+                conn.request("POST", target, body, headers)
+                resp = conn.getresponse()
+                status, data = resp.status, resp.read()
+            except (OSError, http.client.HTTPException) as exc:  # a cut or garbled answer among them
+                conn.close()
+                error = f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, ssl.SSLError) or str(exc).startswith("Tunnel connection failed"):
+                    raise ValueError(error) from exc
+                continue
+            if len(self._idle) < MAX_IN_FLIGHT:
+                self._idle.append((conn, target, headers))
+            else:
+                conn.close()
+            if 200 <= status < 300:
+                return json.loads(data.decode())  # a body that is not UTF-8 JSON raises ValueError
+            error = f"HTTP {status}"
+            if status != 429 and status < 500:
+                raise ValueError(f"answered {error}")
+        raise ConnectionError(f"failed after {self.attempts} attempts: {error}")
 
     def _open(self):
         """A new connection to the URL or its proxy, with the request target
@@ -217,15 +246,11 @@ def _close_idle(idle: list) -> None:
 
 
 class HttpChatBackend:
-    """OpenAI-compatible chat-completions client with retry and backoff."""
+    """OpenAI-compatible chat-completions client; its transport retries."""
 
-    retries = 3  # attempts per call
-    backoff = 1.0  # seconds before the second attempt, doubled before each later one
-
-    def __init__(self, endpoint: str, api_key: str, model: str, sleep=time.sleep):
+    def __init__(self, endpoint: str, api_key: str, model: str):
         self.model = model
         self._transport = JsonTransport(endpoint, api_key, timeout=120)
-        self._sleep = sleep
 
     def payload(self, system: str, user: str) -> dict:
         return {
@@ -238,26 +263,11 @@ class HttpChatBackend:
         }
 
     def complete(self, system: str, user: str) -> Completion:
-        """Retry timeouts, connection errors, HTTP 429 and 5xx with
-        exponential backoff; fail at once on any other error, a 3xx among them."""
-        error: Exception | str | None = None
-        for attempt in range(self.retries):
-            try:
-                status, obj = self._transport.post(self.payload(system, user))
-            except OSError as exc:  # timeouts among them
-                error = exc
-            except ValueError as exc:
-                raise BackendError(f"chat request failed: {exc}") from exc
-            else:
-                if status == 429 or status >= 500:
-                    error = f"HTTP {status}"
-                elif status >= 300:
-                    raise BackendError(f"chat endpoint answered HTTP {status}")
-                else:
-                    return _parse_completion(obj)
-            if attempt < self.retries - 1:
-                self._sleep(self.backoff * 2**attempt)
-        raise BackendError(f"chat backend failed after {self.retries} attempts: {error}")
+        try:
+            obj = self._transport.post(self.payload(system, user))
+        except (ConnectionError, ValueError) as exc:
+            raise BackendError(f"chat endpoint: {exc}") from exc
+        return _parse_completion(obj)
 
 
 def _parse_completion(obj) -> Completion:

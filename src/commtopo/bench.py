@@ -12,7 +12,7 @@ import numpy as np
 
 from .backends import BackendSet
 from .collector import TaskSpec, answer_matches
-from .errors import ConfigError, RunAborted
+from .errors import BackendError, ConfigError, RunAborted
 from .graphs import CommTopology, NodeMask, WeightMatrix
 from .orchestrator import run_topology
 from .pool import AgentPool
@@ -126,12 +126,15 @@ def run_bench(
 ) -> BenchReport:
     """Each method's source designs each task's topology once, and that
     topology executes through the orchestrator once per repeat; aborted
-    runs count as incorrect with their partial token cost."""
+    runs count as incorrect with their partial token cost.  A bench whose
+    every run aborted measured nothing: it raises ``BackendError`` naming
+    the first abort."""
     if not suite:
         raise ConfigError("empty task suite")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
+    aborted, first_abort = 0, ""
     for method_index, (name, source) in enumerate(methods):
         correct = 0
         tokens: list[int] = []
@@ -146,10 +149,14 @@ def run_bench(
                 except RunAborted as exc:
                     partial = sum(e.tokens() for e in exc.transcript)
                     tokens.append(partial)
+                    aborted += 1
+                    first_abort = first_abort or str(exc)
                     log.warning("bench cell aborted (%s, %s): %s", name, task.task_id, exc)
                     continue
                 tokens.append(result.total_tokens)
                 if answer_matches(task, result.answer):
                     correct += 1
         rows.append(BenchRow(name, correct / runs, float(np.mean(tokens)), runs))
+    if rows and aborted == sum(r.runs for r in rows):
+        raise BackendError(f"every bench run aborted; the first: {first_abort}")
     return BenchReport(tuple(rows), suite_id, seed)

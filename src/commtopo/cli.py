@@ -9,10 +9,17 @@ prints one ``error: <message>`` line and maps the exception through
   parse, a missing or malformed input file (``ConfigError``, ``FormatError``,
   any other ``CommTopoError``), or an ``OSError`` on a path the user named.
 2 external service: ``BackendError`` (an ``http`` chat backend without
-  endpoint or key), ``EmbeddingUnavailable``, ``MineUnderflow``.
+  endpoint or key, or a bench whose every run aborted),
+  ``EmbeddingUnavailable`` (an embedding call that failed at once, or 3
+  times by the transport's retry rule), ``MineUnderflow``.
 3 training diverged: ``TrainingDiverged`` (non-finite loss or parameter).
 4 checkpoint missing or malformed: ``CheckpointError``.
-5 run aborted: ``RunAborted``; the partial transcript is still written.
+5 run aborted: ``RunAborted`` (a chat call that failed at once, or 3 times
+  by the transport's retry rule); the partial transcript is still written.
+130 interrupted: ``KeyboardInterrupt`` (Ctrl-C).
+
+An output file is written whole or not at all: its text goes to a
+temporary file beside it, which then replaces it.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ import argparse
 import codecs
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +61,7 @@ EXIT_EXTERNAL = 2
 EXIT_TRAINING = 3
 EXIT_CHECKPOINT = 4
 EXIT_ABORTED = 5
+EXIT_INTERRUPTED = 130
 
 # Checked in order, so every class comes before its base classes.
 EXIT_CODES = (
@@ -79,8 +88,16 @@ def _read_input(path: str, what: str) -> str:
 
 def _write(path, text: str) -> None:
     """Write an output file as UTF-8; text that came from an argument the
-    locale could not decode keeps the bytes it was given."""
-    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
+    locale could not decode keeps the bytes it was given.  A write that
+    fails leaves the file as it was."""
+    temporary = Path(f"{path}.{os.getpid()}.tmp")  # beside the target, so os.replace renames in one step
+    try:
+        with open(temporary, "w", encoding="utf-8", errors="surrogateescape") as f:
+            f.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _load_pool(cfg: AppConfig):
@@ -331,6 +348,9 @@ def main(argv=None) -> int:
         args.cmd(_config(args), args)
     except SystemExit:  # --help; every other parser error raises ConfigError
         return EXIT_OK
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:
         code = next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), None)
         if code is None:

@@ -81,7 +81,8 @@ class HashingBackend:
 
 
 class HttpBackend:
-    """POST {"input": text} to an embedding endpoint, expect {"embedding": [...]}."""
+    """POST {"input": text} to an embedding endpoint, expect {"embedding": [...]};
+    its transport retries."""
 
     def __init__(self, endpoint: str, api_key: str = "", dim: int = DEFAULT_DIM):
         self.dim = dim
@@ -89,16 +90,13 @@ class HttpBackend:
 
     def embed(self, text: str) -> np.ndarray:
         try:
-            status, obj = self._transport.post({"input": text})
-            if not 200 <= status < 300:
-                raise ValueError(f"embedding endpoint answered HTTP {status}")
-            embedding = obj["embedding"]
+            embedding = self._transport.post({"input": text})["embedding"]
             check_numbers(embedding, "embedding")
             values = np.array(embedding, dtype=float)
             if not np.isfinite(values).all():  # the JSON decoder takes NaN and Infinity
                 raise ValueError("embedding holds a non-finite value")
         except Exception as exc:  # network / schema failures are one error to callers
-            raise EmbeddingUnavailable(str(exc)) from exc
+            raise EmbeddingUnavailable(f"embedding endpoint: {exc}") from exc
         if values.shape != (self.dim,):
             raise EmbeddingUnavailable(
                 f"endpoint returned {values.shape}, expected ({self.dim},)"

@@ -60,7 +60,7 @@ class CheckpointError(CommTopoError):
 
 
 class BackendError(CommTopoError):
-    """A chat backend failed after exhausting retries."""
+    """A chat backend failed, at once or after its transport's retries, or every run of a bench aborted."""
 
 
 class RunAborted(CommTopoError):

@@ -9,11 +9,15 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commtopo.backends import MAX_IN_FLIGHT, HttpChatBackend, MajorityVoteDecision, PlantedDecisionBackend
 from commtopo.collector import TaskSpec
-from commtopo.errors import BackendError, ConfigError
+from commtopo.embed import HttpBackend
+from commtopo.errors import BackendError, ConfigError, EmbeddingUnavailable
 from commtopo.pool import DECISION_PROFILE, load_default_pool, render_system_prompt, render_user_prompt
 from doubles import ScriptedBackend
 from httpstub import HANG_UP, RESET, STALL, HttpStub, refused_url
@@ -27,10 +31,12 @@ NOT_HTTP = "a URL that is not http(s)"
 
 def backend(stub, *outcomes, url=None):
     """An HTTP chat backend posting to ``url`` (the stub's by default),
-    whose backoff sleeps are recorded instead of slept."""
+    whose transport records its backoff sleeps instead of sleeping."""
     stub.script(*outcomes)
     sleeps = []
-    return HttpChatBackend(url or f"{stub.url}/v1", "key", "m", sleep=sleeps.append), sleeps
+    b = HttpChatBackend(url or f"{stub.url}/v1", "key", "m")
+    b._transport.sleep = sleeps.append
+    return b, sleeps
 
 
 class TestHttpChatBackend:
@@ -140,6 +146,58 @@ class TestHttpChatBackend:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+# (what the retry rule makes of it, the stub's outcome); an "answer" is a 2xx status that
+# the stub sends with the backend's own valid body
+OUTCOMES = st.sampled_from(
+    [("answer", status) for status in (200, 201)]
+    + [("cannot heal", (status, body)) for status in (200, 201) for body in ("not json", b'{"x": "\xff"}')]
+    + [("cannot heal", (status, {})) for status in (301, 302, 303, 307, 308, 400, 401, 403, 404, 422)]
+    + [("can heal", (status, {})) for status in (429, 500, 502, 503, 504)]
+    + [("can heal", HANG_UP), ("can heal", RESET)]
+)
+VALID_BODY = {"chat": OK_BODY, "embed": {"embedding": [3.0, 4.0]}}
+
+
+def documented(kinds):
+    """How the retry rule ends a script of outcome kinds: "answer", "cannot heal"
+    or "gave up", after how many requests, and the sleeps between them."""
+    for attempt in range(3):
+        kind = kinds[min(attempt, len(kinds) - 1)]  # the stub repeats its last outcome
+        if kind != "can heal":
+            return kind, attempt + 1, [1.0, 2.0][:attempt]
+    return "gave up", 3, [1.0, 2.0]
+
+
+def test_every_outcome_script_ends_as_the_retry_rule_documents(no_proxy_env):
+    with HttpStub() as stub:
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.sampled_from(["chat", "embed"]), st.lists(OUTCOMES, min_size=1, max_size=4))
+        def check(which, script):
+            stub.requests.clear()
+            stub.script(*[(outcome, VALID_BODY[which]) if kind == "answer" else outcome for kind, outcome in script])
+            if which == "chat":
+                b = HttpChatBackend(f"{stub.url}/v1", "key", "m")
+                call, error = lambda: b.complete("sys", "user"), BackendError
+            else:
+                b = HttpBackend(f"{stub.url}/embed", dim=2)
+                call, error = lambda: b.embed("text"), EmbeddingUnavailable
+            sleeps = []
+            b._transport.sleep = sleeps.append
+            end, requests, slept = documented([kind for kind, _ in script])
+            if end == "answer":
+                out = call()
+                assert out == ("four", 9, 1) if which == "chat" else np.allclose(out, [0.6, 0.8])
+            else:
+                with pytest.raises(error) as raised:
+                    call()
+                assert ("after 3 attempts" in str(raised.value)) == (end == "gave up")
+            assert len(stub.requests) == requests
+            assert sleeps == slept
+
+        check()
+
+
 class TestProxies:
     @pytest.mark.parametrize("scheme", ["http://", "https://", ""], ids=["http", "https-spoken-plain", "no-scheme"])
     def test_http_goes_to_the_proxy_with_the_whole_url(self, http_stub, monkeypatch, scheme):
@@ -171,9 +229,10 @@ class TestProxies:
         b, sleeps = backend(http_stub, (403, ""), url="https://chat.invalid:8443/v1")
         with pytest.raises(BackendError, match="Tunnel connection failed: 403"):
             b.complete("sys", "user")
-        assert [(r.method, r.target) for r in http_stub.requests] == [("CONNECT", "chat.invalid:8443")] * 3
+        # a refused tunnel cannot heal: one CONNECT, no backoff
+        assert [(r.method, r.target) for r in http_stub.requests] == [("CONNECT", "chat.invalid:8443")]
         assert http_stub.requests[0].headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
-        assert sleeps == [1.0, 2.0]
+        assert sleeps == []
 
 
 CERTDATA = Path(sysconfig.get_paths()["stdlib"]) / "test" / "certdata"
@@ -192,7 +251,7 @@ def test_https_verifies_the_server_against_the_ca_file_named_by_ssl_cert_file(no
         b, sleeps = backend(stub, (200, OK_BODY))
         with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED"):
             b.complete("sys", "user")
-        assert sleeps == [1.0, 2.0]  # as a failed connection is
+        assert sleeps == []  # a certificate that does not verify cannot heal
         assert len(stub.requests) == 1
 
 

@@ -11,7 +11,7 @@ from commtopo.bench import (
     run_bench,
 )
 from commtopo.collector import TaskSpec
-from commtopo.errors import ConfigError
+from commtopo.errors import BackendError, ConfigError
 from commtopo.graphs import CommTopology, NodeMask, WeightMatrix
 from commtopo.pool import load_default_pool
 from analysis import FitDegenerate, fit_node_count_gaussian
@@ -165,6 +165,23 @@ class TestRunBench:
             "| --- | --- | --- | --- |\n| random | 0.0000 | 1738.0 | 9 |\n| star | 1.0000 | 973.7 | 9 |\n"
         )
         assert report.to_csv() == "method,accuracy,mean_tokens,runs\r\nrandom,0.0000,1738.0,9\r\nstar,1.0000,973.7,9\r\n"
+
+    def test_aborted_runs_count_as_incorrect_and_a_bench_of_only_aborts_raises(self):
+        class FailsOnQuestion0:
+            def complete(self, system, user):
+                if "question 0" in system:
+                    raise BackendError("chat endpoint: failed after 3 attempts: HTTP 503")
+                return EchoBackend().complete(system, user)
+
+        pool = load_default_pool()
+        backends = BackendSet(default=FailsOnQuestion0(), decision=EchoBackend())
+        methods = [("chain", lambda t: make_static("chain", [0, 1, 2], N))]
+        report = run_bench(self.suite(), methods, pool, backends, repeats=2, k=1, suite_id="flaky")
+        # the bytes it had before a bench of only aborts raised
+        assert report.to_csv() == "method,accuracy,mean_tokens,runs\r\nchain,0.0000,232.7,6\r\n"
+        with pytest.raises(BackendError, match="every bench run aborted; the first: run aborted: agent 0 "
+                                               "failed in round 1: chat endpoint: failed after 3 attempts: HTTP 503"):
+            run_bench(self.suite()[:1], methods, pool, backends, repeats=2, k=1)
 
     def test_empty_suite_rejected(self):
         pool = load_default_pool()

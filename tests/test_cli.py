@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -18,6 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import commtopo
+import commtopo.cli as cli
+from commtopo.backends import JsonTransport
 from commtopo.cli import EXIT_CHECKPOINT, EXIT_CODES, _build_parser, _config, main
 from commtopo.collector import TaskSpec
 from commtopo.config import AppConfig, options
@@ -33,6 +36,7 @@ from commtopo.graphs import (
     write_corpus,
 )
 from commtopo.prunenet import NetConfig, PruneNetParams, save_checkpoint
+from httpstub import refused_url
 from taskfiles import write_tasks
 
 
@@ -245,6 +249,20 @@ class TestBench:
         assert "chain" in csv_text and "complete" in csv_text
         assert (workdir / "rep.md").exists()
 
+    def test_a_bench_whose_every_run_aborted_exits_2_and_writes_no_report(
+        self, workdir, no_proxy_env, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(JsonTransport, "sleep", staticmethod(lambda seconds: None))  # no real backoff
+        write_suite(workdir / "suite.jsonl", n=2)
+        with refused_url() as url:
+            (workdir / "cfg.ini").write_text(f"[agents]\nagent_backend = http\nchat_endpoint = {url}\napi_key = k\n")
+            argv = ["--config", "cfg.ini", "bench", "--suite", "suite.jsonl", "--methods", "star", "--repeats", "1"]
+            assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: every bench run aborted; the first: run aborted: agent")
+        assert "chat endpoint: failed after 3 attempts: ConnectionRefusedError" in err[0]
+        assert not list(workdir.glob("bench*"))
+
     def test_designed_without_checkpoint_is_checkpoint_error(self, workdir, capsys):
         write_suite(workdir / "suite.jsonl", n=1)
         assert main(["bench", "--suite", "suite.jsonl", "--methods", "designed"]) == 4
@@ -264,6 +282,42 @@ class TestExport:
     def test_garbage_file_is_usage_error(self, workdir, capsys):
         (workdir / "bad.json").write_text("{not json")
         assert main(["export", "--topology", "bad.json"]) == 1
+
+
+class TestInterruptAndWrites:
+    def test_ctrl_c_is_one_line_and_exit_130(self, workdir, capsys, monkeypatch):
+        def interrupted(cfg, args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_export", interrupted)
+        assert main(["export", "--topology", "t.json"]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+    def test_a_write_that_fails_midway_leaves_the_old_file(self, workdir, capsys, monkeypatch):
+        class FullDisk:
+            """A text file that takes half of what it is given, then fails as a full disk does."""
+
+            def __init__(self, path, *args, **kwargs):
+                self.file = open(path, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.file.write(text[: len(text) // 2])
+                self.file.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        make_checkpoint(workdir)
+        (workdir / "topo.json").write_bytes(b"old bytes")
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        assert main(["design", "--query", "q", "--out", "topo.json"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert (workdir / "topo.json").read_bytes() == b"old bytes"
+        assert sorted(p.name for p in workdir.iterdir()) == ["checkpoint.json", "topo.json"]
 
 
 class TestParser:
@@ -457,7 +511,7 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
     "ini, argv, code, needle",
     [
         ("", ["collect", "--tasks", "suite.jsonl", "--mu", "99"], 1, "mu=99"),
-        (EMBED_HTTP, ["design", "--query", "q"], 2, "connection refused"),
+        (EMBED_HTTP, ["design", "--query", "q"], 2, "after 3 attempts: ConnectionRefusedError"),
         ("[embedding]\nembed_backend = http\n", ["design", "--query", "q"], 2, "endpoint"),
         ("[agents]\nagent_backend = bogus\n", ["run", "--query", "q"], 1, "bogus"),
         ("[paths]\npool_path = ghost.jsonl\n", ["design", "--query", "q"], 1, "ghost.jsonl"),
@@ -621,15 +675,9 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
-    workdir, capsys, monkeypatch, ini, argv, code, needle
+    workdir, no_proxy_env, capsys, monkeypatch, ini, argv, code, needle
 ):
-    import commtopo.embed as embed_mod
-    from commtopo.errors import EmbeddingUnavailable
-
-    def unreachable(self, text):
-        raise EmbeddingUnavailable("connection refused")
-
-    monkeypatch.setattr(embed_mod.HttpBackend, "embed", unreachable)
+    monkeypatch.setattr(JsonTransport, "sleep", staticmethod(lambda seconds: None))  # no real backoff
     make_checkpoint(workdir)
     make_checkpoint(workdir, "d8.json", d=8)
     (workdir / "pool3.jsonl").write_text(

@@ -125,11 +125,20 @@ def reference_embed(backend, text):
     return _normalize(v)
 
 
+def recording(backend):
+    """``backend``, whose transport records its backoff sleeps instead of sleeping, and that record."""
+    sleeps = []
+    backend._transport.sleep = sleeps.append
+    return backend, sleeps
+
+
 class TestHttpBackend:
     def test_wraps_network_failure(self, no_proxy_env):
         with refused_url("/embed") as url:
-            with pytest.raises(EmbeddingUnavailable, match="ConnectionRefusedError"):
-                embed_text(HttpBackend(url, "key"), "text")
+            b, sleeps = recording(HttpBackend(url, "key"))
+            with pytest.raises(EmbeddingUnavailable, match="after 3 attempts: ConnectionRefusedError"):
+                embed_text(b, "text")
+        assert sleeps == [1.0, 2.0]
 
     def test_parses_embedding_payload(self, http_stub):
         http_stub.script((200, {"embedding": [3.0, 4.0]}))
@@ -159,16 +168,27 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize(
         "outcome, needle",
-        [((404, {}), "HTTP 404"), ((503, {}), "HTTP 503"), ((302, {"embedding": [3.0, 4.0]}), "HTTP 302"),
-         ((200, b'{"embedding": [3.0, 4.0], "x": "\xff"}'), "utf-8"), (HANG_UP, "RemoteDisconnected")],
-        ids=["http-404", "http-503", "redirect-not-followed", "body-not-utf8", "connection-error"],
+        [((404, {}), "HTTP 404"), ((302, {"embedding": [3.0, 4.0]}), "HTTP 302"),
+         ((200, b'{"embedding": [3.0, 4.0], "x": "\xff"}'), "utf-8")],
+        ids=["http-404", "redirect-not-followed", "body-not-utf8"],
     )
     def test_a_failed_answer_is_unavailable_at_once(self, http_stub, outcome, needle):
         http_stub.script(outcome, (200, {"embedding": [3.0, 4.0]}))
-        b = HttpBackend(f"{http_stub.url}/embed", "key", dim=2)
+        b, sleeps = recording(HttpBackend(f"{http_stub.url}/embed", "key", dim=2))
         with pytest.raises(EmbeddingUnavailable, match=needle):
             b.embed("text")
         assert len(http_stub.requests) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "transient", [(503, {}), (429, {}), HANG_UP], ids=["http-503", "http-429", "connection-error"]
+    )
+    def test_a_transient_failure_is_retried_and_then_answers(self, http_stub, transient):
+        http_stub.script(transient, (200, {"embedding": [3.0, 4.0]}))
+        b, sleeps = recording(HttpBackend(f"{http_stub.url}/embed", "key", dim=2))
+        assert np.allclose(b.embed("text"), [0.6, 0.8])
+        assert len(http_stub.requests) == 2
+        assert sleeps == [1.0]
 
     def test_a_url_that_is_not_http_is_unavailable(self):
         with pytest.raises(EmbeddingUnavailable, match="not an http"):
