@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,8 +15,6 @@ from .errors import BackendError, ConfigError, RunAborted
 from .graphs import CommTopology, NodeMask, WeightMatrix
 from .orchestrator import run_topology
 from .pool import AgentPool
-
-log = logging.getLogger(__name__)
 
 STATIC_SHAPES = ("chain", "star", "tree", "complete", "random")
 
@@ -79,6 +76,7 @@ class BenchRow:
     accuracy: float
     mean_tokens: float
     runs: int
+    aborted: int  # runs that a backend failure ended; each counts as incorrect
 
 
 @dataclass(frozen=True)
@@ -96,20 +94,20 @@ class BenchReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["method", "accuracy", "mean_tokens", "runs"])
+        writer.writerow(["method", "accuracy", "mean_tokens", "runs", "aborted"])
         for r in self.rows:
-            writer.writerow([r.method, f"{r.accuracy:.4f}", f"{r.mean_tokens:.1f}", r.runs])
+            writer.writerow([r.method, f"{r.accuracy:.4f}", f"{r.mean_tokens:.1f}", r.runs, r.aborted])
         return buf.getvalue()
 
     def to_markdown(self) -> str:
         lines = [
             f"Benchmark suite: {self.suite_id} (seed {self.seed})",
             "",
-            "| Method | Accuracy | Mean tokens | Runs |",
-            "| --- | --- | --- | --- |",
+            "| Method | Accuracy | Mean tokens | Runs | Aborted |",
+            "| --- | --- | --- | --- | --- |",
         ]
         for r in self.rows:
-            lines.append(f"| {r.method} | {r.accuracy:.4f} | {r.mean_tokens:.1f} | {r.runs} |")
+            lines.append(f"| {r.method} | {r.accuracy:.4f} | {r.mean_tokens:.1f} | {r.runs} | {r.aborted} |")
         return "\n".join(lines) + "\n"
 
 
@@ -126,19 +124,18 @@ def run_bench(
 ) -> BenchReport:
     """Each method's source designs each task's topology once, and that
     topology executes through the orchestrator once per repeat; aborted
-    runs count as incorrect with their partial token cost.  A bench whose
-    every run aborted measured nothing: it raises ``BackendError`` naming
-    the first abort."""
+    runs count as incorrect with their partial token cost, and each row
+    counts its aborted runs.  A bench whose every run aborted measured
+    nothing: it raises ``BackendError`` naming the first abort."""
     if not suite:
         raise ConfigError("empty task suite")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     rows = []
-    aborted, first_abort = 0, ""
+    first_abort = ""
     for method_index, (name, source) in enumerate(methods):
-        correct = 0
+        correct = aborted = runs = 0
         tokens: list[int] = []
-        runs = 0
         for task_index, task in enumerate(suite):
             topo = source(task)
             for rep in range(repeats):
@@ -151,12 +148,11 @@ def run_bench(
                     tokens.append(partial)
                     aborted += 1
                     first_abort = first_abort or str(exc)
-                    log.warning("bench cell aborted (%s, %s): %s", name, task.task_id, exc)
                     continue
                 tokens.append(result.total_tokens)
                 if answer_matches(task, result.answer):
                     correct += 1
-        rows.append(BenchRow(name, correct / runs, float(np.mean(tokens)), runs))
-    if rows and aborted == sum(r.runs for r in rows):
+        rows.append(BenchRow(name, correct / runs, float(np.mean(tokens)), runs, aborted))
+    if rows and all(r.aborted == r.runs for r in rows):
         raise BackendError(f"every bench run aborted; the first: {first_abort}")
     return BenchReport(tuple(rows), suite_id, seed)

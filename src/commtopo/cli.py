@@ -15,7 +15,8 @@ prints one ``error: <message>`` line and maps the exception through
 3 training diverged: ``TrainingDiverged`` (non-finite loss or parameter).
 4 checkpoint missing or malformed: ``CheckpointError``.
 5 run aborted: ``RunAborted`` (a chat call that failed at once, or 3 times
-  by the transport's retry rule); the partial transcript is still written.
+  by the transport's retry rule); the partial transcript is still written,
+  its entries as a whole run's, beside the error message.
 130 interrupted: ``KeyboardInterrupt`` (Ctrl-C).
 
 An output file is written whole or not at all: its text goes to a
@@ -206,7 +207,7 @@ def cmd_run(cfg: AppConfig, args: argparse.Namespace) -> None:
     try:
         result = run_topology(topo, task, pool, backends, k=cfg.k_rounds, theta=cfg.theta, rng=rng)
     except RunAborted as exc:
-        partial = [e.as_history_item() for e in exc.transcript]
+        partial = {"error": str(exc), "transcript": [e.as_record() for e in exc.transcript]}
         _write(cfg.transcript_path, json.dumps(partial, sort_keys=True))
         raise
     _write(cfg.transcript_path, result.to_json())

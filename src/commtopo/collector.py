@@ -9,7 +9,6 @@ import math
 import re
 import threading
 from array import array
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -174,8 +173,10 @@ def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> Samp
 
 Evaluator = Callable[[SampledGraph, TaskSpec], float]
 """Utility of a sampled graph on a task.  `collect_supervision` calls it
-from several threads at once, and its corpus is deterministic only if
-the result depends on nothing but (graph, task)."""
+once per (graph, target task) occurrence, from several threads at once,
+so a member set drawn twice may be scored on one task from two threads
+together.  Its corpus is deterministic only if the result, a failure
+included, depends on nothing but (graph, task)."""
 
 
 def score_graph(g: SampledGraph, task: TaskSpec, evaluator: Evaluator) -> float:
@@ -243,88 +244,53 @@ class CollectStats:
 
 
 MAX_OCCURRENCES = 1_000_000
-"""The most (graph, target task) key occurrences, budget × stride, that a
-collect may hold: ten times the largest budget.  A collect of 200,000
-occurrences traces about 33 bytes per occurrence at its peak, most of
-them pass 1's 4-byte columns and the utility of each key; at the cap,
-budget 5,000 on 600 planted tasks peaked at about 75 MB of RSS, and
-budget 100,000 at stride 10, whose member sets nearly all repeat and so
-go through the key -> id dict, at about 190 MB."""
+"""The most (graph, target task) occurrences, budget × stride, that a
+collect may hold: ten times the largest budget.  Each holds a 4-byte task
+id and an 8-byte utility; at the cap, a planted collect on 600 tasks
+peaked at 52 MB of RSS at budget 5,000, 73 MB at budget 100,000."""
 
 UNITS = 4 * MAX_IN_FLIGHT
-"""A collect cuts its key ids into ranges of ``len(keys) // UNITS`` (at
-least 1) and submits them longest first: four units per worker keep the
-workers evenly busy, and a collect of many cheap scorings pays the
-hand-off to a worker about `UNITS` times, not once per key."""
+"""A collect cuts its occurrence ids into ranges of ``occurrences //
+UNITS`` (at least 1) and submits them longest first: four units per
+worker keep the workers evenly busy, and a collect of many cheap
+scorings pays the hand-off to a worker about `UNITS` times, not once per
+occurrence."""
 
 
-@dataclass(frozen=True)
-class _Keys:
-    """A collect's distinct (member set, task) keys, numbered in order of
-    first occurrence, as flat columns: the index of the key's first graph,
-    of its task and its occurrence count.  The workers write each key's
-    utility into `utility`."""
-
-    graphs: Sequence[SampledGraph]
-    tasks: Sequence[TaskSpec]
-    graph: array
-    task: array
-    count: array
-    utility: array
+def _targets(n_graphs: int, n_tasks: int, stride: int) -> array:
+    """Pass 1: the target task id of each occurrence, in sampling order,
+    `stride` per graph: graph i targets tasks ``(i + s * gap) % n_tasks``
+    for s < stride, in task order, and the offsets s * gap are below
+    ``n_tasks``, so they are distinct."""
+    gap = max(1, n_tasks // stride)
+    target = array("i")
+    for i in range(n_graphs):
+        target.extend(sorted((i + s * gap) % n_tasks for s in range(stride)))
+    return target
 
 
-def _number_keys(graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stride: int) -> tuple[_Keys, array]:
-    """Pass 1: the keys of every graph's target tasks, and the key id of
-    each occurrence in sampling order, `stride` per graph: graph i
-    targets tasks ``(i + s * gap) % len(tasks)`` for s < stride, in task
-    order, and the offsets s * gap are below ``len(tasks)``, so they are
-    distinct.  Keys are numbered at their first occurrence.  Only the
-    keys of a member set drawn more than once can occur again, so only
-    they go through a key -> id dict; every other target takes the next
-    id.  Every column holds 4-byte ints: ids stay below
-    `MAX_OCCURRENCES` and graph indices below the largest budget."""
-    gap = max(1, len(tasks) // stride)
-    graph, task, count, occurrences = array("i"), array("i"), array("i"), array("i")
-    # each repeated member set's number * len(tasks); ints cost less than tuples
-    repeated = {m: r * len(tasks) for r, m in enumerate(m for m, n in Counter(g.members for g in graphs).items() if n > 1)}
-    ids: dict = {}  # repeated member set's base + task index -> key id
-    for i, g in enumerate(graphs):
-        base = repeated.get(g.members)
-        for j in sorted({(i + s * gap) % len(tasks) for s in range(stride)}):
-            k = len(count) if base is None else ids.setdefault(base + j, len(count))
-            if k == len(count):
-                graph.append(i)
-                task.append(j)
-                count.append(0)
-            count[k] += 1
-            occurrences.append(k)
-    return _Keys(graphs, tasks, graph, task, count, array("d", [math.nan]) * len(count)), occurrences
-
-
-def _longest_first(units: list[range], keys: _Keys) -> list[range]:
+def _longest_first(units: list[range], graphs: Sequence[SampledGraph], stride: int) -> list[range]:
     """The units in descending order of their graphs' summed member counts,
     ties in sampling order.  An orchestrator scoring of an m-member graph
     is a chain of k·m + 1 backend calls, so the longest chains start first
     and the pass does not end on one drawn late (Graham's LPT rule)."""
-    return sorted(units, key=lambda unit: sum(len(keys.graphs[keys.graph[k]].members) for k in unit), reverse=True)
+    return sorted(units, key=lambda unit: sum(len(graphs[p // stride].members) for p in unit), reverse=True)
 
 
-def _score_unit(unit: range, keys: _Keys, evaluator: Evaluator, stop: threading.Event) -> dict:
-    """Score the unit's keys in order, until `stop` is set.  A key is
-    scored up to once per occurrence, until a utility comes back, which
-    goes into ``keys.utility``; returns the messages of the
-    ScoreUnavailable failures of each key that failed."""
-    failed: dict[int, list[str]] = {}
-    for k in unit:
-        graph, task = keys.graphs[keys.graph[k]], keys.tasks[keys.task[k]]
-        for _ in range(keys.count[k]):
-            if stop.is_set():
-                break
-            try:
-                keys.utility[k] = score_graph(graph, task, evaluator)
-                break
-            except ScoreUnavailable as exc:
-                failed.setdefault(k, []).append(str(exc))
+def _score_unit(unit: range, graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stride: int, target: array,
+                utility: array, evaluator: Evaluator, stop: threading.Event) -> dict[int, str]:
+    """Score the unit's occurrences in order, until `stop` is set:
+    occurrence p is graph ``p // stride`` on task ``target[p]``, and its
+    utility goes into ``utility[p]``; returns the ScoreUnavailable message
+    of each occurrence whose scoring failed."""
+    failed = {}
+    for p in unit:
+        if stop.is_set():
+            break
+        try:
+            utility[p] = score_graph(graphs[p // stride], tasks[target[p]], evaluator)
+        except ScoreUnavailable as exc:
+            failed[p] = str(exc)
     return failed
 
 
@@ -339,36 +305,34 @@ def collect_supervision(
     Each sampled graph is scored against a strided window of tasks, so
     every task sees about ``candidates_per_task`` candidates even when
     the budget is much smaller than the task count; neighboring tasks
-    still get largely disjoint candidate sets.  Scores are shared by
-    (member set, task id) since duplicate subsets are allowed; a key whose
-    scoring failed is scored again for its next occurrence.  Tasks that
-    share an id would share scores, so they are a ConfigError.
+    still get largely disjoint candidate sets.  Each (graph, target task)
+    occurrence is scored once, even when a member set drawn again meets
+    the same task: by the `Evaluator` contract, that scoring gives the
+    same utility, or fails the same way.  Tasks that share an id could
+    not be told apart in the corpus, so they are a ConfigError.
 
     Every graph is drawn up front, then the sample is passed over twice.
-    Pass 1 numbers each key at its first occurrence, in sampling order,
-    and keeps flat 4-byte integer columns (stdlib ``array``): each
-    occurrence's key id, and each key's first graph, task and occurrence
-    count.  Only a member set drawn more than once can repeat a key, so
-    only its keys go through a key -> id dict, which goes before scoring
-    starts.  The key ids are cut into ranges of ``len(keys) // UNITS``
-    (at least one), submitted longest first, by their graphs' summed
-    member counts (ties in sampling order).  A unit scores each key up
-    to once per occurrence, until a utility comes back, and writes it
-    into one float column; the failure messages of the keys that failed
-    come back in one dict.  The units run on a pool of at most
-    `MAX_IN_FLIGHT` threads owned by the call.  Once every unit is in,
-    pass 2 walks the occurrences' key ids on the calling thread in
-    sampling order: each failed scoring skips one occurrence, so the
-    pairs, the stats and the skip warnings equal those of scoring one
-    key at a time, whatever order the units ran in.  Pass 2 keeps a
-    running top-k per task: once a task holds more than 2 · ``top_k``
-    scored graphs, a stable sort by `_rank` cuts them to ``top_k``,
-    which keeps every graph mining would pick, and a task with fewer
-    than ``top_k`` keeps them all, so `MineUnderflow` counts them.  The
-    key and occurrence columns are released before mining.  If a unit
-    raises, queued units are cancelled and running ones stop before
-    their next scoring.  A collect of more than `MAX_OCCURRENCES`
-    occurrences is a ConfigError, raised before any graph is drawn.
+    Pass 1 keeps each occurrence's target task id in one flat 4-byte
+    integer column (stdlib ``array``), in sampling order: occurrence p
+    is graph ``p // stride`` on its ``(p % stride)``-th target task.  The
+    occurrence ids are cut into ranges of ``occurrences // UNITS`` (at
+    least one), submitted longest first, by their graphs' summed member
+    counts (ties in sampling order).  A unit scores its occurrences one
+    at a time and writes each utility into one float column; the failure
+    messages come back in one dict per unit.  The units run on a pool of
+    at most `MAX_IN_FLIGHT` threads owned by the call.  Once every unit
+    is in, pass 2 walks the occurrences on the calling thread in
+    sampling order: each failed scoring skips its occurrence with one
+    warning, so the pairs, the stats and the skip warnings equal those
+    of scoring one occurrence at a time, whatever order the units ran
+    in.  Pass 2 keeps a running top-k per task: once a task holds more
+    than 2 · ``top_k`` scored graphs, a stable sort by `_rank` cuts them
+    to ``top_k``, which keeps every graph mining would pick, and a task
+    with fewer than ``top_k`` keeps them all, so `MineUnderflow` counts
+    them.  Both columns are released before mining.  If a unit raises,
+    queued units are cancelled and running ones stop before their next
+    scoring.  A collect of more than `MAX_OCCURRENCES` occurrences is a
+    ConfigError, raised before any graph is drawn.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -379,9 +343,7 @@ def collect_supervision(
         seen.add(task.task_id)
     cfg.validate(pool.n_max)  # the stride divides by the budget
     n_tasks = len(tasks)
-    stride = min(
-        n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget))
-    )
+    stride = min(n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget)))
     if cfg.budget * stride > MAX_OCCURRENCES:
         raise ConfigError(
             f"budget {cfg.budget} graphs x {stride} target tasks each = {cfg.budget * stride} "
@@ -390,33 +352,35 @@ def collect_supervision(
     rng = np.random.default_rng(cfg.seed)
     graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
 
-    keys, occurrences = _number_keys(graphs, tasks, stride)
-    ids, size = range(len(keys.count)), max(1, len(keys.count) // UNITS)
-    units = _longest_first([ids[a : a + size] for a in ids[::size]], keys)
+    target = _targets(len(graphs), n_tasks, stride)
+    utility = array("d", [math.nan]) * len(target)
+    ids, size = range(len(target)), max(1, len(target) // UNITS)
+    units = _longest_first([ids[a : a + size] for a in ids[::size]], graphs, stride)
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
-        futures = [executor.submit(_score_unit, unit, keys, evaluator, stop) for unit in units]
-        failed = {k: tried for future in futures for k, tried in future.result().items()}
+        futures = [executor.submit(_score_unit, unit, graphs, tasks, stride, target, utility, evaluator, stop)
+                   for unit in units]
+        failed = {p: message for future in futures for p, message in future.result().items()}
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)
-    # pass 2: merge in sampling order; each failed scoring skips one occurrence
+    # pass 2: merge in sampling order; each failed scoring skips its occurrence
     kept: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
     stats = CollectStats(tasks=n_tasks)
-    for p, k in enumerate(occurrences):
-        graph, j, tried = graphs[p // stride], keys.task[k], failed.get(k)
-        if tried:
+    for p, j in enumerate(target):
+        graph = graphs[p // stride]
+        if p in failed:
             stats.graphs_skipped += 1
-            log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, tried.pop(0))
+            log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, failed[p])
             continue
         stats.graphs_scored += 1
-        kept[j].append((graph, keys.utility[k]))
+        kept[j].append((graph, utility[p]))
         if len(kept[j]) > 2 * cfg.top_k:
             # a stable sort keeps equal ranks in sampling order, as mining's does
             kept[j].sort(key=_rank)
             del kept[j][cfg.top_k :]
-    del keys, occurrences
+    del target, utility
     pairs = mine_supervision(dict(zip(tasks, kept)), cfg, pool.n_max)
     stats.pairs = len(pairs)
     for p in pairs:

@@ -59,6 +59,18 @@ class DialogueEntry:
     def as_history_item(self) -> dict:
         return {"id": self.entry_id, "role": self.role, "output": self.output}
 
+    def as_record(self) -> dict:
+        """The entry as a transcript file holds it, whole or cut short by an abort."""
+        return {
+            "id": self.entry_id,
+            "round": self.round,
+            "agent_id": self.agent_id,
+            "role": self.role,
+            "output": self.output,
+            "prompt_tokens": self.prompt_tokens,
+            "completion_tokens": self.completion_tokens,
+        }
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -74,18 +86,7 @@ class RunResult:
                 "answer": self.answer,
                 "total_tokens": self.total_tokens,
                 "per_agent_tokens": {str(k): v for k, v in sorted(self.per_agent_tokens.items())},
-                "transcript": [
-                    {
-                        "id": e.entry_id,
-                        "round": e.round,
-                        "agent_id": e.agent_id,
-                        "role": e.role,
-                        "output": e.output,
-                        "prompt_tokens": e.prompt_tokens,
-                        "completion_tokens": e.completion_tokens,
-                    }
-                    for e in self.transcript
-                ],
+                "transcript": [e.as_record() for e in self.transcript],
                 "topology": topology_dict(self.topology_used),
             },
             sort_keys=True,

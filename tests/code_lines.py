@@ -9,6 +9,11 @@ constant is code here, as it has no ``__doc__``.
 Run from the repository root::
 
     python tests/code_lines.py
+    python tests/code_lines.py OTHER_SRC_DIR
+
+The second form prints each module's code-line delta against a second
+checkout's ``src/commtopo``, say a ``git archive`` of the parent commit,
+and the net delta: a PR's net line count in one command.
 """
 from __future__ import annotations
 
@@ -48,12 +53,32 @@ def count(src: Path = SRC) -> list[tuple[str, int, int]]:
     return rows
 
 
-def main(argv: list[str]) -> None:
-    rows = count(Path(argv[0]) if argv else SRC)
-    width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
-    print(f"{'module':<{width}}  physical  code")
-    for name, physical, code in rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows))]:
-        print(f"{name:<{width}}  {physical:>8}  {code:>4}")
+def deltas(other: Path, src: Path = SRC) -> list[tuple[str, int, int]]:
+    """(module file name, code lines in `other`, code lines in `src`) of
+    each module in either directory, by name; a module missing from one
+    counts 0 there."""
+    before = {name: code for name, _, code in count(other)}
+    after = {name: code for name, _, code in count(src)}
+    return [(name, before.get(name, 0), after.get(name, 0)) for name in sorted(before.keys() | after.keys())]
+
+
+def main(argv: list[str], src: Path = SRC) -> None:
+    if not argv:
+        rows = count(src)
+        width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
+        print(f"{'module':<{width}}  physical  code")
+        for name, physical, code in rows + [("total", sum(r[1] for r in rows), sum(r[2] for r in rows))]:
+            print(f"{name:<{width}}  {physical:>8}  {code:>4}")
+        return
+    other = Path(argv[0])
+    if not any(other.glob("*.py")):
+        raise SystemExit(f"no modules in {other}")
+    rows = deltas(other, src)
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    width = max(len(name) for name, _, _ in rows)
+    print(f"{'module':<{width}}  other  this  delta")
+    for name, before, after in rows:
+        print(f"{name:<{width}}  {before:>5}  {after:>4}  {after - before:>+5}")
 
 
 if __name__ == "__main__":

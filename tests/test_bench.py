@@ -161,12 +161,14 @@ class TestRunBench:
         report = run_bench(tasks, methods, pool, backends, repeats=3, k=2, seed=7, suite_id="pin")
         assert calls == [(name, t.task_id) for name in ("random", "star") for t in tasks]
         assert report.to_markdown() == (
-            "Benchmark suite: pin (seed 7)\n\n| Method | Accuracy | Mean tokens | Runs |\n"
-            "| --- | --- | --- | --- |\n| random | 0.0000 | 1738.0 | 9 |\n| star | 1.0000 | 973.7 | 9 |\n"
+            "Benchmark suite: pin (seed 7)\n\n| Method | Accuracy | Mean tokens | Runs | Aborted |\n"
+            "| --- | --- | --- | --- | --- |\n| random | 0.0000 | 1738.0 | 9 | 0 |\n| star | 1.0000 | 973.7 | 9 | 0 |\n"
         )
-        assert report.to_csv() == "method,accuracy,mean_tokens,runs\r\nrandom,0.0000,1738.0,9\r\nstar,1.0000,973.7,9\r\n"
+        assert report.to_csv() == (
+            "method,accuracy,mean_tokens,runs,aborted\r\nrandom,0.0000,1738.0,9,0\r\nstar,1.0000,973.7,9,0\r\n"
+        )
 
-    def test_aborted_runs_count_as_incorrect_and_a_bench_of_only_aborts_raises(self):
+    def test_aborted_runs_count_as_incorrect_and_a_bench_of_only_aborts_raises(self, caplog):
         class FailsOnQuestion0:
             def complete(self, system, user):
                 if "question 0" in system:
@@ -178,7 +180,8 @@ class TestRunBench:
         methods = [("chain", lambda t: make_static("chain", [0, 1, 2], N))]
         report = run_bench(self.suite(), methods, pool, backends, repeats=2, k=1, suite_id="flaky")
         # the bytes it had before a bench of only aborts raised
-        assert report.to_csv() == "method,accuracy,mean_tokens,runs\r\nchain,0.0000,232.7,6\r\n"
+        assert report.to_csv() == "method,accuracy,mean_tokens,runs,aborted\r\nchain,0.0000,232.7,6,2\r\n"
+        assert caplog.records == []  # the report counts the aborts; no log line names each one
         with pytest.raises(BackendError, match="every bench run aborted; the first: run aborted: agent 0 "
                                                "failed in round 1: chat endpoint: failed after 3 attempts: HTTP 503"):
             run_bench(self.suite()[:1], methods, pool, backends, repeats=2, k=1)
@@ -191,12 +194,12 @@ class TestRunBench:
 
     def test_report_formats(self):
         report = BenchReport(
-            (BenchRow("chain", 0.5, 120.0, 4),), suite_id="s", seed=0
+            (BenchRow("chain", 0.5, 120.0, 4, 1),), suite_id="s", seed=0
         )
         csv_text = report.to_csv()
-        assert csv_text.splitlines()[0] == "method,accuracy,mean_tokens,runs"
-        assert "chain,0.5000,120.0,4" in csv_text
-        assert "| chain | 0.5000 | 120.0 | 4 |" in report.to_markdown()
+        assert csv_text.splitlines()[0] == "method,accuracy,mean_tokens,runs,aborted"
+        assert "chain,0.5000,120.0,4,1" in csv_text
+        assert "| chain | 0.5000 | 120.0 | 4 | 1 |" in report.to_markdown()
         with pytest.raises(KeyError):
             report.row("nope")
 

@@ -35,6 +35,7 @@ from commtopo.graphs import (
     serialize_topology,
     write_corpus,
 )
+from commtopo.pool import load_default_pool
 from commtopo.prunenet import NetConfig, PruneNetParams, save_checkpoint
 from httpstub import refused_url
 from taskfiles import write_tasks
@@ -229,6 +230,32 @@ class TestRun:
         assert (workdir / "transcript.json").exists()
         assert "aborted" in capsys.readouterr().err
 
+    def test_an_aborted_run_writes_its_entries_as_a_whole_run_does_and_the_error(self, workdir, capsys, monkeypatch):
+        # the partial transcript held only each entry's id, role and output, and no error
+        make_checkpoint(workdir)
+        (workdir / "cfg.ini").write_text("[agents]\nagent_backend = http\nchat_endpoint = http://localhost:1/v1\napi_key = k\n")
+        import commtopo.backends as backends_mod
+
+        calls = []
+
+        def complete(self, system, user):
+            calls.append(system)
+            if len(calls) == 2:
+                raise backends_mod.BackendError("chat endpoint: failed after 3 attempts: HTTP 503")
+            return "first answer", 11, 2
+
+        monkeypatch.setattr(backends_mod.HttpChatBackend, "complete", complete)
+        # theta 0 keeps every edge, so each wave holds one agent and the calls come one at a time
+        assert main(["--config", "cfg.ini", "run", "--query", "q", "--theta", "0", "--k", "1"]) == 5
+        written = json.loads((workdir / "transcript.json").read_text())
+        assert written["error"] == "run aborted: agent 1 failed in round 1: chat endpoint: failed after 3 attempts: HTTP 503"
+        [entry] = written["transcript"]
+        assert {k: v for k, v in entry.items() if k != "id"} == {
+            "round": 1, "agent_id": 0, "role": load_default_pool()[0].role, "output": "first answer",
+            "prompt_tokens": 11, "completion_tokens": 2,
+        }
+        assert len(calls) == 2 and capsys.readouterr().err.splitlines() == [f"error: {written['error']}"]
+
 
 class TestBench:
     def test_unknown_method_lists_valid(self, workdir, capsys):
@@ -245,7 +272,7 @@ class TestBench:
         )
         assert code == 0
         csv_text = (workdir / "rep.csv").read_text()
-        assert csv_text.startswith("method,accuracy,mean_tokens,runs")
+        assert csv_text.startswith("method,accuracy,mean_tokens,runs,aborted\n")
         assert "chain" in csv_text and "complete" in csv_text
         assert (workdir / "rep.md").exists()
 

@@ -260,8 +260,8 @@ class TestMineSupervision:
 
 class TestCollectSupervision:
     def test_tasks_sharing_an_id_are_rejected(self):
-        # scores are cached by (member set, task id): task "b" was mined
-        # with the utilities the evaluator gave task "a"
+        # the corpus names each task by its id, so pairs mined for task "b"
+        # could not be told from task "a"'s
         tasks = [
             TaskSpec("same", "a", "math_reasoning", "a"),
             TaskSpec("same", "b", "math_reasoning", "b"),
@@ -370,7 +370,7 @@ class Warnings(logging.Handler):
 
 
 def sequential_collect(tasks, pool, cfg, evaluator):
-    """The one-key-at-a-time loop the concurrent schedule replaced, kept as the reference."""
+    """The one-occurrence-at-a-time loop the concurrent schedule replaced, kept as the reference."""
     cfg.validate(pool.n_max)
     rng = np.random.default_rng(cfg.seed)
     orders = sample_orders(cfg, pool.n_max, rng)
@@ -378,17 +378,13 @@ def sequential_collect(tasks, pool, cfg, evaluator):
     stride = min(n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget)))
     gap = max(1, n_tasks // stride)
     scored = {t: [] for t in tasks}
-    cache = {}
     stats = collector.CollectStats(tasks=n_tasks)
     for i, order in enumerate(orders):
         graph = sample_subset(order, pool, rng)
         targets = sorted({(i + s * gap) % n_tasks for s in range(stride)})
         for t in (tasks[j] for j in targets):
-            key = (graph.members, t.task_id)
             try:
-                if key not in cache:
-                    cache[key] = score_graph(graph, t, evaluator)
-                utility = cache[key]
+                utility = score_graph(graph, t, evaluator)
             except ScoreUnavailable as exc:
                 stats.graphs_skipped += 1
                 collector.log.warning("skipping graph %s on task %s: %s", graph.members, t.task_id, exc)
@@ -403,9 +399,10 @@ def sequential_collect(tasks, pool, cfg, evaluator):
 
 
 class FlakyEvaluator:
-    """Utility from a checksum of (members, task id): some keys always
-    fail, some fail only on their first attempt, some are NaN or out of
-    [0, 1].  Records the calls made for each key."""
+    """Utility from a checksum of (members, task id): some keys fail,
+    by a backend error or as unavailable, some are NaN or out of [0, 1].
+    Like every `Evaluator`, it depends on (graph, task) alone.  Records
+    the calls made for each key."""
 
     def __init__(self, modulus):
         self.modulus = modulus
@@ -416,31 +413,15 @@ class FlakyEvaluator:
         key = (g.members, t.task_id)
         with self._lock:
             self.calls.setdefault(key, []).append(t.task_text)
-            attempt = len(self.calls[key])
         r = zlib.crc32(repr(key).encode()) % self.modulus
         if r == 0:
             raise RuntimeError("backend down")
-        if r == 1 and attempt == 1:
+        if r == 1:
             raise ScoreUnavailable("busy")
         if r == 2:
             return float("nan")
         if r == 3:
             return 1.5
-        return r / self.modulus
-
-
-class StubbornEvaluator(FlakyEvaluator):
-    """Fails each key on its first 2, 3 or 4 attempts, by a checksum of the
-    key, with a message that names the attempt; then a utility."""
-
-    def __call__(self, g, t):
-        key = (g.members, t.task_id)
-        with self._lock:
-            self.calls.setdefault(key, []).append(t.task_text)
-            attempt = len(self.calls[key])
-        r = zlib.crc32(repr(key).encode()) % self.modulus
-        if attempt <= 2 + r % 3:
-            raise ScoreUnavailable(f"busy on attempt {attempt}")
         return r / self.modulus
 
 
@@ -468,8 +449,8 @@ class TestConcurrentCollect:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_equals_the_sequential_collect(self, data):
-        # cache keys repeat when a member set is drawn again for the same
-        # task, which a small pool makes common
+        # keys repeat when a member set is drawn again for the same task,
+        # which a small pool makes common
         pool = AgentPool(load_default_pool().agents[: data.draw(st.sampled_from([5, 15]))])
         n_tasks = data.draw(st.integers(1, 8))
         tasks = [TaskSpec(f"t{j}", f"question {j}", "math_reasoning", "42") for j in range(n_tasks)]
@@ -496,33 +477,6 @@ class TestConcurrentCollect:
         assert got == want
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_keys_retried_more_than_once_equal_the_sequential_collect(self, data):
-        # 4 member sets of 3 agents, at most 12 keys and at least 30
-        # occurrences: some key occurs 3 times or more
-        pool = AgentPool(load_default_pool().agents[:3])
-        n_tasks = data.draw(st.integers(1, 3))
-        tasks = [TaskSpec(f"t{j}", f"question {j}", "math_reasoning", "42") for j in range(n_tasks)]
-        cfg = CollectorConfig(
-            budget=data.draw(st.integers(30, 60)),
-            mu=data.draw(st.sampled_from([2.0, 3.0])),
-            sigma=data.draw(st.sampled_from([0.5, 1.5])),
-            top_k=1,
-            candidates_per_task=data.draw(st.integers(1, 8)),
-            seed=data.draw(st.integers(0, 2**16)),
-        )
-        modulus = data.draw(st.sampled_from([7, 50]))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            got = collect_outcome(collect_supervision, tasks, pool, cfg, StubbornEvaluator(modulus))
-        finally:
-            sys.setswitchinterval(interval)
-        want = collect_outcome(sequential_collect, tasks, pool, cfg, StubbornEvaluator(modulus))
-        assert got == want
-        assert max(map(len, want[2].values())) >= 3
-
-    @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_submission_order_equals_the_sequential_collect(self, data):
         # the merge, not the order the units run in, fixes the corpus, stats and warnings
@@ -538,13 +492,24 @@ class TestConcurrentCollect:
             candidates_per_task=data.draw(st.integers(1, 8)),
             seed=data.draw(st.integers(0, 2**16)),
         )
-        make = data.draw(st.sampled_from([FlakyEvaluator, StubbornEvaluator]))
         modulus = data.draw(st.sampled_from([4, 7, 50]))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(collector, "_longest_first", lambda units, keys: data.draw(st.permutations(units)))
-            got = collect_outcome(collect_supervision, tasks, pool, cfg, make(modulus))
-        want = collect_outcome(sequential_collect, tasks, pool, cfg, make(modulus))
+            patch.setattr(collector, "_longest_first", lambda units, *rest: data.draw(st.permutations(units)))
+            got = collect_outcome(collect_supervision, tasks, pool, cfg, FlakyEvaluator(modulus))
+        want = collect_outcome(sequential_collect, tasks, pool, cfg, FlakyEvaluator(modulus))
         assert got == want
+
+    @pytest.mark.parametrize("n_agents", [3, 4, 5])
+    def test_each_occurrence_reaches_the_evaluator_once_where_keys_repeat(self, n_agents):
+        # at most 26 member sets for 3 tasks: many (member set, task) keys occur more than once
+        pool = AgentPool(load_default_pool().agents[:n_agents])
+        tasks = [task(f"t{i}") for i in range(3)]
+        cfg = CollectorConfig(budget=60, mu=3.0, sigma=1.0, top_k=1, candidates_per_task=60, seed=n_agents)
+        evaluator = ConstantEvaluator(None)
+        _, stats = collect_supervision(tasks, pool, cfg, evaluator)
+        calls = [len(texts) for texts in evaluator.calls.values()]
+        assert sum(calls) == stats.graphs_scored == 60 * 3
+        assert max(calls) > 1
 
     def test_scorings_are_in_flight_at_once(self):
         barrier = threading.Barrier(4, timeout=5)
@@ -570,7 +535,7 @@ class TestConcurrentCollect:
 
         pool = load_default_pool()
         tasks = [task(f"t{i}") for i in range(40)]
-        cfg = CollectorConfig(budget=40, candidates_per_task=20, seed=4)  # 67 units: 66 of 12 keys, 1 of 8
+        cfg = CollectorConfig(budget=40, candidates_per_task=20, seed=4)  # 800 occurrences in 67 units: 66 of 12, 1 of 8
         units, calls = [], []
         lock = threading.Lock()
 
@@ -594,7 +559,7 @@ class TestConcurrentCollect:
         time.sleep(0.05)
         assert len(calls) == made  # nothing runs after the call returns
         assert len(units) < 67  # queued units never start
-        assert made < 100  # running units stop before their next key (300 if they ran out)
+        assert made < 100  # running units stop before their next scoring (300 if they ran out)
 
     def test_orchestrator_scorings_share_one_bounded_pool(self, monkeypatch):
         pools = {"collector": [], "orchestrator": []}  # max_workers of each pool made
@@ -662,13 +627,14 @@ class TestConcurrentCollect:
 
 
 def recording_units(monkeypatch):
-    """The units `collect_supervision` scores, each as its list of (members, task id) keys."""
+    """The units `collect_supervision` scores, each as the list of its
+    occurrences' (members, task id) keys."""
     units = []
     score_unit = collector._score_unit
 
-    def record(unit, keys, *rest):
-        units.append([(keys.graphs[keys.graph[k]].members, keys.tasks[keys.task[k]].task_id) for k in unit])
-        return score_unit(unit, keys, *rest)
+    def record(unit, graphs, tasks, stride, target, *rest):
+        units.append([(graphs[p // stride].members, tasks[target[p]].task_id) for p in unit])
+        return score_unit(unit, graphs, tasks, stride, target, *rest)
 
     monkeypatch.setattr(collector, "_score_unit", record)
     return units
@@ -692,7 +658,7 @@ class TestCollectUnits:
         pool = load_default_pool()
         cfg = CollectorConfig(budget=60, mu=5.0, sigma=1.5, candidates_per_task=4, seed=8)
         evaluator = make_orchestrator_evaluator(pool, planted_backends(suite.train_tasks, pool))
-        sampled = []  # each key at its first occurrence, in sampling order
+        sampled = []  # each occurrence's key, in sampling order
         sequential_collect(
             suite.train_tasks, pool, cfg, lambda g, t: sampled.append((g.members, t.task_id)) or evaluator(g, t)
         )
@@ -704,15 +670,16 @@ class TestCollectUnits:
         assert [unit[0] for unit in units] == sorted(sampled, key=lambda key: len(key[0]), reverse=True)
 
     def test_many_keys_go_into_at_most_one_unit_more_than_the_unit_count(self, monkeypatch):
+        # 300 graphs on 20 of 300 tasks each: 6,000 occurrences
         tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(300)]
         pool = load_default_pool()
         cfg = CollectorConfig(budget=300, candidates_per_task=20, seed=6)
         units = recording_units(monkeypatch)
-        got, _ = collect_supervision(tasks, pool, cfg, make_planted_evaluator())
+        got, stats = collect_supervision(tasks, pool, cfg, make_planted_evaluator())
         want, _ = sequential_collect(tasks, pool, cfg, make_planted_evaluator())
         assert write_corpus(got) == write_corpus(want)
         keys = [key for unit in units for key in unit]
-        assert len(keys) == len(set(keys)) > 5000
+        assert len(keys) == stats.graphs_scored == 6000
         assert len(units) <= 4 * MAX_IN_FLIGHT + 1
         # units are recorded as pool threads start them, so the short remainder need not come last
         sizes = sorted(len(unit) for unit in units)
@@ -721,10 +688,10 @@ class TestCollectUnits:
 
 class TestCollectMemory:
     def test_traced_peak_stays_within_the_sequential_collect(self):
-        # 1,500 tasks, 20 candidates each from 300 graphs: 30,000 keys.  The
-        # sequential loop keeps a dict of every key's utility and every
-        # scored graph; the concurrent one keeps flat columns and a running
-        # top-k per task, and peaks at about 0.26 times its memory
+        # 1,500 tasks, 20 candidates each from 300 graphs: 30,000
+        # occurrences.  The sequential loop keeps every scored graph; the
+        # concurrent one keeps flat columns and a running top-k per task,
+        # and peaks at about 0.44 times its memory
         tasks = make_planted_suite(500, 0, seed=100).train_tasks
         pool = load_default_pool()
         cfg = CollectorConfig(budget=300, mu=5.0, sigma=1.5, candidates_per_task=20, seed=1)
@@ -741,13 +708,24 @@ class TestCollectMemory:
     def test_a_collect_of_200000_occurrences_traces_at_most_60_bytes_each(self):
         # 600 tasks at stride 100 from 2,000 graphs.  A key -> id dict over
         # every key in pass 1 and every scored (graph, utility) in pass 2
-        # traced 163 bytes per occurrence; the 4-byte columns and a running
-        # top-k per task trace about 33
+        # traced 163 bytes per occurrence; a target and a utility column
+        # and a running top-k per task trace about 19
         tasks = make_planted_suite(200, 0, seed=2).train_tasks
         cfg = CollectorConfig(budget=2_000, candidates_per_task=333, seed=0)
         (_, stats), peak = traced_peak(collect_supervision, tasks, load_default_pool(), cfg, make_planted_evaluator())
         assert stats.graphs_scored == 200_000
         assert peak / stats.graphs_scored <= 60
+
+    def test_a_collect_whose_member_sets_mostly_repeat_traces_at_most_40_bytes_per_occurrence(self):
+        # 2,000 graphs of 2 to 4 of 15 agents on 30 of 600 tasks each: 84% of
+        # the graphs share their member set with another, yet nearly every
+        # (member set, task) key occurs once.  A key -> id dict over the
+        # repeated sets' keys traced 131 bytes per occurrence
+        tasks = make_planted_suite(200, 0, seed=2).train_tasks
+        cfg = CollectorConfig(budget=2_000, mu=3.0, sigma=0.5, candidates_per_task=100, seed=0)
+        (_, stats), peak = traced_peak(collect_supervision, tasks, load_default_pool(), cfg, lambda g, t: 0.5)
+        assert stats.graphs_scored == 60_000
+        assert peak / stats.graphs_scored <= 40
 
     def test_graphs_of_one_order_share_one_complete_topology(self):
         # each graph held its own complete adjacency: 1,174 traced bytes per graph at the peak
