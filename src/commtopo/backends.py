@@ -13,10 +13,10 @@ case the orchestrator falls back to whitespace counting.  One
 orchestrator run calls a backend from its calling thread and up to
 `MAX_IN_FLIGHT - 1` threads of its pool at once: the calling thread
 makes each wave's first call, so a wave of one agent is called from no
-other thread.  A collect submits all its units, runs of (graph, target
-task) occurrences, up front, longest first, and runs up to
-`MAX_IN_FLIGHT` of them at once; each unit scores its occurrences one
-at a time.  Scored by orchestrator runs on complete
+other thread.  A collect submits all its units, runs of distinct
+(member set, task) keys, up front, longest first, and runs up to
+`MAX_IN_FLIGHT` of them at once; each unit scores its keys one at a
+time.  Scored by orchestrator runs on complete
 graphs, whose waves have one agent each, a collect thus keeps at most
 `MAX_IN_FLIGHT` backend calls in flight.
 """

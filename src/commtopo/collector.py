@@ -3,6 +3,7 @@ top-k per task, and emit lifted supervision pairs."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -173,10 +174,10 @@ def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> Samp
 
 Evaluator = Callable[[SampledGraph, TaskSpec], float]
 """Utility of a sampled graph on a task.  `collect_supervision` calls it
-once per (graph, target task) occurrence, from several threads at once,
-so a member set drawn twice may be scored on one task from two threads
-together.  Its corpus is deterministic only if the result, a failure
-included, depends on nothing but (graph, task)."""
+once per distinct (member set, task) key, from several threads at once,
+and lets the utility or failure stand for every occurrence of the key.
+Its corpus is deterministic only if the result, a failure included,
+depends on nothing but (graph, task)."""
 
 
 def score_graph(g: SampledGraph, task: TaskSpec, evaluator: Evaluator) -> float:
@@ -245,16 +246,17 @@ class CollectStats:
 
 MAX_OCCURRENCES = 1_000_000
 """The most (graph, target task) occurrences, budget × stride, that a
-collect may hold: ten times the largest budget.  Each holds a 4-byte task
-id and an 8-byte utility; at the cap, a planted collect on 600 tasks
-peaked at 52 MB of RSS at budget 5,000, 73 MB at budget 100,000."""
+collect may hold: ten times the largest budget.  Each holds a 4-byte
+task id, the 4-byte id of its key's first occurrence and an 8-byte
+utility; at the cap, a planted collect on 600 tasks peaked at 59 MB of
+RSS at budget 5,000, 80 MB at budget 100,000."""
 
 UNITS = 4 * MAX_IN_FLIGHT
-"""A collect cuts its occurrence ids into ranges of ``occurrences //
-UNITS`` (at least 1) and submits them longest first: four units per
-worker keep the workers evenly busy, and a collect of many cheap
-scorings pays the hand-off to a worker about `UNITS` times, not once per
-occurrence."""
+"""A collect cuts the first occurrences of its keys into runs of
+``keys // UNITS`` (at least 1) and submits them longest first: four
+units per worker keep the workers evenly busy, and a collect of many
+cheap scorings pays the hand-off to a worker about `UNITS` times, not
+once per key."""
 
 
 def _targets(n_graphs: int, n_tasks: int, stride: int) -> array:
@@ -269,7 +271,27 @@ def _targets(n_graphs: int, n_tasks: int, stride: int) -> array:
     return target
 
 
-def _longest_first(units: list[range], graphs: Sequence[SampledGraph], stride: int) -> list[range]:
+def _first_occurrences(graphs: Sequence[SampledGraph], target: array, stride: int) -> array:
+    """Pass 1: for each occurrence, the first occurrence in sampling order
+    of its (member set, task) key.  A stable sort of the graph ids by
+    member set puts the graphs of each member set together, in sampling
+    order, and only a set drawn more than once can repeat a key, so only
+    its occurrences go through a task -> first occurrence dict, one per
+    set and dropped after it."""
+    first = array("i", range(len(target)))
+    by_set = sorted(range(len(graphs)), key=lambda i: graphs[i].members)
+    for _, drawn in itertools.groupby(by_set, key=lambda i: graphs[i].members):
+        drawn = list(drawn)
+        if len(drawn) == 1:
+            continue
+        seen: dict[int, int] = {}
+        for i in drawn:
+            for p in range(i * stride, (i + 1) * stride):
+                first[p] = seen.setdefault(target[p], p)
+    return first
+
+
+def _longest_first(units: list[array], graphs: Sequence[SampledGraph], stride: int) -> list[array]:
     """The units in descending order of their graphs' summed member counts,
     ties in sampling order.  An orchestrator scoring of an m-member graph
     is a chain of k·m + 1 backend calls, so the longest chains start first
@@ -277,12 +299,12 @@ def _longest_first(units: list[range], graphs: Sequence[SampledGraph], stride: i
     return sorted(units, key=lambda unit: sum(len(graphs[p // stride].members) for p in unit), reverse=True)
 
 
-def _score_unit(unit: range, graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stride: int, target: array,
+def _score_unit(unit: array, graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stride: int, target: array,
                 utility: array, evaluator: Evaluator, stop: threading.Event) -> dict[int, str]:
-    """Score the unit's occurrences in order, until `stop` is set:
-    occurrence p is graph ``p // stride`` on task ``target[p]``, and its
-    utility goes into ``utility[p]``; returns the ScoreUnavailable message
-    of each occurrence whose scoring failed."""
+    """Score the unit's occurrences, each the first of its key, in order,
+    until `stop` is set: occurrence p is graph ``p // stride`` on task
+    ``target[p]``, and its utility goes into ``utility[p]``; returns the
+    ScoreUnavailable message of each occurrence whose scoring failed."""
     failed = {}
     for p in unit:
         if stop.is_set():
@@ -305,34 +327,37 @@ def collect_supervision(
     Each sampled graph is scored against a strided window of tasks, so
     every task sees about ``candidates_per_task`` candidates even when
     the budget is much smaller than the task count; neighboring tasks
-    still get largely disjoint candidate sets.  Each (graph, target task)
-    occurrence is scored once, even when a member set drawn again meets
-    the same task: by the `Evaluator` contract, that scoring gives the
-    same utility, or fails the same way.  Tasks that share an id could
-    not be told apart in the corpus, so they are a ConfigError.
+    still get largely disjoint candidate sets.  Duplicate subsets are
+    allowed, so a (member set, task id) key may occur more than once; it
+    is scored once, at its first occurrence, and its utility or failure
+    stands for every occurrence.  A failure is not retried: the HTTP
+    transport has already retried what can heal (see `backends`).  Tasks
+    that share an id would share scores, so they are a ConfigError.
 
     Every graph is drawn up front, then the sample is passed over twice.
     Pass 1 keeps each occurrence's target task id in one flat 4-byte
     integer column (stdlib ``array``), in sampling order: occurrence p
-    is graph ``p // stride`` on its ``(p % stride)``-th target task.  The
-    occurrence ids are cut into ranges of ``occurrences // UNITS`` (at
+    is graph ``p // stride`` on its ``(p % stride)``-th target task.  A
+    second column holds the first occurrence of each occurrence's key.
+    The first occurrences are cut into runs of ``keys // UNITS`` (at
     least one), submitted longest first, by their graphs' summed member
-    counts (ties in sampling order).  A unit scores its occurrences one
-    at a time and writes each utility into one float column; the failure
-    messages come back in one dict per unit.  The units run on a pool of
-    at most `MAX_IN_FLIGHT` threads owned by the call.  Once every unit
-    is in, pass 2 walks the occurrences on the calling thread in
-    sampling order: each failed scoring skips its occurrence with one
-    warning, so the pairs, the stats and the skip warnings equal those
-    of scoring one occurrence at a time, whatever order the units ran
-    in.  Pass 2 keeps a running top-k per task: once a task holds more
-    than 2 · ``top_k`` scored graphs, a stable sort by `_rank` cuts them
-    to ``top_k``, which keeps every graph mining would pick, and a task
-    with fewer than ``top_k`` keeps them all, so `MineUnderflow` counts
-    them.  Both columns are released before mining.  If a unit raises,
-    queued units are cancelled and running ones stop before their next
-    scoring.  A collect of more than `MAX_OCCURRENCES` occurrences is a
-    ConfigError, raised before any graph is drawn.
+    counts (ties in sampling order).  A unit scores its keys one at a
+    time and writes each utility into one float column, at the key's
+    first occurrence; the failure messages come back in one dict per
+    unit.  The units run on a pool of at most `MAX_IN_FLIGHT` threads
+    owned by the call.  Once every unit is in, pass 2 walks the
+    occurrences on the calling thread in sampling order: an occurrence
+    of a failed key is skipped with one warning, so the pairs, the stats
+    and the skip warnings equal those of scoring one key at a time,
+    whatever order the units ran in.  Pass 2 keeps a running top-k per
+    task: once a task holds more than 2 · ``top_k`` scored graphs, a
+    stable sort by `_rank` cuts them to ``top_k``, which keeps every
+    graph mining would pick, and a task with fewer than ``top_k`` keeps
+    them all, so `MineUnderflow` counts them.  The columns are released
+    before mining.  If a unit raises, queued units are cancelled and
+    running ones stop before their next scoring.  A collect of more than
+    `MAX_OCCURRENCES` occurrences is a ConfigError, raised before any
+    graph is drawn.
     """
     if not tasks:
         raise ConfigError("no tasks")
@@ -353,9 +378,12 @@ def collect_supervision(
     graphs = [sample_subset(order, pool, rng) for order in sample_orders(cfg, pool.n_max, rng)]
 
     target = _targets(len(graphs), n_tasks, stride)
+    first = _first_occurrences(graphs, target, stride)
+    keys = array("i", (p for p, q in enumerate(first) if p == q))
+    size = max(1, len(keys) // UNITS)
+    units = _longest_first([keys[a : a + size] for a in range(0, len(keys), size)], graphs, stride)
+    del keys
     utility = array("d", [math.nan]) * len(target)
-    ids, size = range(len(target)), max(1, len(target) // UNITS)
-    units = _longest_first([ids[a : a + size] for a in ids[::size]], graphs, stride)
     stop = threading.Event()
     executor = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT)
     try:
@@ -365,22 +393,22 @@ def collect_supervision(
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)
-    # pass 2: merge in sampling order; each failed scoring skips its occurrence
+    # pass 2: merge in sampling order; a failed key skips each of its occurrences
     kept: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
     stats = CollectStats(tasks=n_tasks)
-    for p, j in enumerate(target):
+    for p, (j, q) in enumerate(zip(target, first)):
         graph = graphs[p // stride]
-        if p in failed:
+        if q in failed:
             stats.graphs_skipped += 1
-            log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, failed[p])
+            log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, failed[q])
             continue
         stats.graphs_scored += 1
-        kept[j].append((graph, utility[p]))
+        kept[j].append((graph, utility[q]))
         if len(kept[j]) > 2 * cfg.top_k:
             # a stable sort keeps equal ranks in sampling order, as mining's does
             kept[j].sort(key=_rank)
             del kept[j][cfg.top_k :]
-    del target, utility
+    del target, first, utility
     pairs = mine_supervision(dict(zip(tasks, kept)), cfg, pool.n_max)
     stats.pairs = len(pairs)
     for p in pairs:

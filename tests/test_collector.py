@@ -370,7 +370,9 @@ class Warnings(logging.Handler):
 
 
 def sequential_collect(tasks, pool, cfg, evaluator):
-    """The one-occurrence-at-a-time loop the concurrent schedule replaced, kept as the reference."""
+    """The one-key-at-a-time loop the concurrent schedule replaced, kept as
+    the reference: a key's utility, or its failure, stands for each of its
+    occurrences."""
     cfg.validate(pool.n_max)
     rng = np.random.default_rng(cfg.seed)
     orders = sample_orders(cfg, pool.n_max, rng)
@@ -378,16 +380,22 @@ def sequential_collect(tasks, pool, cfg, evaluator):
     stride = min(n_tasks, max(1, round(cfg.candidates_per_task * n_tasks / cfg.budget)))
     gap = max(1, n_tasks // stride)
     scored = {t: [] for t in tasks}
+    cache = {}
     stats = collector.CollectStats(tasks=n_tasks)
     for i, order in enumerate(orders):
         graph = sample_subset(order, pool, rng)
         targets = sorted({(i + s * gap) % n_tasks for s in range(stride)})
         for t in (tasks[j] for j in targets):
-            try:
-                utility = score_graph(graph, t, evaluator)
-            except ScoreUnavailable as exc:
+            key = (graph.members, t.task_id)
+            if key not in cache:
+                try:
+                    cache[key] = score_graph(graph, t, evaluator)
+                except ScoreUnavailable as exc:
+                    cache[key] = exc
+            utility = cache[key]
+            if isinstance(utility, ScoreUnavailable):
                 stats.graphs_skipped += 1
-                collector.log.warning("skipping graph %s on task %s: %s", graph.members, t.task_id, exc)
+                collector.log.warning("skipping graph %s on task %s: %s", graph.members, t.task_id, utility)
                 continue
             scored[t].append((graph, utility))
             stats.graphs_scored += 1
@@ -500,16 +508,33 @@ class TestConcurrentCollect:
         assert got == want
 
     @pytest.mark.parametrize("n_agents", [3, 4, 5])
-    def test_each_occurrence_reaches_the_evaluator_once_where_keys_repeat(self, n_agents):
-        # at most 26 member sets for 3 tasks: many (member set, task) keys occur more than once
+    def test_each_key_reaches_the_evaluator_once_where_keys_repeat(self, n_agents):
+        # at most 26 member sets for 3 tasks: many (member set, task) keys
+        # occur more than once, and scoring each occurrence made 1.5 to 9
+        # times the calls
         pool = AgentPool(load_default_pool().agents[:n_agents])
         tasks = [task(f"t{i}") for i in range(3)]
         cfg = CollectorConfig(budget=60, mu=3.0, sigma=1.0, top_k=1, candidates_per_task=60, seed=n_agents)
         evaluator = ConstantEvaluator(None)
         _, stats = collect_supervision(tasks, pool, cfg, evaluator)
-        calls = [len(texts) for texts in evaluator.calls.values()]
-        assert sum(calls) == stats.graphs_scored == 60 * 3
-        assert max(calls) > 1
+        assert stats.graphs_scored == 60 * 3
+        assert set(map(len, evaluator.calls.values())) == {1}
+        assert len(evaluator.calls) < 60 * 3 * 2 / 3
+
+    def test_a_failed_key_is_scored_once_and_skips_each_of_its_occurrences(self):
+        # 4 member sets of 3 agents on 2 tasks: at most 8 keys in 40 occurrences
+        pool = AgentPool(load_default_pool().agents[:3])
+        tasks = [task(f"t{i}") for i in range(2)]
+        cfg = CollectorConfig(budget=20, mu=2.0, top_k=1, candidates_per_task=20, seed=1)
+        evaluator = FlakyEvaluator(4)
+        with Warnings() as warnings:
+            try:
+                collect_supervision(tasks, pool, cfg, evaluator)
+            except MineUnderflow:
+                pass
+        failing = {key for key in evaluator.calls if zlib.crc32(repr(key).encode()) % 4 < 3}
+        assert failing and set(map(len, evaluator.calls.values())) == {1}
+        assert len(warnings) > len(failing)
 
     def test_scorings_are_in_flight_at_once(self):
         barrier = threading.Barrier(4, timeout=5)
@@ -535,7 +560,7 @@ class TestConcurrentCollect:
 
         pool = load_default_pool()
         tasks = [task(f"t{i}") for i in range(40)]
-        cfg = CollectorConfig(budget=40, candidates_per_task=20, seed=4)  # 800 occurrences in 67 units: 66 of 12, 1 of 8
+        cfg = CollectorConfig(budget=40, candidates_per_task=20, seed=4)  # 800 keys in 67 units: 66 of 12, 1 of 8
         units, calls = [], []
         lock = threading.Lock()
 
@@ -628,7 +653,7 @@ class TestConcurrentCollect:
 
 def recording_units(monkeypatch):
     """The units `collect_supervision` scores, each as the list of its
-    occurrences' (members, task id) keys."""
+    (members, task id) keys."""
     units = []
     score_unit = collector._score_unit
 
@@ -670,7 +695,7 @@ class TestCollectUnits:
         assert [unit[0] for unit in units] == sorted(sampled, key=lambda key: len(key[0]), reverse=True)
 
     def test_many_keys_go_into_at_most_one_unit_more_than_the_unit_count(self, monkeypatch):
-        # 300 graphs on 20 of 300 tasks each: 6,000 occurrences
+        # 300 graphs on 20 of 300 tasks each: 6,000 occurrences, each of its own key
         tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(300)]
         pool = load_default_pool()
         cfg = CollectorConfig(budget=300, candidates_per_task=20, seed=6)
@@ -679,7 +704,7 @@ class TestCollectUnits:
         want, _ = sequential_collect(tasks, pool, cfg, make_planted_evaluator())
         assert write_corpus(got) == write_corpus(want)
         keys = [key for unit in units for key in unit]
-        assert len(keys) == stats.graphs_scored == 6000
+        assert len(set(keys)) == len(keys) == stats.graphs_scored == 6000
         assert len(units) <= 4 * MAX_IN_FLIGHT + 1
         # units are recorded as pool threads start them, so the short remainder need not come last
         sizes = sorted(len(unit) for unit in units)
@@ -689,9 +714,9 @@ class TestCollectUnits:
 class TestCollectMemory:
     def test_traced_peak_stays_within_the_sequential_collect(self):
         # 1,500 tasks, 20 candidates each from 300 graphs: 30,000
-        # occurrences.  The sequential loop keeps every scored graph; the
-        # concurrent one keeps flat columns and a running top-k per task,
-        # and peaks at about 0.44 times its memory
+        # occurrences.  The sequential loop keeps every scored graph and a
+        # dict entry per key; the concurrent one keeps flat columns and a
+        # running top-k per task, and peaks at about 0.26 times its memory
         tasks = make_planted_suite(500, 0, seed=100).train_tasks
         pool = load_default_pool()
         cfg = CollectorConfig(budget=300, mu=5.0, sigma=1.5, candidates_per_task=20, seed=1)
@@ -708,8 +733,8 @@ class TestCollectMemory:
     def test_a_collect_of_200000_occurrences_traces_at_most_60_bytes_each(self):
         # 600 tasks at stride 100 from 2,000 graphs.  A key -> id dict over
         # every key in pass 1 and every scored (graph, utility) in pass 2
-        # traced 163 bytes per occurrence; a target and a utility column
-        # and a running top-k per task trace about 19
+        # traced 163 bytes per occurrence; a target, a first-occurrence
+        # and a utility column and a running top-k per task trace about 26
         tasks = make_planted_suite(200, 0, seed=2).train_tasks
         cfg = CollectorConfig(budget=2_000, candidates_per_task=333, seed=0)
         (_, stats), peak = traced_peak(collect_supervision, tasks, load_default_pool(), cfg, make_planted_evaluator())
@@ -720,7 +745,8 @@ class TestCollectMemory:
         # 2,000 graphs of 2 to 4 of 15 agents on 30 of 600 tasks each: 84% of
         # the graphs share their member set with another, yet nearly every
         # (member set, task) key occurs once.  A key -> id dict over the
-        # repeated sets' keys traced 131 bytes per occurrence
+        # repeated sets' keys traced 131 bytes per occurrence; a dict per
+        # repeated set, dropped after it, traces about 32
         tasks = make_planted_suite(200, 0, seed=2).train_tasks
         cfg = CollectorConfig(budget=2_000, mu=3.0, sigma=0.5, candidates_per_task=100, seed=0)
         (_, stats), peak = traced_peak(collect_supervision, tasks, load_default_pool(), cfg, lambda g, t: 0.5)
