@@ -89,9 +89,12 @@ class MajorityVoteDecision:
         return best, None, None
 
 
-def check_planted_teams(tasks, pool: AgentPool) -> None:
-    """Raise ``ConfigError`` for the first task whose planted team names an agent the pool lacks."""
+def check_planted_teams(tasks, pool: AgentPool, required: bool = False) -> None:
+    """Raise ``ConfigError`` for the first task whose planted team names an agent
+    the pool lacks or, if `required`, that carries no planted team."""
     for task in tasks:
+        if required and task.planted_team is None:
+            raise ConfigError(f"task {task.task_id!r} carries no planted team, which the planted evaluator needs")
         bad = [v for v in task.planted_team or () if not 0 <= v < pool.n_max]
         if bad:
             raise ConfigError(

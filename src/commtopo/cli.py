@@ -11,7 +11,8 @@ prints one ``error: <message>`` line and maps the exception through
 2 external service: ``BackendError`` (an ``http`` chat backend without
   endpoint or key, or a bench whose every run aborted),
   ``EmbeddingUnavailable`` (an embedding call that failed at once, or 3
-  times by the transport's retry rule), ``MineUnderflow``.
+  times by the transport's retry rule), ``MineUnderflow`` (its message
+  ends with the collect's first skipped graph and why it failed).
 3 training diverged: ``TrainingDiverged`` (non-finite loss or parameter).
 4 checkpoint missing or malformed: ``CheckpointError``.
 5 run aborted: ``RunAborted`` (a chat call that failed at once, or 3 times
@@ -131,7 +132,7 @@ def _chat_backends(cfg: AppConfig, pool, tasks=()) -> BackendSet:
 def cmd_collect(cfg: AppConfig, args: argparse.Namespace) -> None:
     tasks = collector_mod.read_tasks(_read_input(args.tasks, "tasks file"))
     pool = _load_pool(cfg)
-    check_planted_teams(tasks, pool)
+    check_planted_teams(tasks, pool, required=cfg.evaluator == "planted")
     if cfg.evaluator == "planted":
         evaluator = make_planted_evaluator(cfg.planted_mode)
     else:
@@ -144,6 +145,8 @@ def cmd_collect(cfg: AppConfig, args: argparse.Namespace) -> None:
         f"tasks={stats.tasks} graphs_scored={stats.graphs_scored} "
         f"graphs_skipped={stats.graphs_skipped} pairs={stats.pairs}"
     )
+    if stats.first_skip:
+        print(f"first skip: {stats.first_skip}")
     for cat in sorted(stats.category_histogram):
         print(f"  {cat}: {stats.category_histogram[cat]}")
     print(f"corpus written to {out}")

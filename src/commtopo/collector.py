@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import logging
 import math
 import re
 import threading
@@ -29,8 +28,6 @@ from .errors import (
 )
 from .graphs import CATEGORIES, SupervisionPair, Topology, lift_subgraph
 from .pool import AgentPool
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,8 @@ def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> Samp
 Evaluator = Callable[[SampledGraph, TaskSpec], float]
 """Utility of a sampled graph on a task.  `collect_supervision` calls it
 once per distinct (member set, task) key, from several threads at once,
-and lets the utility or failure stand for every occurrence of the key.
+and lets the utility, or the skip of a failure, stand for every
+occurrence of the key.
 Its corpus is deterministic only if the result, a failure included,
 depends on nothing but (graph, task)."""
 
@@ -205,9 +203,11 @@ def mine_supervision(
     scored: Mapping[TaskSpec, Sequence[tuple[SampledGraph, float]]],
     cfg: CollectorConfig,
     n_max: int,
+    first_skip: str = "",
 ) -> list[SupervisionPair]:
     """Keep the top-k graphs per task, by `_rank`, and lift them to the
-    n_max frame."""
+    n_max frame.  `MineUnderflow` ends with `first_skip`, the first graph
+    the collect skipped, if any, as the likely reason."""
     pairs: list[SupervisionPair] = []
     # id(graph) -> (a_gt, y): a graph is top-k for several tasks, and the
     # value types are immutable, so its pairs share one lift
@@ -216,6 +216,7 @@ def mine_supervision(
         if len(entries) < cfg.top_k:
             raise MineUnderflow(
                 f"task {task.task_id}: {len(entries)} scored graphs < top_k={cfg.top_k}"
+                + (f"; first skip: {first_skip}" if first_skip else "")
             )
         ranked = sorted(entries, key=_rank)
         for graph, utility in ranked[: cfg.top_k]:
@@ -240,6 +241,7 @@ class CollectStats:
     tasks: int = 0
     graphs_scored: int = 0
     graphs_skipped: int = 0
+    first_skip: str = ""  # the first skipped graph in sampling order, its task and why
     pairs: int = 0
     category_histogram: dict = field(default_factory=dict)
 
@@ -300,20 +302,23 @@ def _longest_first(units: list[array], graphs: Sequence[SampledGraph], stride: i
 
 
 def _score_unit(unit: array, graphs: Sequence[SampledGraph], tasks: Sequence[TaskSpec], stride: int, target: array,
-                utility: array, evaluator: Evaluator, stop: threading.Event) -> dict[int, str]:
-    """Score the unit's occurrences, each the first of its key, in order,
-    until `stop` is set: occurrence p is graph ``p // stride`` on task
-    ``target[p]``, and its utility goes into ``utility[p]``; returns the
-    ScoreUnavailable message of each occurrence whose scoring failed."""
-    failed = {}
+                utility: array, evaluator: Evaluator, stop: threading.Event) -> tuple[int, str] | None:
+    """Score the unit's occurrences, each the first of its key, in
+    ascending order, until `stop` is set: occurrence p is graph
+    ``p // stride`` on task ``target[p]``, and its utility goes into
+    ``utility[p]``, which stays NaN if the scoring fails.  Returns the
+    first failed occurrence and ``graph <members> on task <id>: <why>``,
+    or None."""
+    first_failure = None
     for p in unit:
         if stop.is_set():
             break
+        graph, task = graphs[p // stride], tasks[target[p]]
         try:
-            utility[p] = score_graph(graphs[p // stride], tasks[target[p]], evaluator)
+            utility[p] = score_graph(graph, task, evaluator)
         except ScoreUnavailable as exc:
-            failed[p] = str(exc)
-    return failed
+            first_failure = first_failure or (p, f"graph {graph.members} on task {task.task_id}: {exc}")
+    return first_failure
 
 
 def collect_supervision(
@@ -329,7 +334,7 @@ def collect_supervision(
     the budget is much smaller than the task count; neighboring tasks
     still get largely disjoint candidate sets.  Duplicate subsets are
     allowed, so a (member set, task id) key may occur more than once; it
-    is scored once, at its first occurrence, and its utility or failure
+    is scored once, at its first occurrence, and its utility or skip
     stands for every occurrence.  A failure is not retried: the HTTP
     transport has already retried what can heal (see `backends`).  Tasks
     that share an id would share scores, so they are a ConfigError.
@@ -343,13 +348,15 @@ def collect_supervision(
     least one), submitted longest first, by their graphs' summed member
     counts (ties in sampling order).  A unit scores its keys one at a
     time and writes each utility into one float column, at the key's
-    first occurrence; the failure messages come back in one dict per
-    unit.  The units run on a pool of at most `MAX_IN_FLIGHT` threads
-    owned by the call.  Once every unit is in, pass 2 walks the
-    occurrences on the calling thread in sampling order: an occurrence
-    of a failed key is skipped with one warning, so the pairs, the stats
-    and the skip warnings equal those of scoring one key at a time,
-    whatever order the units ran in.  Pass 2 keeps a running top-k per
+    first occurrence; a failed key stays NaN there, and each unit
+    returns only its first failure.  The units run on a pool of at most
+    `MAX_IN_FLIGHT` threads owned by the call.  Once every unit is in,
+    the smallest of those failures is the first skip in sampling order,
+    ``CollectStats.first_skip``, and pass 2 walks the occurrences on the
+    calling thread in sampling order, skipping each occurrence of a
+    failed key, so the pairs and the stats equal those of scoring one
+    key at a time, whatever order the units ran in.  Nothing is logged:
+    a `MineUnderflow` names the first skip.  Pass 2 keeps a running top-k per
     task: once a task holds more than 2 · ``top_k`` scored graphs, a
     stable sort by `_rank` cuts them to ``top_k``, which keeps every
     graph mining would pick, and a task with fewer than ``top_k`` keeps
@@ -389,27 +396,25 @@ def collect_supervision(
     try:
         futures = [executor.submit(_score_unit, unit, graphs, tasks, stride, target, utility, evaluator, stop)
                    for unit in units]
-        failed = {p: message for future in futures for p, message in future.result().items()}
+        first_skip = min(filter(None, [future.result() for future in futures]), default=(0, ""))[1]
     finally:
         stop.set()
         executor.shutdown(cancel_futures=True)
-    # pass 2: merge in sampling order; a failed key skips each of its occurrences
+    # pass 2: merge in sampling order; a failed key, still NaN, skips each of its occurrences
     kept: list[list[tuple[SampledGraph, float]]] = [[] for _ in tasks]
-    stats = CollectStats(tasks=n_tasks)
+    stats = CollectStats(tasks=n_tasks, first_skip=first_skip)
     for p, (j, q) in enumerate(zip(target, first)):
-        graph = graphs[p // stride]
-        if q in failed:
+        if math.isnan(utility[q]):
             stats.graphs_skipped += 1
-            log.warning("skipping graph %s on task %s: %s", graph.members, tasks[j].task_id, failed[q])
             continue
         stats.graphs_scored += 1
-        kept[j].append((graph, utility[q]))
+        kept[j].append((graphs[p // stride], utility[q]))
         if len(kept[j]) > 2 * cfg.top_k:
             # a stable sort keeps equal ranks in sampling order, as mining's does
             kept[j].sort(key=_rank)
             del kept[j][cfg.top_k :]
     del target, first, utility
-    pairs = mine_supervision(dict(zip(tasks, kept)), cfg, pool.n_max)
+    pairs = mine_supervision(dict(zip(tasks, kept)), cfg, pool.n_max, first_skip)
     stats.pairs = len(pairs)
     for p in pairs:
         stats.category_histogram[p.category] = stats.category_histogram.get(p.category, 0) + 1

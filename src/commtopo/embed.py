@@ -6,7 +6,7 @@ HTTP backend posts to a generic embedding endpoint.  ``node_features``
 is the one path from text to feature rows: it keeps one memo per backend
 object that holds the pool's texts only, so the pool rows reach the
 backend once however often a design needs them, and it embeds query
-texts into one matrix that it keeps nowhere.
+texts, through ``query_features``, into one matrix that it keeps nowhere.
 """
 from __future__ import annotations
 
@@ -142,7 +142,12 @@ def node_features(
         if text not in memo:
             memo[text] = v = embed_text(backend, text)
             v.flags.writeable = False
+    return np.vstack([memo[t] for t in texts]), query_features(queries, backend)
+
+
+def query_features(queries: Sequence[str], backend: EmbeddingBackend) -> np.ndarray:
+    """One ``embed_text`` row per query text, in order, in one matrix."""
     query_x = np.empty((len(queries), backend.dim))
     for i, text in enumerate(queries):
         query_x[i] = embed_text(backend, text)
-    return np.vstack([memo[t] for t in texts]), query_x
+    return query_x

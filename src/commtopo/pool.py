@@ -6,12 +6,11 @@ order, so graphs mined against one pool stay meaningful for another run.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .errors import AnchoringError, FormatError, check_types, reading
+from .errors import AnchoringError, FormatError, ValidationError, check_types, reading
 
 DEFAULT_SYSTEM_TEMPLATE = "<Profile>. And your task is to solve the question: <Task>. "
 USER_PROMPT_PREFIX = (
@@ -27,10 +26,12 @@ class AgentProfile:
     expertise: str = ""
     system_template: str = DEFAULT_SYSTEM_TEMPLATE
 
+    def __post_init__(self):
+        if not self.role.strip():  # it would render an empty <Profile> slot in every prompt
+            raise ValidationError(f"agent {self.id}: role must not be blank, got {self.role!r}")
+
     def profile_text(self) -> str:
         """Prose filled into the <Profile> slot."""
-        if not self.role:
-            return ""
         text = f"You are a {self.role}"
         if self.expertise:
             text += f", and your duty is: {self.expertise.lower()}"
@@ -91,10 +92,7 @@ def load_default_pool() -> AgentPool:
 
 def render_system_prompt(p: AgentProfile, task: str) -> str:
     """Fill the profile and task slots; output is byte-stable."""
-    profile = p.profile_text()
-    if not profile:
-        warnings.warn(f"agent {p.id} has an empty profile text", stacklevel=2)
-    return p.system_template.replace("<Profile>", profile).replace("<Task>", task)
+    return p.system_template.replace("<Profile>", p.profile_text()).replace("<Task>", task)
 
 
 def render_entry(h: Mapping[str, str]) -> str:

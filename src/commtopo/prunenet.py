@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .embed import DEFAULT_DIM, EmbeddingBackend, node_features
+from .embed import DEFAULT_DIM, EmbeddingBackend, node_features, query_features
 from .errors import CheckpointError, ConfigError, DimensionError, TrainingDiverged
 from .errors import check_numbers, check_types, check_within, reading, within
 from .graphs import CommTopology, NodeMask, SupervisionPair, WeightMatrix, induce
@@ -513,13 +513,14 @@ def _live_features(
     """``node_features(pool, texts, backend)`` on its live columns, and the live mask.
 
     A column is live when it is nonzero in a pool row or a query row.  The
-    texts are embedded in order, ``_EMBED_BLOCK`` per call, and each block
-    keeps only its nonzero columns, so no matrix of every text's full
-    feature row is held.
+    pool is embedded once, then the texts in order, ``_EMBED_BLOCK`` per
+    call, and each block keeps only its nonzero columns, so no matrix of
+    every text's full feature row is held.
     """
+    pool_x, _ = node_features(pool, (), backend)
     blocks = []
     for start in range(0, len(texts), _EMBED_BLOCK):
-        pool_x, block = node_features(pool, texts[start : start + _EMBED_BLOCK], backend)
+        block = query_features(texts[start : start + _EMBED_BLOCK], backend)
         cols = np.flatnonzero((block != 0).any(axis=0))
         blocks.append((start, cols, block[:, cols]))
         del block  # so that two full blocks are never held at once

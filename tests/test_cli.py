@@ -25,6 +25,7 @@ from commtopo.cli import EXIT_CHECKPOINT, EXIT_CODES, _build_parser, _config, ma
 from commtopo.collector import TaskSpec
 from commtopo.config import AppConfig, options
 from commtopo.embed import HashingBackend
+from commtopo.errors import ScoreUnavailable
 from commtopo.graphs import (
     SupervisionPair,
     Topology,
@@ -116,6 +117,39 @@ class TestCollect:
         code = main(["--config", "cfg.ini", "collect", "--tasks", "tasks.jsonl"])
         assert code == 2
         assert "credentials missing" in capsys.readouterr().err
+
+    def test_a_refused_chat_endpoint_ends_the_collect_in_one_line_naming_its_error(
+        self, workdir, no_proxy_env, capsys, monkeypatch
+    ):
+        # it printed one "skipping graph" line per skipped graph, 80 here, then an error that named no cause
+        monkeypatch.setattr(JsonTransport, "sleep", staticmethod(lambda seconds: None))  # no real backoff
+        write_suite(workdir / "tasks.jsonl", n=5)
+        with refused_url() as url:
+            (workdir / "cfg.ini").write_text(
+                f"[agents]\nagent_backend = http\nchat_endpoint = {url}\napi_key = k\nevaluator = orchestrator\n"
+            )
+            assert main(["--config", "cfg.ini", "collect", "--tasks", "tasks.jsonl", "--budget", "40"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: task t0: 0 scored graphs < top_k=2; first skip: graph (")
+        assert "chat endpoint: failed after 3 attempts: ConnectionRefusedError" in err[0]
+        assert not (workdir / "corpus.jsonl").exists()
+
+    def test_a_collect_that_skips_graphs_prints_its_first_skip(self, workdir, capsys, monkeypatch):
+        planted = cli.make_planted_evaluator
+
+        def failing_on_pairs(mode):
+            def evaluator(g, t):
+                if len(g.members) == 2:
+                    raise ScoreUnavailable("two agents are too few")
+                return planted(mode)(g, t)
+            return evaluator
+
+        monkeypatch.setattr(cli, "make_planted_evaluator", failing_on_pairs)
+        write_suite(workdir / "tasks.jsonl", n=5)
+        assert main(["collect", "--tasks", "tasks.jsonl", "--budget", "60", "--mu", "3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"tasks=5 graphs_scored=\d+ graphs_skipped=[1-9]\d* pairs=10", out[0])
+        assert re.fullmatch(r"first skip: graph \(\d+, \d+\) on task t\d: two agents are too few", out[1])
 
 
 class TestTrain:
@@ -506,6 +540,20 @@ def test_runtime_dependencies_are_the_packages_the_source_imports():
     assert third_party == declared
 
 
+def test_the_library_neither_logs_nor_warns_and_only_the_cli_prints():
+    # a logging or warnings call prints a bare stderr line outside main's one error line
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "commtopo").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names if alias.name in ("logging", "warnings")]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("logging", "warnings"):
+                found.append((path.name, node.module))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                found += [] if path.name == "cli.py" else [(path.name, "print")]
+    assert found == []
+
+
 # benchmarks/workloads.py TRACE_TARGETS wraps orchestrator.render_user_prompt by this
 # name, so it stays in the package until the trace target names what run_topology calls
 UNCALLED_BUT_TRACED = {"pool.render_user_prompt"}
@@ -667,6 +715,10 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
          "malformed checkpoint: NetConfig.__init__() got an unexpected keyword argument 'a b'"),
         ("", ["bench", "--suite", "suite.jsonl", "--methods", "complete,complete,star"], 1,
          "methods named more than once: complete"),
+        ("", ["collect", "--tasks", "no_team.jsonl"], 1,
+         "task 't0' carries no planted team, which the planted evaluator needs"),
+        ("[paths]\npool_path = role_empty.jsonl\n", ["design", "--query", "q"], 1,
+         "agent 0: role must not be blank, got ''"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -698,7 +750,7 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "train-a-gt-bool", "train-y-bool-in-another-layout", "collect-tasks-nested-too-deep",
         "train-corpus-nested-too-deep", "design-pool-nested-too-deep", "export-topology-nested-too-deep",
         "design-checkpoint-nested-too-deep", "design-checkpoint-config-key-with-a-line-break",
-        "bench-method-named-twice",
+        "bench-method-named-twice", "collect-planted-evaluator-task-without-team", "design-pool-role-empty",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -714,7 +766,8 @@ def test_bad_input_exits_with_table_code_and_one_line(
     task = {"task_id": "t", "task_text": "q", "category": "math_reasoning"}
     pair = {**task, "score": 1.0, "y": [1, 1, 0], "a_gt": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}
     (workdir / "bad_team.jsonl").write_text(json.dumps({**task, "planted_team": ["a"]}))
-    (workdir / "duplicate_ids.jsonl").write_text(f"{json.dumps(task)}\n{json.dumps({**task, 'task_text': 'r'})}\n")
+    teamed = {**task, "planted_team": [1, 2, 3]}  # the default planted evaluator rejects a task without one first
+    (workdir / "duplicate_ids.jsonl").write_text(f"{json.dumps(teamed)}\n{json.dumps({**teamed, 'task_text': 'r'})}\n")
     (workdir / "bad_score.jsonl").write_text(json.dumps({**pair, "score": "high"}))
     (workdir / "bad_y.jsonl").write_text(json.dumps({**pair, "y": ["a", 1, 0]}))
     (workdir / "list_id.jsonl").write_text(json.dumps({**task, "task_id": []}))
@@ -737,7 +790,7 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "score_bool.jsonl").write_text(json.dumps({**good, "score": True}))
     profile = {"id": 0, "role": "r", "expertise": "e"}
     for name, bad in [("id_bool", {"id": False}), ("id_float", {"id": 1.9}), ("role_int", {"role": 5}),
-                      ("expertise_null", {"expertise": None})]:
+                      ("expertise_null", {"expertise": None}), ("role_empty", {"role": ""})]:
         (workdir / f"{name}.jsonl").write_text(json.dumps({**profile, **bad}))
     topology = json.loads(serialize_topology(induce(*lift_subgraph(Topology.complete(2), [0, 1], 2))))
     (workdir / "n_max_text.json").write_text(json.dumps({**topology, "n_max": "2"}))
@@ -772,6 +825,7 @@ def test_bad_input_exits_with_table_code_and_one_line(
     (workdir / "config_key_newline.json").write_text(checkpoint.replace('"config": {', '"config": {"a\\nb": 1, ', 1))
     write_suite(workdir / "suite.jsonl", n=2)
     write_suite(workdir / "team99.jsonl", n=3, team=(99,))
+    write_suite(workdir / "no_team.jsonl", n=3, team=None)
     (workdir / "cfg.ini").write_text(ini)
     assert main(["--config", "cfg.ini", *argv]) == code
     err = capsys.readouterr().err.splitlines()

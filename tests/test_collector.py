@@ -1,6 +1,6 @@
-import logging
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -351,28 +351,10 @@ class TestCollectCap:
         ]
 
 
-class Warnings(logging.Handler):
-    """Collects the collector's log messages while installed."""
-
-    def __init__(self):
-        super().__init__()
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-    def __enter__(self):
-        logging.getLogger(collector.__name__).addHandler(self)
-        return self.messages
-
-    def __exit__(self, *exc):
-        logging.getLogger(collector.__name__).removeHandler(self)
-
-
 def sequential_collect(tasks, pool, cfg, evaluator):
     """The one-key-at-a-time loop the concurrent schedule replaced, kept as
     the reference: a key's utility, or its failure, stands for each of its
-    occurrences."""
+    occurrences, and the first skipped occurrence is the first skip."""
     cfg.validate(pool.n_max)
     rng = np.random.default_rng(cfg.seed)
     orders = sample_orders(cfg, pool.n_max, rng)
@@ -395,11 +377,11 @@ def sequential_collect(tasks, pool, cfg, evaluator):
             utility = cache[key]
             if isinstance(utility, ScoreUnavailable):
                 stats.graphs_skipped += 1
-                collector.log.warning("skipping graph %s on task %s: %s", graph.members, t.task_id, utility)
+                stats.first_skip = stats.first_skip or f"graph {graph.members} on task {t.task_id}: {utility}"
                 continue
             scored[t].append((graph, utility))
             stats.graphs_scored += 1
-    pairs = mine_supervision(scored, cfg, pool.n_max)
+    pairs = mine_supervision(scored, cfg, pool.n_max, stats.first_skip)
     stats.pairs = len(pairs)
     for p in pairs:
         stats.category_histogram[p.category] = stats.category_histogram.get(p.category, 0) + 1
@@ -444,13 +426,14 @@ class ConstantEvaluator(FlakyEvaluator):
 
 
 def collect_outcome(run, tasks, pool, cfg, evaluator):
-    with Warnings() as warnings:
-        try:
-            pairs, stats = run(tasks, pool, cfg, evaluator)
-            result = ([p.to_json_line() for p in pairs], stats)
-        except MineUnderflow as exc:
-            result = str(exc)
-    return result, warnings, evaluator.calls
+    """The corpus lines and stats, whose first skip and skip count are
+    compared too, or the MineUnderflow message; and the evaluator's calls."""
+    try:
+        pairs, stats = run(tasks, pool, cfg, evaluator)
+        result = ([p.to_json_line() for p in pairs], stats)
+    except MineUnderflow as exc:
+        result = str(exc)
+    return result, evaluator.calls
 
 
 class TestConcurrentCollect:
@@ -487,7 +470,7 @@ class TestConcurrentCollect:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_any_submission_order_equals_the_sequential_collect(self, data):
-        # the merge, not the order the units run in, fixes the corpus, stats and warnings
+        # the merge, not the order the units run in, fixes the corpus, the stats and the first skip
         n_agents = data.draw(st.sampled_from([3, 5, 15]))
         pool = AgentPool(load_default_pool().agents[:n_agents])
         n_tasks = data.draw(st.integers(1, 8))
@@ -527,14 +510,28 @@ class TestConcurrentCollect:
         tasks = [task(f"t{i}") for i in range(2)]
         cfg = CollectorConfig(budget=20, mu=2.0, top_k=1, candidates_per_task=20, seed=1)
         evaluator = FlakyEvaluator(4)
-        with Warnings() as warnings:
-            try:
-                collect_supervision(tasks, pool, cfg, evaluator)
-            except MineUnderflow:
-                pass
+        _, stats = collect_supervision(tasks, pool, cfg, evaluator)
         failing = {key for key in evaluator.calls if zlib.crc32(repr(key).encode()) % 4 < 3}
         assert failing and set(map(len, evaluator.calls.values())) == {1}
-        assert len(warnings) > len(failing)
+        assert stats.graphs_skipped > len(failing)
+
+    def test_a_collect_whose_every_key_fails_logs_and_warns_nothing_and_names_its_first_skip(self, caplog, recwarn):
+        # it used to log one warning per skipped occurrence, 24 here, each a bare stderr line under the CLI
+        tasks = [task(f"t{i}") for i in range(3)]
+        cfg = CollectorConfig(budget=8, candidates_per_task=8, seed=3)
+
+        def evaluator(g, t):
+            raise ConnectionRefusedError(111, "Connection refused")
+
+        with pytest.raises(MineUnderflow) as raised:
+            collect_supervision(tasks, load_default_pool(), cfg, evaluator)
+        rng = np.random.default_rng(cfg.seed)
+        first = sample_subset(sample_orders(cfg, 15, rng)[0], load_default_pool(), rng)  # graph 0, on tasks 0-2
+        assert str(raised.value) == (
+            f"task t0: 0 scored graphs < top_k=2; first skip: graph {first.members} on task t0: "
+            "[Errno 111] Connection refused"
+        )
+        assert caplog.records == [] and len(recwarn) == 0
 
     def test_scorings_are_in_flight_at_once(self):
         barrier = threading.Barrier(4, timeout=5)
@@ -633,7 +630,7 @@ class TestConcurrentCollect:
         assert 1 < len(threads) <= MAX_IN_FLIGHT
         assert 1 < in_flight[1] <= MAX_IN_FLIGHT
 
-    def test_nan_utility_is_skipped_and_logged(self):
+    def test_nan_utility_is_skipped_and_named_as_the_first_skip(self):
         # a NaN used to pass the clip and abort mining with "score must lie in [0, 1]"
         pool = load_default_pool()
         tasks = [task(f"t{i}", team=(1, 2, 3)) for i in range(5)]
@@ -643,12 +640,10 @@ class TestConcurrentCollect:
         def evaluator(g, t):
             return float("nan") if len(g.members) == 4 else planted(g, t)
 
-        with Warnings() as warnings:
-            pairs, stats = collect_supervision(tasks, pool, cfg, evaluator)
+        pairs, stats = collect_supervision(tasks, pool, cfg, evaluator)
         assert stats.graphs_skipped > 0
         assert len(pairs) == 10
-        assert len(warnings) == stats.graphs_skipped
-        assert all(w.endswith("utility is NaN") for w in warnings)
+        assert re.fullmatch(r"graph \(\d+(, \d+){3}\) on task t\d: utility is NaN", stats.first_skip)
 
 
 def recording_units(monkeypatch):

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commtopo.errors import AnchoringError, FormatError
+from commtopo.errors import AnchoringError, FormatError, ValidationError
 from commtopo.pool import (
     USER_PROMPT_PREFIX,
     AgentPool,
@@ -98,16 +99,11 @@ class TestSystemPrompt:
         out = render_system_prompt(p, "1+1=?")
         assert out == "You are a math expert. And your task is to solve the question: 1+1=?. "
 
-    def test_empty_profile_yields_leading_separator(self):
-        p = AgentProfile(
-            id=0,
-            role="",
-            expertise="",
-            system_template="<Profile>. And your task is to solve the question: <Task>. ",
-        )
-        with pytest.warns(UserWarning):
-            out = render_system_prompt(p, "q")
-        assert out.startswith(". And your task")
+    @pytest.mark.parametrize("role", ["", " \t"], ids=["empty", "blank"])
+    def test_a_blank_role_is_rejected_when_the_profile_is_built(self, role):
+        # it rendered an empty <Profile> slot, with a warning on every render
+        with pytest.raises(ValidationError, match=re.escape(f"agent 0: role must not be blank, got {role!r}")):
+            AgentProfile(id=0, role=role, expertise="e")
 
     def test_newline_in_task_preserved(self):
         p = load_default_pool()[0]

@@ -2,7 +2,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -734,6 +734,34 @@ class TestTrainingFeatureBlocks:
             assert log == runs[0][2]
             for name, t in tensors.items():
                 assert np.array_equal(t, runs[0][1][name]), name
+
+    def test_a_backend_that_cannot_be_a_weak_key_gets_each_text_once(self, monkeypatch):
+        # it got a fresh pool memo per block: on the train workload's inputs, 180 calls for the 15 pool texts
+        @dataclass
+        class Unhashable:  # a dataclass with eq and no hash cannot be a weak key
+            inner: SparseColumnBackend
+            dim: int = 12
+
+            def embed(self, text):
+                return self.inner.embed(text)
+
+        monkeypatch.setattr(prunenet, "_EMBED_BLOCK", 7)
+        pool = load_default_pool()
+        corpus = [
+            SupervisionPair(p.task_id, f"question {i}", p.category, p.a_gt, p.y, p.score)
+            for i, p in enumerate(pair_corpus(np.random.default_rng(5), pool, 30))
+        ]
+        backend, hashable = Unhashable(SparseColumnBackend(12)), SparseColumnBackend(12)
+        got, want = (train(corpus, pool, b, TrainConfig(seed=2, epochs=1), self.NET) for b in (backend, hashable))
+        texts = [f"{a.role} {a.expertise}" for a in pool.agents] + [p.task_text for p in corpus]
+        assert backend.inner.texts == hashable.texts == texts
+        assert got[1] == want[1]
+        for name, t in got[0].tensors().items():
+            assert np.array_equal(t, want[0].tensors()[name]), name
+        pool_x, query_x, used = prunenet._live_features(pool, texts[pool.n_max :], Unhashable(SparseColumnBackend(12)))
+        all_pool, all_query = node_features(pool, texts[pool.n_max :], SparseColumnBackend(12))
+        assert np.array_equal(pool_x, all_pool[:, used]) and np.array_equal(query_x, all_query[:, used])
+        assert not (all_pool[:, ~used].any() or all_query[:, ~used].any())
 
     def test_no_matrix_holds_every_texts_full_feature_row(self):
         # 1,024 texts on 2,048 features, 64 of them live: node_features of every
