@@ -460,25 +460,32 @@ def write_training_log(rows: Sequence[TrainLogRow]) -> str:
 class _Adam:
     """Adam with decoupled weight decay over one flat parameter buffer laid
     out by ``shapes``, updating it and the moments in place; biases are not
-    decayed."""
+    decayed.
+
+    The first ``skip`` entries of the buffer get no gradient: the Adam
+    arithmetic runs on the entries after them, and the decay runs over
+    each decayed tensor's whole slice, so those entries only decay.
+    """
 
     DECAYED = {"w_gcn1", "w_gcn2", "b_edge", "mlp_w1", "mlp_w2"}
 
-    def __init__(self, cfg: TrainConfig, shapes: dict[str, tuple]):
+    def __init__(self, cfg: TrainConfig, shapes: dict[str, tuple], skip: int):
         self.cfg = cfg
         self.t = 0
+        self.skip = skip
         slices = _slices(shapes)
         size = sum(s.stop - s.start for s in slices.values())
-        self.m, self.v = np.zeros(size), np.zeros(size)
-        self._a, self._b = np.empty(size), np.empty(size)
+        self.m, self.v = np.zeros(size - skip), np.zeros(size - skip)
+        self._a, self._b = np.empty(size), np.empty(size - skip)
         self._decayed = [s for name, s in slices.items() if name in self.DECAYED]
 
     def step(self, w: np.ndarray, g: np.ndarray) -> None:
-        c, m, v, a, b = self.cfg, self.m, self.v, self._a, self._b
+        """One step on the whole buffer ``w``; ``g`` is the gradient of ``w[skip:]``."""
+        c, m, v, a, b = self.cfg, self.m, self.v, self._a[self.skip :], self._b
         self.t += 1
         bias1, bias2 = 1 - c.adam_beta1**self.t, 1 - c.adam_beta2**self.t
         # same operations in the same order as m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-        # w -= lr*m_hat / (sqrt(v_hat) + eps), so the result is bitwise that of those lines
+        # w -= lr*m_hat / (sqrt(v_hat) + eps), w -= lr*wd*w, so the result is bitwise that of those lines
         m *= c.adam_beta1
         np.multiply(g, 1 - c.adam_beta1, out=a)
         m += a
@@ -492,15 +499,10 @@ class _Adam:
         np.sqrt(b, out=b)
         b += 1e-8
         a /= b
-        w -= a
+        w[self.skip :] -= a
         for s in self._decayed:
-            _decay(w[s], c, a[s])
-
-
-def _decay(w: np.ndarray, cfg: TrainConfig, buf: np.ndarray) -> None:
-    """Decoupled weight decay in place: w -= w * lr*wd, through ``buf``."""
-    np.multiply(w, cfg.lr * cfg.weight_decay, out=buf)
-    w -= buf
+            np.multiply(w[s], c.lr * c.weight_decay, out=self._a[s])
+            w[s] -= self._a[s]
 
 
 # training texts embedded per node_features call
@@ -550,11 +552,11 @@ def train(
     occurrence, through ``_live_features``.  A feature column that is zero
     in the pool rows and in every query row gives its ``w_gcn1`` row
     exactly zero gradient, so the feature matrices hold the live columns
-    only, and forward, backward and Adam run on the live rows only, held
-    with every other tensor in one flat buffer.  The other rows sit in
-    front of them in that buffer, and each step only decays them, as Adam
-    would; the finiteness check and the tail average cover the whole
-    buffer.
+    only.  Every tensor lies at its full shape in one flat buffer, with
+    ``w_gcn1``'s rows reordered so that the dead rows come first; forward,
+    backward and Adam run on the views after them, and the optimizer only
+    decays the dead rows.  The finiteness check and the tail average
+    cover the whole buffer.
     """
     if not corpus:
         raise ConfigError("corpus is empty")
@@ -571,29 +573,29 @@ def train(
     if backend.dim != net.d:
         raise DimensionError(f"feature width {backend.dim} does not match d={net.d}")
     rng = np.random.default_rng(cfg.seed)
-    init = PruneNetParams.init(net, rng)
+    shapes = PruneNetParams.shapes(net)
+    flat = np.concatenate([v.ravel() for v in PruneNetParams.init(net, rng).tensors().values()])
 
     # text -> query row, numbered at first occurrence; each distinct text is embedded once
     text_row: dict[str, int] = {}
     query_row = np.array([text_row.setdefault(p.task_text, len(text_row)) for p in corpus])
     pool_x, query_x, used = _live_features(pool, list(text_row), backend)
-    live_ids, dead_ids = np.flatnonzero(used), np.flatnonzero(~used)
     lab_all = labels(np.stack([p.a_gt.w for p in distinct]), np.stack([p.y.m for p in distinct]))
     active = lab_all.y.mean(axis=1)[label_row]
 
     n_batches = max(1, (len(corpus) + cfg.batch - 1) // cfg.batch)
     total_steps = cfg.epochs * n_batches
     tail_start = int(np.ceil(total_steps * (1.0 - cfg.avg_tail)))
-    dead = init.w_gcn1[dead_ids].ravel()
-    init.w_gcn1 = init.w_gcn1[live_ids]
-    shapes = {k: v.shape for k, v in init.tensors().items()}
-    flat = np.concatenate([dead, *(v.ravel() for v in init.tensors().values())])
-    dead, live = flat[: dead.size], flat[dead.size :]
-    params = PruneNetParams(**_views(live, shapes))
-    grad, tail, buf = np.empty_like(live), np.zeros_like(flat), np.empty_like(dead)
+    rows = np.argsort(used, kind="stable")  # w_gcn1's dead rows first, then the live ones
+    full = _views(flat, shapes)
+    full["w_gcn1"][:] = full["w_gcn1"][rows]
+    skip = np.count_nonzero(~used) * net.h
+    live_shapes = {**shapes, "w_gcn1": (np.count_nonzero(used), net.h)}
+    params = PruneNetParams(**_views(flat[skip:], live_shapes))
+    grad, tail = np.empty(flat.size - skip), np.zeros_like(flat)
     # built once: the gradient views of grad and the pool rows' layer-1 propagation
-    grads, pool_part = (grad, _views(grad, shapes)), pool_rows(pool_x)
-    opt = _Adam(cfg, shapes)
+    grads, pool_part = (grad, _views(grad, live_shapes)), pool_rows(pool_x)
+    opt = _Adam(cfg, shapes, skip)
     log: list[TrainLogRow] = []
 
     for step in range(total_steps):
@@ -611,19 +613,13 @@ def train(
         noisy, _, terms = loss_and_grads(
             params, f, lab, cfg, tau=tau, node_noise=noise, focal=focal, out=grads
         )
-        if not np.isfinite(noisy[2]):
-            raise TrainingDiverged(step)
         # log the noise-free objective at the current temperature
         mean_losses = forward_losses(f, lab, terms, cfg, tau=tau, focal=focal)
-        if not np.isfinite(mean_losses).all():
+        if not np.isfinite((noisy[2], *mean_losses)).all():
             raise TrainingDiverged(step)
-        opt.step(live, grad)
-        _decay(dead, cfg, buf)
+        opt.step(flat, grad)
         if not np.isfinite(flat).all():
-            bad = [
-                k for k, v in params.tensors().items()
-                if not np.isfinite(v).all() or (k == "w_gcn1" and not np.isfinite(dead).all())
-            ]
+            bad = [k for k, v in full.items() if not np.isfinite(v).all()]
             raise TrainingDiverged(
                 step, f"training diverged at step {step}: non-finite {', '.join(bad)}"
             )
@@ -631,11 +627,9 @@ def train(
             tail += flat
         log.append(TrainLogRow(step, mean_losses[0], mean_losses[1], mean_losses[2], tau))
     if total_steps > tail_start:
-        flat = tail / (total_steps - tail_start)
-    out = _views(flat[dead.size :], shapes)
-    w_gcn1 = np.empty((net.d, net.h))
-    w_gcn1[live_ids], w_gcn1[dead_ids] = out["w_gcn1"], flat[: dead.size].reshape(-1, net.h)
-    return PruneNetParams(**{**out, "w_gcn1": w_gcn1}), log
+        flat[:] = tail / (total_steps - tail_start)
+    full["w_gcn1"][rows] = full["w_gcn1"].copy()  # back to feature order
+    return PruneNetParams(**full), log
 
 
 def design_topology(

@@ -70,7 +70,7 @@ class PlantedSuite:
 def _make_task(family: str, index: int, rng: np.random.Generator) -> TaskSpec:
     category, team = DEFAULT_FAMILIES[family]
     bank = _WORDBANKS[family]
-    words = " ".join(rng.choice(bank, size=2, replace=False))
+    words = " ".join(bank[i] for i in rng.choice(len(bank), size=2, replace=False))
     text = f"{_LEADS[family]} {words} ({family}-{index:03d})."
     return TaskSpec(
         task_id=f"{family}-{index:03d}",

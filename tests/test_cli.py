@@ -51,6 +51,18 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def counted_posts(monkeypatch):
+    """A list that gains the payload of each ``JsonTransport.post`` call made from now on."""
+    posts, post = [], JsonTransport.post
+
+    def counting(self, payload):
+        posts.append(payload)  # list.append is atomic, so pool threads may post
+        return post(self, payload)
+
+    monkeypatch.setattr(JsonTransport, "post", counting)
+    return posts
+
+
 def write_suite(path, n=10, team=(1, 2, 3)):
     tasks = [
         TaskSpec(f"t{i}", f"question number {i}", "math_reasoning", "42", "exact", team)
@@ -123,12 +135,15 @@ class TestCollect:
     ):
         # it printed one "skipping graph" line per skipped graph, 80 here, then an error that named no cause
         monkeypatch.setattr(JsonTransport, "sleep", staticmethod(lambda seconds: None))  # no real backoff
+        posts = counted_posts(monkeypatch)
         write_suite(workdir / "tasks.jsonl", n=5)
         with refused_url() as url:
             (workdir / "cfg.ini").write_text(
                 f"[agents]\nagent_backend = http\nchat_endpoint = {url}\napi_key = k\nevaluator = orchestrator\n"
             )
             assert main(["--config", "cfg.ini", "collect", "--tasks", "tasks.jsonl", "--budget", "40"]) == 2
+        # 40 graphs on 2 of the 5 tasks each: each scoring fails at its first call, so one post per occurrence at most
+        assert 0 < len(posts) <= 80
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: task t0: 0 scored graphs < top_k=2; first skip: graph (")
         assert "chat endpoint: failed after 3 attempts: ConnectionRefusedError" in err[0]
@@ -314,11 +329,13 @@ class TestBench:
         self, workdir, no_proxy_env, capsys, monkeypatch
     ):
         monkeypatch.setattr(JsonTransport, "sleep", staticmethod(lambda seconds: None))  # no real backoff
+        posts = counted_posts(monkeypatch)
         write_suite(workdir / "suite.jsonl", n=2)
         with refused_url() as url:
             (workdir / "cfg.ini").write_text(f"[agents]\nagent_backend = http\nchat_endpoint = {url}\napi_key = k\n")
             argv = ["--config", "cfg.ini", "bench", "--suite", "suite.jsonl", "--methods", "star", "--repeats", "1"]
             assert main(argv) == 2
+        assert len(posts) == 2  # each of the 2 runs aborts at its hub's call
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: every bench run aborted; the first: run aborted: agent")
         assert "chat endpoint: failed after 3 attempts: ConnectionRefusedError" in err[0]

@@ -395,6 +395,23 @@ class TestTrain:
             train([pair], pool, backend, TrainConfig(lr=1e308, epochs=1))
         assert info.value.step == 0
 
+    def test_a_non_finite_loss_ends_training_at_its_step_with_the_default_message(self, monkeypatch):
+        # NaN node noise at step 3 makes the noisy loss NaN; the noise-free
+        # loss is still taken on that step, and as the suite makes every
+        # warning an error, it must warn of nothing
+        calls = []
+
+        def noise(rng, shape):
+            calls.append(shape)
+            return np.full(shape, np.nan) if len(calls) == 4 else gumbel_noise(rng, shape)
+
+        monkeypatch.setattr(prunenet, "gumbel_noise", noise)
+        pool, backend, pair, _ = memorization_fixture()
+        with pytest.raises(TrainingDiverged) as info:
+            train([pair], pool, backend, TrainConfig(seed=0, epochs=10))
+        assert info.value.step == 3
+        assert str(info.value) == "training diverged at step 3: non-finite loss"
+
     def test_tail_averaging_returns_mean_of_final_iterates(self):
         pool, backend, pair, _ = memorization_fixture()
         last = train(
@@ -474,27 +491,40 @@ def reference_adam_step(cfg, t, tensors, m, v, grads):
 
 
 class TestAdam:
-    def test_in_place_step_is_bitwise_the_reference(self):
+    def assert_steps_are_bitwise_the_reference(self, dead_rows):
+        """50 steps on SMALL's buffer whose first ``dead_rows`` rows of w_gcn1
+        get no gradient: those only decay, the rest take the reference step."""
         rng = np.random.default_rng(5)
         cfg = TrainConfig(lr=3e-2, weight_decay=1e-2)
         shapes = PruneNetParams.shapes(SMALL)
-        ref = {k: v.copy() for k, v in small_params().tensors().items()}
+        skip = dead_rows * SMALL.h
+        live_shapes = {**shapes, "w_gcn1": (SMALL.d - dead_rows, SMALL.h)}
+        flat = np.concatenate([v.ravel() for v in small_params().tensors().values()])
+        dead = flat[:skip].copy()
+        ref = {k: v.copy() for k, v in _views(flat[skip:], live_shapes).items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref.items()}
         ref_v = {k: np.zeros_like(v) for k, v in ref.items()}
-        flat = np.concatenate([v.ravel() for v in ref.values()])
-        grad = np.empty_like(flat)
-        tensors, grads = _views(flat, shapes), _views(grad, shapes)
-        opt = _Adam(cfg, shapes)
-        m, v = _views(opt.m, shapes), _views(opt.v, shapes)
+        grad = np.empty(flat.size - skip)
+        tensors, grads = _views(flat[skip:], live_shapes), _views(grad, live_shapes)
+        opt = _Adam(cfg, shapes, skip)
+        m, v = _views(opt.m, live_shapes), _views(opt.v, live_shapes)
         for t in range(1, 51):
             for g in grads.values():
                 g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=g.shape)
             opt.step(flat, grad)
             reference_adam_step(cfg, t, ref, ref_m, ref_v, grads)
+            dead -= cfg.lr * cfg.weight_decay * dead
+            assert flat[:skip].tobytes() == dead.tobytes(), t
             for k in ref:
                 assert tensors[k].tobytes() == ref[k].tobytes(), (t, k)
                 assert m[k].tobytes() == ref_m[k].tobytes(), (t, k)
                 assert v[k].tobytes() == ref_v[k].tobytes(), (t, k)
+
+    def test_in_place_step_is_bitwise_the_reference(self):
+        self.assert_steps_are_bitwise_the_reference(0)
+
+    def test_entries_before_skip_only_decay_and_the_rest_take_the_reference_step(self):
+        self.assert_steps_are_bitwise_the_reference(3)
 
 
 def reference_train(corpus, pool, backend, cfg, net):
