@@ -6,8 +6,10 @@ prints one ``error: <message>`` line and maps the exception through
 
 0 success.
 1 usage: an unknown flag or command, a flag or config value that does not
-  parse, a missing or malformed input file (``ConfigError``, ``FormatError``,
-  any other ``CommTopoError``), or an ``OSError`` on a path the user named.
+  parse, a missing or malformed input file (``ConfigError``, ``FormatError``),
+  a value that breaks a structural invariant (``ValidationError``) or sizes
+  that disagree (``DimensionError``), any other ``CommTopoError``, or an
+  ``OSError`` on a path the user named.
 2 external service: ``BackendError`` (an ``http`` chat backend without
   endpoint or key, or a bench whose every run aborted),
   ``EmbeddingUnavailable`` (an embedding call that failed at once, or 3

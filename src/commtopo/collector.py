@@ -18,9 +18,9 @@ import numpy as np
 from .backends import MAX_IN_FLIGHT
 from .errors import (
     ConfigError,
-    InvalidOrder,
     MineUnderflow,
     ScoreUnavailable,
+    ValidationError,
     check_types,
     check_within,
     reading,
@@ -40,7 +40,7 @@ class SampledGraph:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(int(v) for v in self.members))
         if list(self.members) != sorted(set(self.members)):
-            raise InvalidOrder("members must be strictly ascending")
+            raise ValidationError("members must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def _complete(order: int) -> Topology:
 def sample_subset(order: int, pool: AgentPool, rng: np.random.Generator) -> SampledGraph:
     """Uniform size-``order`` agent subset, ascending ids, complete topology."""
     if not 2 <= order <= pool.n_max:
-        raise InvalidOrder(f"order {order} outside [2, {pool.n_max}]")
+        raise ValidationError(f"order {order} outside [2, {pool.n_max}]")
     members = np.sort(rng.choice(pool.n_max, size=order, replace=False))
     return SampledGraph(tuple(int(v) for v in members), _complete(order))
 

@@ -1,4 +1,15 @@
-"""Exception hierarchy shared across the package, the malformed-JSON rule and the option checks."""
+"""Exception hierarchy shared across the package, the malformed-JSON rule and the option checks.
+
+Every error derives from ``CommTopoError``.  Most bad inputs raise one of four:
+``ValidationError`` for a value that breaks a structural invariant (an
+order or member list out of range or out of order, agent ids other than
+0..n-1, fewer than two active nodes), ``DimensionError`` for sizes that
+disagree, ``FormatError`` for bytes that do not parse and ``ConfigError``
+for a bad option or a missing input file.  The rest report a bad checkpoint
+(``CheckpointError``) or a stage that failed: ``EmbeddingUnavailable``,
+``ScoreUnavailable``, ``MineUnderflow``, ``TrainingDiverged``,
+``BackendError`` and ``RunAborted``.
+"""
 from contextlib import contextmanager
 from dataclasses import field, fields
 
@@ -11,20 +22,8 @@ class DimensionError(CommTopoError):
     """Matrix / vector sizes do not agree."""
 
 
-class InvalidMembers(CommTopoError):
-    """Member id list is not strictly ascending or contains out-of-range ids."""
-
-
-class DegenerateTopology(CommTopoError):
-    """Fewer than two active nodes; nothing to communicate over."""
-
-
 class ValidationError(CommTopoError):
     """A value violates one of its structural invariants."""
-
-
-class AnchoringError(CommTopoError):
-    """Agent ids are not exactly 0..n_max-1."""
 
 
 class FormatError(CommTopoError):
@@ -33,10 +32,6 @@ class FormatError(CommTopoError):
 
 class EmbeddingUnavailable(CommTopoError):
     """The embedding backend failed to produce a vector."""
-
-
-class InvalidOrder(CommTopoError):
-    """Requested subgraph order is outside [2, n_max]."""
 
 
 class ScoreUnavailable(CommTopoError):

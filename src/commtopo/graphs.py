@@ -15,9 +15,7 @@ import numpy as np
 from .errors import (
     MALFORMED_JSON,
     CommTopoError,
-    DegenerateTopology,
     DimensionError,
-    InvalidMembers,
     ValidationError,
     check_numbers,
     check_types,
@@ -216,11 +214,11 @@ def lift_subgraph(
     """
     members = [int(v) for v in members]
     if len(members) != sub.n:
-        raise InvalidMembers(f"{len(members)} members for a {sub.n}-node graph")
+        raise ValidationError(f"{len(members)} members for a {sub.n}-node graph")
     if any(b <= a for a, b in zip(members, members[1:])):
-        raise InvalidMembers("members must be strictly ascending")
+        raise ValidationError("members must be strictly ascending")
     if members and (members[0] < 0 or members[-1] >= n_max):
-        raise InvalidMembers(f"member ids must lie in [0, {n_max})")
+        raise ValidationError(f"member ids must lie in [0, {n_max})")
     w = np.zeros((n_max, n_max))
     idx = np.array(members, dtype=int)
     w[np.ix_(idx, idx)] = sub.adj
@@ -240,7 +238,7 @@ def induce(weights: WeightMatrix, mask: NodeMask) -> CommTopology:
     if weights.n != mask.n:
         raise DimensionError("weights and mask sizes differ")
     if mask.active_count() < 2:
-        raise DegenerateTopology("fewer than 2 active nodes")
+        raise ValidationError("fewer than 2 active nodes")
     keep = np.outer(mask.m, mask.m)
     return CommTopology(mask, WeightMatrix(weights.n, weights.w * keep))
 

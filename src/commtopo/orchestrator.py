@@ -35,7 +35,7 @@ import numpy as np
 
 from .backends import MAX_IN_FLIGHT, BackendSet
 from .collector import TaskSpec
-from .errors import BackendError, ConfigError, DegenerateTopology, RunAborted
+from .errors import BackendError, ConfigError, RunAborted, ValidationError
 from .graphs import CommTopology, Topology, WeightMatrix, binarize, topology_dict
 from .pool import DECISION_PROFILE, USER_PROMPT_PREFIX, AgentPool, join_user_prompt, render_entry, render_system_prompt
 from .pool import render_user_prompt  # noqa: F401 -- benchmarks/workloads.py traces it by this name
@@ -123,7 +123,7 @@ def _new_tags(rng: np.random.Generator, n: int) -> list[str]:
     """`n` tags of 4 characters, drawn as one array: the same stream as
     4 `rng.choice(list(_TAG_ALPHABET))` calls per tag, so recorded
     transcripts keep their tags."""
-    draws = rng.integers(0, len(_TAG_ALPHABET), size=(n, 4))
+    draws = rng.integers(0, len(_TAG_ALPHABET), size=(n, 4)).tolist()  # Python ints index faster
     return ["".join(_TAG_ALPHABET[c] for c in row) for row in draws]
 
 
@@ -153,7 +153,7 @@ def run_topology(
         raise ConfigError(f"k must be >= 1, got {k}")
     active = t.mask.active_ids()
     if len(active) < 2:
-        raise DegenerateTopology("run needs at least 2 active agents")
+        raise ValidationError("run needs at least 2 active agents")
     rng = rng if rng is not None else np.random.default_rng(0)
     adj = binarize(t.weights, theta)
     tags = _new_tags(rng, k * len(active) + 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
 
-from .errors import AnchoringError, FormatError, ValidationError, check_types, reading
+from .errors import FormatError, ValidationError, check_types, reading
 
 DEFAULT_SYSTEM_TEMPLATE = "<Profile>. And your task is to solve the question: <Task>. "
 USER_PROMPT_PREFIX = (
@@ -53,7 +53,7 @@ class AgentPool:
         object.__setattr__(self, "agents", tuple(self.agents))
         ids = [a.id for a in self.agents]
         if ids != list(range(len(ids))):
-            raise AnchoringError(f"agent ids must be exactly 0..{len(ids) - 1}, got {ids}")
+            raise ValidationError(f"agent ids must be exactly 0..{len(ids) - 1}, got {ids}")
 
     @property
     def n_max(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .backends import BackendSet, EchoBackend, PlantedDecisionBackend
 from .collector import Evaluator, SampledGraph, TaskSpec, answer_matches
 from .errors import ScoreUnavailable
-from .graphs import induce, lift_subgraph
+from .graphs import CommTopology, lift_subgraph
 from .orchestrator import run_topology
 from .pool import AgentPool
 
@@ -129,7 +129,7 @@ def make_orchestrator_evaluator(
 
     def evaluator(g: SampledGraph, task: TaskSpec) -> float:
         weights, mask = lift_subgraph(g.topology, g.members, pool.n_max)
-        topo = induce(weights, mask)
+        topo = CommTopology(mask, weights)  # the lift has no weight outside its mask
         key = ",".join(map(str, g.members)) + "|" + task.task_id
         rng = np.random.default_rng(zlib.crc32(key.encode()))
         result = run_topology(topo, task, pool, backends, k=k, theta=theta, rng=rng)

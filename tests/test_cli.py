@@ -736,6 +736,8 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
          "task 't0' carries no planted team, which the planted evaluator needs"),
         ("[paths]\npool_path = role_empty.jsonl\n", ["design", "--query", "q"], 1,
          "agent 0: role must not be blank, got ''"),
+        ("[paths]\npool_path = ids_1_2.jsonl\n", ["design", "--query", "q"], 1,
+         "agent ids must be exactly 0..1, got [1, 2]"),
     ],
     ids=[
         "collect-mu-out-of-range", "design-embedding-unreachable", "design-embedding-no-endpoint",
@@ -768,6 +770,7 @@ POOL3 = "[paths]\npool_path = pool3.jsonl\n"
         "train-corpus-nested-too-deep", "design-pool-nested-too-deep", "export-topology-nested-too-deep",
         "design-checkpoint-nested-too-deep", "design-checkpoint-config-key-with-a-line-break",
         "bench-method-named-twice", "collect-planted-evaluator-task-without-team", "design-pool-role-empty",
+        "design-pool-ids-not-anchored",
     ],
 )
 def test_bad_input_exits_with_table_code_and_one_line(
@@ -809,6 +812,7 @@ def test_bad_input_exits_with_table_code_and_one_line(
     for name, bad in [("id_bool", {"id": False}), ("id_float", {"id": 1.9}), ("role_int", {"role": 5}),
                       ("expertise_null", {"expertise": None}), ("role_empty", {"role": ""})]:
         (workdir / f"{name}.jsonl").write_text(json.dumps({**profile, **bad}))
+    (workdir / "ids_1_2.jsonl").write_text("".join(json.dumps({**profile, "id": i}) + "\n" for i in (1, 2)))
     topology = json.loads(serialize_topology(induce(*lift_subgraph(Topology.complete(2), [0, 1], 2))))
     (workdir / "n_max_text.json").write_text(json.dumps({**topology, "n_max": "2"}))
     (workdir / "n_max_float.json").write_text(json.dumps({**topology, "n_max": 2.7}))

@@ -28,7 +28,7 @@ from commtopo.collector import (
     read_tasks,
 )
 from commtopo.graphs import write_corpus
-from commtopo.errors import ConfigError, InvalidOrder, MineUnderflow, ScoreUnavailable
+from commtopo.errors import ConfigError, MineUnderflow, ScoreUnavailable, ValidationError
 from commtopo.graphs import Topology
 from commtopo.pool import AgentPool, load_default_pool
 from commtopo.synth import (
@@ -178,9 +178,9 @@ class TestSampleSubset:
 
     def test_out_of_range_order(self):
         pool = load_default_pool()
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(ValidationError, match=re.escape(f"order 1 outside [2, {pool.n_max}]")):
             sample_subset(1, pool, np.random.default_rng(0))
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(ValidationError, match=re.escape(f"order {pool.n_max + 1} outside [2, {pool.n_max}]")):
             sample_subset(pool.n_max + 1, pool, np.random.default_rng(0))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from commtopo.backends import MAX_IN_FLIGHT, BackendSet, EchoBackend
 from commtopo.collector import TaskSpec
 from commtopo.bench import make_static
-from commtopo.errors import BackendError, DegenerateTopology, RunAborted
+from commtopo.errors import BackendError, RunAborted, ValidationError
 from commtopo.graphs import CommTopology, NodeMask, Topology, WeightMatrix, binarize
 from commtopo.orchestrator import (
     DECISION_PROFILE,
@@ -101,7 +101,7 @@ class TestRunTopology:
 
     def test_single_active_agent_rejected(self):
         pool = load_default_pool()
-        with pytest.raises(DegenerateTopology):
+        with pytest.raises(ValidationError, match="run needs at least 2 active agents"):
             run_topology(topo([3]), task(), pool, echo_backends())
 
     def test_total_tokens_is_sum_over_entries(self):

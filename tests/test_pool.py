@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commtopo.errors import AnchoringError, FormatError, ValidationError
+from commtopo.errors import FormatError, ValidationError
 from commtopo.pool import (
     USER_PROMPT_PREFIX,
     AgentPool,
@@ -71,12 +71,12 @@ class TestLoadPool:
 
     def test_gap_in_ids_rejected(self):
         data = "\n".join([profile_line(0), profile_line(2)])
-        with pytest.raises(AnchoringError):
+        with pytest.raises(ValidationError, match=re.escape("agent ids must be exactly 0..1, got [0, 2]")):
             load_pool(data)
 
     def test_duplicate_ids_rejected(self):
         data = "\n".join([profile_line(0), profile_line(0)])
-        with pytest.raises(AnchoringError):
+        with pytest.raises(ValidationError, match=re.escape("agent ids must be exactly 0..1, got [0, 0]")):
             load_pool(data)
 
     def test_empty_file_rejected(self):
